@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -57,6 +58,10 @@ class UsageError(Exception):
     pass
 
 
+def _flag(name: str) -> str:
+    return "--lambda" if name == "lam" else f"--{name.replace('_', '-')}"
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -83,11 +88,15 @@ class RunConfig:
             raise UsageError(f"format must be json or csv, got {self.format!r}")
         if self.format == "csv" and self.command != "sign-map":
             raise UsageError("csv output is only defined for sign-map")
+        for name in ("lam", "theta", "a", "b", "a_min", "a_max", "x", "x_max", "sign_floor"):
+            value = getattr(self, name)
+            values = value if isinstance(value, list) else [value]
+            if any(v is not None and not math.isfinite(v) for v in values):
+                raise UsageError(f"{_flag(name)} must be finite, got {value!r}")
         for name in ("lam", "theta"):
             rates = getattr(self, name)
             if rates is not None and (not rates or any(r <= 0 for r in rates)):
-                raise UsageError(f"--{'lambda' if name == 'lam' else name} needs "
-                                 "a nonempty list of positive reals")
+                raise UsageError(f"{_flag(name)} needs a nonempty list of positive reals")
         if self.sign_floor <= 0:
             raise UsageError("--sign-floor must be positive")
         if self.resolution < 2:
@@ -175,7 +184,13 @@ def config_from_args(argv: list[str]) -> RunConfig:
 
 
 def _order_options(config: RunConfig) -> OrderOptions:
-    floor = config.sign_floor * float(os.environ.get("TOL_OVERRIDE", "1"))
+    text = os.environ.get("TOL_OVERRIDE", "1")
+    try:
+        floor = config.sign_floor * float(text)
+    except ValueError:
+        floor = math.nan
+    if not (0.0 < floor < math.inf):
+        raise UsageError(f"TOL_OVERRIDE={text!r}: the sign floor must stay positive and finite")
     return OrderOptions(
         scan=ScanOptions(sign_floor=floor),
         allow_numerical_holds=config.allow_numerical_holds,
@@ -185,8 +200,7 @@ def _order_options(config: RunConfig) -> OrderOptions:
 def _require(config: RunConfig, *names: str) -> None:
     missing = [n for n in names if getattr(config, n) is None]
     if missing:
-        flags = ", ".join("--lambda" if n == "lam" else f"--{n.replace('_', '-')}"
-                          for n in missing)
+        flags = ", ".join(_flag(n) for n in missing)
         raise UsageError(f"{config.command} requires {flags}")
 
 

@@ -31,6 +31,13 @@ _EPS = 2.220446049250313e-16  # float64 machine epsilon
 
 DEFAULT_MERGE_TOL = 1e-12  # relative tolerance for duplicate-rate merging
 
+# Sign-scan and root-isolation budgets.
+BASE_POINTS = 256  # initial grid points
+DIP_PASSES = 3  # subdivision passes around |f| valleys and uncertain gaps
+MAX_REFINEMENTS = 80  # bisection steps per sign flip
+X_RTOL = 1e-10  # relative bracket width at which bisection stops
+ZERO_TOL = 1e-12  # relative threshold for a nonzero derivative sum at 0
+
 
 class RootScanInconclusive(RuntimeError):
     """Root isolation failed to converge; carries the brackets found so far."""
@@ -156,8 +163,8 @@ class ExpSum:
         """
         if not (a > 0.0):
             raise ValueError(f"scale factor a must be positive, got {a}")
-        if b < 0.0:
-            raise ValueError(f"shift b must be nonnegative, got {b}")
+        if not (0.0 <= b < math.inf):
+            raise ValueError(f"shift b must be finite and nonnegative, got {b}")
         return canonicalize(
             [(r * a, c * math.exp(-r * b)) for r, c in zip(self.rates, self.coeffs)]
         )
@@ -206,11 +213,11 @@ class ExpSum:
         """f^(order)(0) computed exactly as the coefficient sum sum_i c_i*(-r_i)^order."""
         return math.fsum(c * (-r) ** order for r, c in zip(self.rates, self.coeffs))
 
-    def sign_at_zero(self, zero_tol: float = 1e-12) -> tuple[int, int]:
+    def sign_at_zero(self) -> tuple[int, int]:
         """Sign of f just right of 0 and the multiplicity of a root at 0.
 
         Probes f(0), f'(0), f''(0), ... as exact coefficient sums until one
-        is resolvably nonzero (relative to sum_i |c_i| r_i^k); for a nonzero
+        is resolvably nonzero (ZERO_TOL relative to sum_i |c_i| r_i^k); for a nonzero
         canonical sum with n terms one of the first n is, by linear
         independence of the exponentials.  Returns (sign, k) where k is the
         first nonvanishing order, i.e. the multiplicity of the zero at 0.
@@ -221,7 +228,7 @@ class ExpSum:
         for k in range(max_order):
             d = self.derivative_sum(k)
             scale = math.fsum(abs(c) * r**k for r, c in zip(self.rates, self.coeffs))
-            if abs(d) > zero_tol * max(scale, 1e-300):
+            if abs(d) > ZERO_TOL * max(scale, 1e-300):
                 return (1 if d > 0 else -1), k
         return 0, max_order
 
@@ -246,13 +253,16 @@ def canonicalize(
     their predecessor are merged by coefficient addition (inclusion-
     exclusion over subset sums routinely produces exactly equal rates that
     must cancel); merged coefficients with ``|c| <= tol`` are dropped.
+    A non-finite coefficient is an error, never a dropped term.
     """
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
     terms = sorted((float(r), float(c)) for r, c in raw_terms)
-    for r, _ in terms:
-        if r < 0.0:
+    for r, c in terms:
+        if not (r >= 0.0):
             raise ValueError(f"rates must be nonnegative, got {r}")
+        if not math.isfinite(c):
+            raise ValueError(f"coefficients must be finite, got {c}")
     rates: list[float] = []
     groups: list[list[float]] = []
     for r, c in terms:
@@ -276,21 +286,17 @@ def canonicalize(
 
 @dataclass(frozen=True)
 class ScanOptions:
-    """Knobs for sign scans and root isolation.
+    """The one settable knob of sign scans and root isolation.
 
     sign_floor is an absolute magnitude below which a sign is never
     asserted; the violating parameter regions of interest here have
     legitimate witnesses many orders of magnitude below 1, so the floor is
     deliberately tiny and certainty additionally requires clearing the
-    evaluation's own rounding-error bound.
+    evaluation's own rounding-error bound.  Grid sizes and refinement
+    budgets are the module constants above.
     """
 
     sign_floor: float = 1e-18
-    base_points: int = 256
-    dip_passes: int = 3
-    max_refinements: int = 80
-    x_rtol: float = 1e-10
-    zero_tol: float = 1e-12
 
     def scaled_floor(self, k: float) -> "ScanOptions":
         return replace(self, sign_floor=self.sign_floor * k)
@@ -394,17 +400,17 @@ def _eval_pt(f: ExpSum, x: float, opts: ScanOptions) -> _Pt:
 
 def _refine_flip(
     f: ExpSum, left: _Pt, right: _Pt, opts: ScanOptions, geometric: bool
-) -> tuple[float, list[_Pt]]:
-    """Shrink a certain-sign flip bracket; returns (abscissa, interior points)."""
+) -> tuple[_Pt, _Pt, list[_Pt]]:
+    """Shrink a certain-sign flip bracket; returns it and the interior points."""
     extra: list[_Pt] = []
-    for _ in range(opts.max_refinements):
+    for _ in range(MAX_REFINEMENTS):
         if geometric and left.x > 0:
             mid = math.sqrt(left.x * right.x)
         else:
             mid = 0.5 * (left.x + right.x)
         if not (left.x < mid < right.x):
             break
-        if right.x - left.x <= opts.x_rtol * max(abs(left.x), abs(right.x), 1e-30):
+        if right.x - left.x <= X_RTOL * max(abs(left.x), abs(right.x), 1e-30):
             break
         p = _eval_pt(f, mid, opts)
         extra.append(p)
@@ -414,14 +420,14 @@ def _refine_flip(
             left = p
         else:
             right = p
-    return 0.5 * (left.x + right.x), extra
+    return left, right, extra
 
 
 def _dip_refine(
     f: ExpSum, pts: list[_Pt], opts: ScanOptions, geometric: bool
 ) -> list[_Pt]:
     """Subdivide around |f| valleys and uncertain gaps to expose narrow regions."""
-    for _ in range(opts.dip_passes):
+    for _ in range(DIP_PASSES):
         inserts: list[float] = []
         logs = [p.logmag for p in pts]
         for i in range(len(pts) - 1):
@@ -457,7 +463,7 @@ def sign_pattern(f: ExpSum, opts: ScanOptions | None = None) -> SignPattern:
     if f.is_zero:
         return SignPattern((), (), certified=True, complete=True)
 
-    s0, mult0 = f.sign_at_zero(opts.zero_tol)
+    s0, mult0 = f.sign_at_zero()
     s_inf = f.asymptotic_sign()
     s_neg = f.sign_at_minus_inf()
     bound = f.sign_change_bound()
@@ -472,7 +478,7 @@ def sign_pattern(f: ExpSum, opts: ScanOptions | None = None) -> SignPattern:
     gap = f.rates[1] - f.rates[0]
     x_hi = 1.05 * max(40.0 / gap, f.dominance_point()) + 1e-6
     x_lo = 1e-9 / f.rates[-1]
-    grid = np.geomspace(x_lo, x_hi, opts.base_points)
+    grid = np.geomspace(x_lo, x_hi, BASE_POINTS)
     pts = [_eval_pt(f, float(x), opts) for x in grid]
     pts = _dip_refine(f, pts, opts, geometric=True)
 
@@ -481,7 +487,7 @@ def sign_pattern(f: ExpSum, opts: ScanOptions | None = None) -> SignPattern:
         first_certain = next((p for p in pts if p.sign != 0), None)
         if first_certain is not None and first_certain.sign != s0:
             x = pts[0].x
-            for _ in range(opts.max_refinements):
+            for _ in range(MAX_REFINEMENTS):
                 x /= 4.0
                 if x < 1e-300:
                     break
@@ -515,13 +521,13 @@ def sign_pattern(f: ExpSum, opts: ScanOptions | None = None) -> SignPattern:
         left = runs[i][-1] if runs[i] else None
         right = runs[i + 1][0] if runs[i + 1] else None
         if left is not None and right is not None:
-            t, extra = _refine_flip(f, left, right, opts, geometric=True)
+            lo, hi, extra = _refine_flip(f, left, right, opts, geometric=True)
             for p in extra:
                 if p.sign == run_signs[i]:
                     runs[i].append(p)
                 elif p.sign == run_signs[i + 1]:
                     runs[i + 1].insert(0, p)
-            transitions.append(t)
+            transitions.append(0.5 * (lo.x + hi.x))
         elif left is not None:
             transitions.append(left.x)
         elif right is not None:
@@ -595,7 +601,7 @@ def count_roots(
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     bound = f.sign_change_bound()
 
-    grid = list(np.linspace(lo, hi, opts.base_points))
+    grid = list(np.linspace(lo, hi, BASE_POINTS))
     if lo < 0.0 < hi:
         grid.extend([0.0, -1e-12 * abs(lo), 1e-12 * hi])
     grid = sorted(set(grid))
@@ -608,20 +614,7 @@ def count_roots(
     log_floor = math.log(opts.sign_floor)
     for a, b in zip(certain, certain[1:]):
         if a.sign != b.sign:
-            left, right = a, b
-            for _ in range(opts.max_refinements):
-                if right.x - left.x <= opts.x_rtol * max(abs(left.x), abs(right.x), 1e-30):
-                    break
-                mid = 0.5 * (left.x + right.x)
-                if not (left.x < mid < right.x):
-                    break
-                p = _eval_pt(f, mid, opts)
-                if p.sign == 0:
-                    break
-                if p.sign == left.sign:
-                    left = p
-                else:
-                    right = p
+            left, right, _ = _refine_flip(f, a, b, opts, geometric=False)
             brackets.append((left.x, right.x))
         else:
             interior = [p for p in pts if a.x < p.x < b.x]
@@ -644,7 +637,7 @@ def count_roots(
             implied += 1
     extra0 = 0
     if lo <= 0.0 <= hi:
-        _, mult0 = f.sign_at_zero(opts.zero_tol)
+        _, mult0 = f.sign_at_zero()
         extra0 = mult0 - 1 if mult0 % 2 else mult0
     certified = count + implied + extra0 == bound
     return RootScan(count, tuple(brackets), certified, tuple(touches))

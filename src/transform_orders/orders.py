@@ -20,13 +20,16 @@ theta_1/lam_1 a shift b close to 0 produces the forbidden "+,-,+,-"
 variation.  ``violation_search`` constructs such a witness; since
 dV/da = x * density_X(a*x + b) > 0, the gap is increasing in a and the
 search can walk a downward from the top of the strip.
+
+``_scan`` is the one place where sign patterns are scanned: every verdict
+probes a list of (a, b) through it, with both survivals built once per call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -51,6 +54,12 @@ class RegionLabel(Enum):
 CERT_MAJORIZATION = "majorization"  # majorized hazards imply the star order
 CERT_HOMOGENEOUS = "homogeneous-base"  # equal-rate base system ages fastest
 CERT_IDENTICAL = "identical-rates"  # same distribution, identity transform
+
+# Scan grids and search budgets.
+A_POINTS = 64  # log-spaced a-grid points, before the analytic breakpoints
+B_FACTORS = (0.0, 0.01, 0.05, 0.25, 1.0)  # convex-scan shifts, units of 1/(theta_1+theta_n)
+SEARCH_MAX_HALVINGS = 40  # b-halvings while certifying "+,-,+" at the strip top
+SEARCH_A_STEPS = 12  # geometric a-steps down from the strip top before the sweep
 
 
 class ViolationSearchError(RuntimeError):
@@ -128,19 +137,45 @@ class SignMap:
 
 @dataclass(frozen=True)
 class OrderOptions:
+    """The settable knobs; scan grids and search budgets are module constants."""
+
     scan: ScanOptions = field(default_factory=ScanOptions)
-    a_points: int = 64
-    b_factors: tuple[float, ...] = (0.0, 0.01, 0.05, 0.25, 1.0)
     allow_numerical_holds: bool = False
-    search_max_halvings: int = 40
-    search_a_steps: int = 12
+
+
+class _Gaps:
+    """The gap V(.; a, b) for any (a, b), from survivals built once."""
+
+    def __init__(self, lam: HazardVector, theta: HazardVector):
+        self.surv_x, self.surv_y = survival(lam), survival(theta)
+
+    def __call__(self, a: float, b: float = 0.0) -> ExpSum:
+        return self.surv_y - self.surv_x.shift_scale(a, b)
 
 
 def survival_gap(
     lam: HazardVector, theta: HazardVector, a: float, b: float = 0.0
 ) -> ExpSum:
     """V(x) = survival_theta(x) - survival_lam(a*x + b) as an ExpSum."""
-    return survival(theta) - survival(lam).shift_scale(a, b)
+    return _Gaps(lam, theta)(a, b)
+
+
+def _scan(
+    gaps: _Gaps,
+    probes: Iterable[tuple[float, float]],
+    violates: Callable[[SignPattern], bool],
+    opts: ScanOptions,
+) -> tuple[Witness | None, list[tuple[float, SignPattern]]]:
+    """Sign patterns of the gap at each (a, b) probe, in order, up to the
+    first certified one that ``violates``: returns it as a witness (or None)
+    and every scanned (a, pattern)."""
+    scanned = []
+    for a, b in probes:
+        p = sign_pattern(gaps(a, b), opts)
+        scanned.append((a, p))
+        if p.certified and violates(p):
+            return Witness(a, b, p), scanned
+    return None, scanned
 
 
 def _star_violation(p: SignPattern) -> bool:
@@ -157,7 +192,7 @@ def _convex_violation(p: SignPattern) -> bool:
     return p.n_changes == 2 and p.regions[0].sign == "-"
 
 
-def _a_grid(lam: HazardVector, theta: HazardVector, n_points: int) -> list[float]:
+def _a_grid(lam: HazardVector, theta: HazardVector) -> list[float]:
     """Logarithmic a-grid covering all analytic breakpoints.
 
     The case boundaries sit at rate ratios (theta1/lam_n, theta1/lam_1, 1),
@@ -165,7 +200,7 @@ def _a_grid(lam: HazardVector, theta: HazardVector, n_points: int) -> list[float
     """
     t1 = theta.rates[0]
     lo = t1 / (2.0 * lam.rates[-1])
-    grid = set(np.geomspace(min(lo, 1.0), max(2.0, 2.0 * lo), n_points).tolist())
+    grid = set(np.geomspace(min(lo, 1.0), max(2.0, 2.0 * lo), A_POINTS).tolist())
     grid.update((t1 / lam.rates[-1], t1 / lam.rates[0], 1.0))
     return sorted(grid)
 
@@ -185,19 +220,17 @@ def star_check(
     opts = opts or OrderOptions()
     if lam.n != 2 or theta.n != 2:
         raise ValueError("star_check handles n=2 systems; use star_check_n otherwise")
+    gaps = _Gaps(lam, theta)
 
     if majorizes(lam, theta):
         t1, l1 = theta.rates[0], lam.rates[0]
         probes = sorted({0.5 * t1 / l1, t1 / l1, 0.5 * (t1 / l1 + 1.0), 1.0})
-        evidence = []
-        for a in probes:
-            p = sign_pattern(survival_gap(lam, theta, a), opts.scan)
-            evidence.append((a, p))
-            if p.certified and _star_violation(p):
-                raise RuntimeError(
-                    f"spot check at a={a} contradicts the analytic certificate; "
-                    "this is a numerical defect"
-                )
+        hit, evidence = _scan(gaps, [(a, 0.0) for a in probes], _star_violation, opts.scan)
+        if hit is not None:
+            raise RuntimeError(
+                f"spot check at a={hit.a} contradicts the analytic certificate; "
+                "this is a numerical defect"
+            )
         return OrderVerdict(
             Status.HOLDS,
             CERT_MAJORIZATION,
@@ -205,20 +238,12 @@ def star_check(
             evidence=tuple(evidence),
         )
 
-    scanned = []
-    all_complete = True
-    for a in _a_grid(lam, theta, opts.a_points):
-        p = sign_pattern(survival_gap(lam, theta, a), opts.scan)
-        scanned.append((a, p))
-        all_complete = all_complete and p.complete
-        if p.certified and _star_violation(p):
-            return OrderVerdict(
-                Status.FAILS,
-                None,
-                witness=Witness(a, 0.0, p),
-                detail=f"gap pattern '{p.text()}' at a={a:.6g} has a '+,-' change",
-            )
-    if opts.allow_numerical_holds and all_complete:
+    probes = [(a, 0.0) for a in _a_grid(lam, theta)]
+    hit, scanned = _scan(gaps, probes, _star_violation, opts.scan)
+    if hit is not None:
+        detail = f"gap pattern '{hit.pattern.text()}' at a={hit.a:.6g} has a '+,-' change"
+        return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)
+    if opts.allow_numerical_holds and all(p.complete for _, p in scanned):
         return OrderVerdict(
             Status.HOLDS,
             None,
@@ -308,48 +333,32 @@ def violation_search(
             "admit no convex-order violation"
         )
 
-    surv_x = survival(lam)
-    surv_y = survival(theta)
+    gaps = _Gaps(lam, theta)
     x0 = 1.0 / (t1 + t2)
-    slack = inverse_survival(surv_x, surv_y.eval(x0)) - a_hi * x0
+    slack = inverse_survival(gaps.surv_x, gaps.surv_y.eval(x0)) - a_hi * x0
     if slack <= 0.0:
         raise ViolationSearchError(
             "no positive shift budget at the seed point", ((x0, 0.0),)
         )
 
-    attempts: list[tuple[float, float]] = []
-    b0 = None
-    top_pattern = None
-    b = 0.5 * slack
-    for _ in range(opts.search_max_halvings):
-        attempts.append((x0, b))
-        p = sign_pattern(surv_y - surv_x.shift_scale(a_hi, b), opts.scan)
-        if p.certified and p.signs() == ("+", "-", "+"):
-            b0, top_pattern = b, p
-            break
-        b *= 0.5
-    if b0 is None:
+    probes = [(a_hi, 0.5 * slack * 0.5**k) for k in range(SEARCH_MAX_HALVINGS)]
+    top, scanned = _scan(gaps, probes, lambda p: p.signs() == ("+", "-", "+"), opts.scan)
+    attempts = [(x0, b) for _, b in probes[: len(scanned)]]
+    if top is None:
         raise ViolationSearchError(
             f"no shift produced a certified '+,-,+' at a={a_hi:.6g}; "
             f"attempted (x0, b0) pairs: {attempts}",
             tuple(attempts),
         )
 
+    # a walks downward from a_hi, then a fallback sweep covers the rest of
+    # the strip: the violating sub-window can be narrow.
+    b0 = top.b
     width = a_hi - a_lo
-    hit = None
-    for k in range(opts.search_a_steps, 0, -1):  # a walks downward from a_hi
-        a = a_hi - width / (2.0**k)
-        p = sign_pattern(surv_y - surv_x.shift_scale(a, b0), opts.scan)
-        if p.certified and p.signs() == ("+", "-", "+", "-"):
-            hit = (a, p)
-            break
-    if hit is None:
-        # Fallback sweep: the violating sub-window can be narrow.
-        for a in np.linspace(a_hi - width / 2.0**opts.search_a_steps, a_lo, 64)[1:]:
-            p = sign_pattern(surv_y - surv_x.shift_scale(float(a), b0), opts.scan)
-            if p.certified and p.signs() == ("+", "-", "+", "-"):
-                hit = (float(a), p)
-                break
+    walk = [a_hi - width / (2.0**k) for k in range(SEARCH_A_STEPS, 0, -1)]
+    sweep = np.linspace(a_hi - width / 2.0**SEARCH_A_STEPS, a_lo, 64)[1:].tolist()
+    probes = [(a, b0) for a in walk + sweep]
+    hit, _ = _scan(gaps, probes, lambda p: p.signs() == ("+", "-", "+", "-"), opts.scan)
     if hit is None:
         raise ViolationSearchError(
             f"'+,-,+' certified at the strip top (b0={b0:.6g}) but no a in the strip "
@@ -357,16 +366,15 @@ def violation_search(
             tuple(attempts),
         )
 
-    a, pattern = hit
-    gap = surv_y - surv_x.shift_scale(a, b0)
-    for region in pattern.regions:
+    gap = gaps(hit.a, b0)
+    for region in hit.pattern.regions:
         value = gap.eval(region.x)
         if (value > 0) != (region.sign == "+") or abs(value) <= opts.scan.sign_floor:
             raise ViolationSearchError(
                 f"witness re-verification failed at x={region.x}", tuple(attempts)
             )
     return CounterexampleReport(
-        a=a, b=b0, strip=(a_lo, a_hi), pattern=pattern, b0_used=b0, x0_seed=x0
+        a=hit.a, b=b0, strip=(a_lo, a_hi), pattern=hit.pattern, b0_used=b0, x0_seed=x0
     )
 
 
@@ -395,22 +403,18 @@ def convex_check(
             detail="identical rate vectors: the composed transform is the identity",
         )
 
-    star = star_check(lam, theta, opts)
-
     if majorizes(lam, theta):
         a_lo = theta.rates[0] / lam.rates[-1]
         a_hi = theta.rates[0] / lam.rates[0]
         if not a_lo < a_hi:  # homogeneous base: strip is empty
             b_ref = 0.1 / (theta.rates[0] + theta.rates[-1])
-            evidence = []
-            for a in (1.25, 0.5 * (a_hi + 1.0), 0.5 * a_lo):
-                p = sign_pattern(survival_gap(lam, theta, a, b_ref), opts.scan)
-                evidence.append((a, p))
-                if p.certified and _convex_violation(p):
-                    raise RuntimeError(
-                        f"favorable-case spot check at a={a} found a violation; "
-                        "this is a numerical defect"
-                    )
+            probes = [(a, b_ref) for a in (1.25, 0.5 * (a_hi + 1.0), 0.5 * a_lo)]
+            hit, evidence = _scan(_Gaps(lam, theta), probes, _convex_violation, opts.scan)
+            if hit is not None:
+                raise RuntimeError(
+                    f"favorable-case spot check at a={hit.a} found a violation; "
+                    "this is a numerical defect"
+                )
             return OrderVerdict(
                 Status.HOLDS,
                 CERT_HOMOGENEOUS,
@@ -440,19 +444,14 @@ def convex_check(
 
     # Not majorized: numerical (a, b) sweep with nonnegative shifts only.
     b_scale = 1.0 / (theta.rates[0] + theta.rates[-1])
-    all_complete = True
-    for a in _a_grid(lam, theta, opts.a_points):
-        for factor in opts.b_factors:
-            p = sign_pattern(survival_gap(lam, theta, a, factor * b_scale), opts.scan)
-            all_complete = all_complete and p.complete
-            if p.certified and _convex_violation(p):
-                return OrderVerdict(
-                    Status.FAILS,
-                    None,
-                    witness=Witness(a, factor * b_scale, p),
-                    detail=f"pattern '{p.text()}' violates the two-change criterion",
-                )
-    if star.status is Status.HOLDS and opts.allow_numerical_holds and all_complete:
+    probes = [(a, f * b_scale) for a in _a_grid(lam, theta) for f in B_FACTORS]
+    hit, scanned = _scan(_Gaps(lam, theta), probes, _convex_violation, opts.scan)
+    if hit is not None:
+        detail = f"pattern '{hit.pattern.text()}' violates the two-change criterion"
+        return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)
+    if opts.allow_numerical_holds and all(p.complete for _, p in scanned) and (
+        star_check(lam, theta, opts).status is Status.HOLDS
+    ):
         return OrderVerdict(
             Status.HOLDS,
             None,
@@ -481,19 +480,15 @@ def convex_check_at(
     opts = opts or OrderOptions()
     if lam.n != 2 or theta.n != 2:
         raise ValueError("convex_check_at supports n=2 systems only")
-    p = sign_pattern(survival_gap(lam, theta, a, b), opts.scan)
-    if p.certified and _convex_violation(p):
-        return OrderVerdict(
-            Status.FAILS,
-            None,
-            witness=Witness(a, b, p),
-            detail=f"certified pattern '{p.text()}' at (a={a:.6g}, b={b:.6g})",
-        )
+    hit, scanned = _scan(_Gaps(lam, theta), [(a, b)], _convex_violation, opts.scan)
+    if hit is not None:
+        detail = f"certified pattern '{hit.pattern.text()}' at (a={a:.6g}, b={b:.6g})"
+        return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)
     return OrderVerdict(
         Status.INCONCLUSIVE,
         None,
-        detail=f"pattern '{p.text()}' at (a={a:.6g}, b={b:.6g}) shows no violation",
-        evidence=((a, p),),
+        detail=f"pattern '{scanned[0][1].text()}' at (a={a:.6g}, b={b:.6g}) shows no violation",
+        evidence=tuple(scanned),
     )
 
 
@@ -530,9 +525,10 @@ def sign_map(
     )
     x_vals = np.linspace(x_min, x_max, nx)
     floor = opts.scan.sign_floor
+    gaps = _Gaps(lam, theta)
     rows = []
     for a in a_vals:
-        gap = survival_gap(lam, theta, a, b)
+        gap = gaps(a, b)
         if gap.is_zero:
             rows.append((0,) * nx)
             continue
@@ -562,21 +558,14 @@ def star_check_n(
     opts = opts or OrderOptions()
     if lam.n != theta.n:
         raise ValueError(f"length mismatch: {lam.n} vs {theta.n}")
-    if lam.n > 20:
-        raise ValueError("n capped at 20 (inclusion-exclusion term count)")
+    gaps = _Gaps(lam, theta)  # survival() caps n at systems.MAX_COMPONENTS
     notes = []
     if not majorizes(lam, theta):
         notes.append("majorization precondition fails; scanning anyway")
-    for a in _a_grid(lam, theta, opts.a_points):
-        p = sign_pattern(survival_gap(lam, theta, a), opts.scan)
-        if p.certified and _star_violation(p):
-            return OrderVerdict(
-                Status.FAILS,
-                None,
-                witness=Witness(a, 0.0, p),
-                detail="; ".join(
-                    [f"violating pattern '{p.text()}' at a={a:.6g}"] + notes
-                ),
-            )
+    probes = [(a, 0.0) for a in _a_grid(lam, theta)]
+    hit, _ = _scan(gaps, probes, _star_violation, opts.scan)
+    if hit is not None:
+        found = f"violating pattern '{hit.pattern.text()}' at a={hit.a:.6g}"
+        return OrderVerdict(Status.FAILS, None, witness=hit, detail="; ".join([found] + notes))
     notes.insert(0, "no violating pattern found: consistent with the conjectured ordering")
     return OrderVerdict(Status.INCONCLUSIVE, None, detail="; ".join(notes))

@@ -205,6 +205,24 @@ class TestUsageErrors:
     def test_nonpositive_rates(self):
         assert main(["check-star", "--lambda", "0,1", "--theta", "1,2"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["check-star", "--lambda", "2,nan", "--theta", "1.5,3.5"],
+        ["check-star", "--lambda", "2,inf", "--theta", "1.5,3.5"],
+        ["check-star", "--lambda", "2,3", "--theta", "1.5,-inf"],
+        ["check-star", "--lambda", "2,3", "--theta", "1.5,3.5", "--sign-floor", "nan"],
+        ["check-convex", "--lambda", "2,3", "--theta", "1.5,3.5",
+         "--a", "0.749", "--b", "inf"],
+        ["sign-map", "--lambda", "2,3", "--theta", "1.5,3.5", "--b", "nan"],
+        ["failure-rate", "--lambda", "2,3", "--x", "nan"],
+    ])
+    def test_non_finite_numbers(self, argv):
+        assert main(argv) == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf", "1e400"])
+    def test_malformed_tol_override(self, monkeypatch, value):
+        monkeypatch.setenv("TOL_OVERRIDE", value)
+        assert main(["check-star", "--lambda", "2,3", "--theta", "1.5,3.5"]) == EXIT_USAGE
+
     def test_csv_only_for_sign_map(self):
         assert main(
             ["check-star", "--lambda", "2,3", "--theta", "1.5,3.5",

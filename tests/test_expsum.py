@@ -57,6 +57,12 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             canonicalize([(-0.5, 1.0)])
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, c):
+        # A NaN would otherwise be dropped as negligible (abs(nan) > tol is False).
+        with pytest.raises(ValueError):
+            canonicalize([(1.0, 1.0), (2.0, c)])
+
     def test_unsorted_input_sorted(self):
         f = canonicalize([(5, -1), (2, 1), (3, 1)])
         assert f.rates == (2.0, 3.0, 5.0)
@@ -166,6 +172,8 @@ class TestShiftScale:
             f.shift_scale(-1.0)
         with pytest.raises(ValueError):
             f.shift_scale(1.0, -0.1)
+        with pytest.raises(ValueError):
+            f.shift_scale(1.0, math.nan)
 
     @given(
         expsum_strategy(),
