@@ -13,6 +13,8 @@ in this one place.
 Usage:
     PYTHONPATH=src python scripts/snapshot_corpus.py          # write all snapshots
     PYTHONPATH=src python scripts/snapshot_corpus.py --check  # exit 1 on any change
+
+--check names each changed snapshot with its first differing line.
 """
 
 from __future__ import annotations
@@ -98,6 +100,16 @@ def snapshot_path(name: str) -> Path:
     return CORPUS / f"{name}.txt"
 
 
+def first_difference(old: bytes, new: bytes) -> str:
+    """The first line where two snapshots differ, old and new side by side."""
+    old_lines, new_lines = old.decode().splitlines(), new.decode().splitlines()
+    for i, (a, b) in enumerate(zip(old_lines, new_lines), 1):
+        if a != b:
+            return f"line {i}: {a.strip()!r} -> {b.strip()!r}"
+    i = min(len(old_lines), len(new_lines)) + 1
+    return f"line {i}: {len(old_lines)} lines -> {len(new_lines)} lines"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
@@ -110,12 +122,14 @@ def main(argv: list[str] | None = None) -> int:
         data = render(cli_argv, env)
         path = snapshot_path(name)
         if args.check:
-            if not path.exists() or path.read_bytes() != data:
-                changed.append(name)
+            if not path.exists():
+                changed.append((name, "no snapshot"))
+            elif path.read_bytes() != data:
+                changed.append((name, first_difference(path.read_bytes(), data)))
         else:
             path.write_bytes(data)
-    for name in changed:
-        print(f"changed: {name}", file=sys.stderr)
+    for name, where in changed:
+        print(f"changed: {name}: {where}", file=sys.stderr)
     if args.check:
         print(f"{len(CONFIGS) - len(changed)} of {len(CONFIGS)} snapshots unchanged")
     else:

@@ -23,7 +23,7 @@ import time
 from dataclasses import asdict, dataclass, fields
 
 from .expsum import ScanOptions
-from .oracle import mc_survival
+from .oracle import MIN_SAMPLES, mc_survival
 from .orders import (
     OrderOptions,
     OrderVerdict,
@@ -88,19 +88,28 @@ class RunConfig:
             raise UsageError(f"format must be json or csv, got {self.format!r}")
         if self.format == "csv" and self.command != "sign-map":
             raise UsageError("csv output is only defined for sign-map")
+        if self.out is not None and not isinstance(self.out, str):
+            raise UsageError(f"--out must be a path, got {self.out!r}")
         for name in ("lam", "theta", "a", "b", "a_min", "a_max", "x", "x_max", "sign_floor"):
             value = getattr(self, name)
             values = value if isinstance(value, list) else [value]
-            if any(v is not None and not math.isfinite(v) for v in values):
-                raise UsageError(f"{_flag(name)} must be finite, got {value!r}")
+            if any(v is not None and not (type(v) in (int, float) and math.isfinite(v))
+                   for v in values):
+                raise UsageError(f"{_flag(name)} must be a finite number, got {value!r}")
         for name in ("lam", "theta"):
             rates = getattr(self, name)
             if rates is not None and (not rates or any(r <= 0 for r in rates)):
                 raise UsageError(f"{_flag(name)} needs a nonempty list of positive reals")
-        if self.sign_floor <= 0:
+        if self.sign_floor is None or self.sign_floor <= 0:
             raise UsageError("--sign-floor must be positive")
-        if self.resolution < 2:
-            raise UsageError("--resolution must be at least 2")
+        for name, kind in (("resolution", int), ("seed", int), ("samples", int),
+                           ("allow_numerical_holds", bool)):
+            if type(getattr(self, name)) is not kind:
+                raise UsageError(f"{_flag(name)} must be {kind.__name__}, "
+                                 f"got {getattr(self, name)!r}")
+        for name, least in (("resolution", 2), ("seed", 0), ("samples", MIN_SAMPLES)):
+            if getattr(self, name) < least:
+                raise UsageError(f"{_flag(name)} must be at least {least}")
 
 
 def _parse_rates(text: str) -> list[float]:
@@ -179,7 +188,7 @@ def config_from_args(argv: list[str]) -> RunConfig:
             merged[f.name] = value
     try:
         return RunConfig(**merged)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # OverflowError: an int too large for a float
         raise UsageError(str(exc)) from None
 
 

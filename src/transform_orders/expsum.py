@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 _EPS = 2.220446049250313e-16  # float64 machine epsilon
+_BLOCK = 1 << 14  # most (term, point) pairs one evaluation holds in memory
 
 DEFAULT_MERGE_TOL = 1e-12  # relative tolerance for duplicate-rate merging
 
@@ -89,47 +90,58 @@ class ExpSum:
 
     # -- evaluation -----------------------------------------------------
 
-    def _scaled(self, x: float) -> tuple[float, float, float]:
-        """Evaluate as (s, m, err) with f(x) = s * exp(m) and |rounding| <= err.
+    def _scaled_many(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Evaluate a 1-D array xs as (s, m, err): f = s * exp(m), |rounding| <= err.
 
-        The shared exponent m = max_i(-r_i * x) keeps the computation free
-        of overflow for any real x, so the *sign* of f stays decidable far
+        The one certified evaluator: every sign decision rests on ``err``.
+        The shared exponent m = max_i(-r_i * x) (the first rate's term for
+        x >= 0, the last one's for x < 0) keeps the computation free of
+        overflow for any real x, so the *sign* of f stays decidable far
         beyond the range where f itself over- or underflows.  ``err`` bounds
         the rounding error of s (exp-argument rounding plus compensated
         summation), on the same scale as s.
         """
-        exps = [-r * x for r in self.rates]
-        m = max(exps)
-        s = 0.0
-        comp = 0.0
-        abs_sum = 0.0
-        err = 0.0
-        for e, c in zip(exps, self.coeffs):
-            t = c * math.exp(e - m)
-            a = abs(t)
-            abs_sum += a
-            err += a * (2.0 * (abs(e) + abs(m)) + 4.0) * _EPS
-            y = t - comp
-            tot = s + y
-            comp = (tot - s) - y
+        xs = np.asarray(xs, dtype=float)
+        if self.is_zero:
+            return np.zeros_like(xs), np.zeros_like(xs), np.zeros_like(xs)
+        if self.n_terms * xs.size > _BLOCK and xs.size > 1:  # points are independent
+            parts = zip(*map(self._scaled_many, np.array_split(xs, 2)))
+            return tuple(np.concatenate(p) for p in parts)
+        # Three (terms x points) arrays, reused in place to bound peak memory.
+        exps = np.multiply.outer(-np.asarray(self.rates), xs)
+        m = np.where(xs >= 0.0, exps[0], exps[-1])
+        bounds = 2.0 * (np.abs(exps) + np.abs(m)) + 4.0
+        terms = np.exp(np.subtract(exps, m, out=exps), out=exps)
+        terms *= np.asarray(self.coeffs)[:, None]
+        mags = np.abs(terms)
+        bounds *= mags
+        bounds *= _EPS
+        # cumsum adds terms in order for any batch; sum goes pairwise for one x.
+        abs_sum = np.cumsum(mags, axis=0, out=mags)[-1]
+        err = np.cumsum(bounds, axis=0, out=bounds)[-1] + 2.0 * _EPS * abs_sum
+        s = np.zeros(xs.shape)
+        comp = np.zeros(xs.shape)
+        for t in terms:  # Kahan summation over terms, all points at once
+            t -= comp
+            tot = s + t
+            np.subtract(tot, s, out=comp)
+            comp -= t
             s = tot
-        err += 2.0 * _EPS * abs_sum
         return s, m, err
 
     def eval(self, x: float) -> float:
         """Value at x, computed with compensated (Kahan) summation."""
-        if self.is_zero:
-            return 0.0
-        s, m, _ = self._scaled(x)
-        if s == 0.0:
-            return 0.0
-        try:
-            return s * math.exp(m)
-        except OverflowError:
-            return math.copysign(math.inf, s)
+        (s,), (m,), _ = self._scaled_many([x])
+        return _unscale(float(s), float(m))
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation (compensated across terms), for x >= 0 grids."""
+        """Values on a grid of x >= 0 (compensated across terms), certifying nothing.
+
+        For x >= 0 no term exceeds |c_i|, so this unscaled form cannot
+        overflow; x < 0 is outside its domain.  Bulk value paths (oracles,
+        quantiles, Monte Carlo) use it because :meth:`_scaled_many` costs
+        about 38% more per 2000-point call.
+        """
         xs = np.asarray(xs, dtype=float)
         s = np.zeros_like(xs)
         comp = np.zeros_like(xs)
@@ -138,14 +150,6 @@ class ExpSum:
             tot = s + y
             comp = (tot - s) - y
             s = tot
-        return s
-
-    def abs_scale(self, xs: np.ndarray) -> np.ndarray:
-        """sum_i |c_i| exp(-r_i x): the natural rounding-error scale at x."""
-        xs = np.asarray(xs, dtype=float)
-        s = np.zeros_like(xs)
-        for r, c in zip(self.rates, self.coeffs):
-            s += abs(c) * np.exp(-r * xs)
         return s
 
     # -- algebra ----------------------------------------------------------
@@ -368,59 +372,74 @@ class RootScan:
     touches: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class _Pt:
+class _Pt(NamedTuple):
     x: float
     s: float  # scaled mantissa: f(x) = s * exp(m)
     m: float
+    logmag: float  # log|f(x)|, -inf where s == 0
     sign: int  # +1 / -1, or 0 when below the floor or the rounding bound
 
-    @property
-    def logmag(self) -> float:
-        if self.s == 0.0:
-            return -math.inf
-        return self.m + math.log(abs(self.s))
-
     def value(self) -> float:
-        if self.s == 0.0:
-            return 0.0
-        try:
-            return self.s * math.exp(self.m)
-        except OverflowError:
-            return math.copysign(math.inf, self.s)
+        return _unscale(self.s, self.m)
 
 
-def _eval_pt(f: ExpSum, x: float, opts: ScanOptions) -> _Pt:
-    s, m, err = f._scaled(x)
-    log_floor = math.log(opts.sign_floor)
-    certain = abs(s) > err and (s != 0.0 and m + math.log(abs(s)) > log_floor)
-    sign = (1 if s > 0 else -1) if certain else 0
-    return _Pt(x, s, m, sign)
+def _unscale(s: float, m: float) -> float:
+    """s * exp(m), saturating at +/-inf."""
+    try:
+        return s * math.exp(m) if s != 0.0 else 0.0
+    except OverflowError:
+        return math.copysign(math.inf, s)
 
 
-def _refine_flip(
-    f: ExpSum, left: _Pt, right: _Pt, opts: ScanOptions, geometric: bool
-) -> tuple[_Pt, _Pt, list[_Pt]]:
-    """Shrink a certain-sign flip bracket; returns it and the interior points."""
-    extra: list[_Pt] = []
+def certain_signs(f: ExpSum, xs, opts: ScanOptions) -> tuple[np.ndarray, ...]:
+    """Signs of f at xs, with the scaled values they rest on.
+
+    A sign is +1 or -1 only where |f| clears both the rounding bound of
+    :meth:`ExpSum._scaled_many` and the sign floor; elsewhere it is 0.
+    Returns (sign, s, m, logmag) with f = s * exp(m) and logmag = log|f|.
+    """
+    s, m, err = f._scaled_many(xs)
+    with np.errstate(divide="ignore"):
+        logmag = m + np.log(np.abs(s))
+    certain = (np.abs(s) > err) & (logmag > math.log(opts.sign_floor))
+    return np.where(certain, np.sign(s), 0.0).astype(int), s, m, logmag
+
+
+def _eval_pts(f: ExpSum, xs, opts: ScanOptions) -> list[_Pt]:
+    xs = np.asarray(xs, dtype=float)
+    sign, s, m, logmag = certain_signs(f, xs, opts)
+    return list(map(_Pt, xs.tolist(), s.tolist(), m.tolist(), logmag.tolist(), sign.tolist()))
+
+
+def _mid(lo: float, hi: float, geometric: bool) -> float:
+    return math.sqrt(lo * hi) if geometric and lo > 0 else 0.5 * (lo + hi)
+
+
+def _refine_flips(
+    f: ExpSum, brackets: list[tuple[_Pt, _Pt]], opts: ScanOptions, geometric: bool
+) -> list[list]:
+    """Shrink certain-sign flip brackets together, one evaluation call per
+    step; returns [left, right, interior points] per bracket."""
+    states = [[left, right, []] for left, right in brackets]
+    active = states
     for _ in range(MAX_REFINEMENTS):
-        if geometric and left.x > 0:
-            mid = math.sqrt(left.x * right.x)
-        else:
-            mid = 0.5 * (left.x + right.x)
-        if not (left.x < mid < right.x):
+        stepping, mids = [], []
+        for st in active:
+            lo, hi = st[0].x, st[1].x
+            mid = _mid(lo, hi, geometric)
+            if lo < mid < hi and hi - lo > X_RTOL * max(abs(lo), abs(hi), 1e-30):
+                stepping.append(st)
+                mids.append(mid)
+        if not mids:
             break
-        if right.x - left.x <= X_RTOL * max(abs(left.x), abs(right.x), 1e-30):
-            break
-        p = _eval_pt(f, mid, opts)
-        extra.append(p)
-        if p.sign == 0:
-            break  # cannot place the flip more precisely than this gap
-        if p.sign == left.sign:
-            left = p
-        else:
-            right = p
-    return left, right, extra
+        active = []
+        for st, p in zip(stepping, _eval_pts(f, mids, opts)):
+            st[2].append(p)
+            if p.sign == 0:
+                continue  # cannot place the flip more precisely than this gap
+            st[0 if p.sign == st[0].sign else 1] = p
+            active.append(st)
+    return states
 
 
 def _dip_refine(
@@ -437,13 +456,10 @@ def _dip_refine(
                 or (i + 2 < len(pts) and logs[i + 1] <= logs[i] and logs[i + 1] < logs[i + 2])
             )
             if a.sign == 0 or b.sign == 0 or near_valley:
-                if geometric and a.x > 0:
-                    inserts.append(math.sqrt(a.x * b.x))
-                else:
-                    inserts.append(0.5 * (a.x + b.x))
+                inserts.append(_mid(a.x, b.x, geometric))
         if not inserts:
             break
-        pts.extend(_eval_pt(f, x, opts) for x in inserts)
+        pts.extend(_eval_pts(f, inserts, opts))
         pts.sort(key=lambda p: p.x)
     return pts
 
@@ -471,7 +487,7 @@ def sign_pattern(f: ExpSum, opts: ScanOptions | None = None) -> SignPattern:
     if f.n_terms == 1:
         r = f.rates[0]
         x_rep = 1.0 / r if r > 0 else 1.0
-        p = _eval_pt(f, x_rep, opts)
+        (p,) = _eval_pts(f, [x_rep], opts)
         region = SignRegion("+" if s_inf > 0 else "-", x_rep, p.value(), p.sign != 0)
         return SignPattern((region,), (), certified=region.certain, complete=True)
 
@@ -479,22 +495,17 @@ def sign_pattern(f: ExpSum, opts: ScanOptions | None = None) -> SignPattern:
     x_hi = 1.05 * max(40.0 / gap, f.dominance_point()) + 1e-6
     x_lo = 1e-9 / f.rates[-1]
     grid = np.geomspace(x_lo, x_hi, BASE_POINTS)
-    pts = [_eval_pt(f, float(x), opts) for x in grid]
-    pts = _dip_refine(f, pts, opts, geometric=True)
+    pts = _dip_refine(f, _eval_pts(f, grid, opts), opts, geometric=True)
 
     # Materialize the 0+ region if the grid starts past its end.
     if s0 != 0:
         first_certain = next((p for p in pts if p.sign != 0), None)
         if first_certain is not None and first_certain.sign != s0:
-            x = pts[0].x
-            for _ in range(MAX_REFINEMENTS):
-                x /= 4.0
-                if x < 1e-300:
-                    break
-                p = _eval_pt(f, x, opts)
-                pts.append(p)
-                if p.sign == s0:
-                    break
+            # Steps left by factors of 4 (down to 1e-300), up to the first with sign s0.
+            xs = np.ldexp(pts[0].x, -2 * np.arange(1, MAX_REFINEMENTS + 1))
+            walk = _eval_pts(f, xs[xs >= 1e-300], opts)
+            end = next((k + 1 for k, p in enumerate(walk) if p.sign == s0), len(walk))
+            pts.extend(walk[:end])
             pts.sort(key=lambda q: q.x)
 
     certain = [p for p in pts if p.sign != 0]
@@ -515,23 +526,25 @@ def sign_pattern(f: ExpSum, opts: ScanOptions | None = None) -> SignPattern:
         runs.append([])
         run_signs.append(s_inf)
 
-    # Transition abscissae between consecutive runs.
+    # Transition abscissae between consecutive runs; witnessed flips are
+    # bisected together.
+    flips = [i for i in range(len(runs) - 1) if runs[i] and runs[i + 1]]
+    brackets = [(runs[i][-1], runs[i + 1][0]) for i in flips]
+    refined = dict(zip(flips, _refine_flips(f, brackets, opts, geometric=True)))
     transitions: list[float] = []
     for i in range(len(runs) - 1):
-        left = runs[i][-1] if runs[i] else None
-        right = runs[i + 1][0] if runs[i + 1] else None
-        if left is not None and right is not None:
-            lo, hi, extra = _refine_flip(f, left, right, opts, geometric=True)
+        if i in refined:
+            lo, hi, extra = refined[i]
             for p in extra:
                 if p.sign == run_signs[i]:
                     runs[i].append(p)
                 elif p.sign == run_signs[i + 1]:
                     runs[i + 1].insert(0, p)
             transitions.append(0.5 * (lo.x + hi.x))
-        elif left is not None:
-            transitions.append(left.x)
-        elif right is not None:
-            transitions.append(right.x)
+        elif runs[i]:
+            transitions.append(runs[i][-1].x)
+        elif runs[i + 1]:
+            transitions.append(runs[i + 1][0].x)
         else:
             transitions.append(math.nan)
 
@@ -605,18 +618,15 @@ def count_roots(
     if lo < 0.0 < hi:
         grid.extend([0.0, -1e-12 * abs(lo), 1e-12 * hi])
     grid = sorted(set(grid))
-    pts = [_eval_pt(f, x, opts) for x in grid]
-    pts = _dip_refine(f, pts, opts, geometric=False)
+    pts = _dip_refine(f, _eval_pts(f, grid, opts), opts, geometric=False)
 
     certain = [p for p in pts if p.sign != 0]
-    brackets: list[tuple[float, float]] = []
+    flips = [(a, b) for a, b in zip(certain, certain[1:]) if a.sign != b.sign]
+    brackets = [(left.x, right.x) for left, right, _ in _refine_flips(f, flips, opts, False)]
     touches: list[float] = []
     log_floor = math.log(opts.sign_floor)
     for a, b in zip(certain, certain[1:]):
-        if a.sign != b.sign:
-            left, right, _ = _refine_flip(f, a, b, opts, geometric=False)
-            brackets.append((left.x, right.x))
-        else:
+        if a.sign == b.sign:
             interior = [p for p in pts if a.x < p.x < b.x]
             if interior and all(p.logmag <= log_floor for p in interior):
                 touches.append(0.5 * (a.x + b.x))

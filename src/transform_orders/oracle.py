@@ -19,6 +19,7 @@ from .systems import HazardVector, inverse_survival_many, survival
 
 RATIO_DROP_TOL = 1e-9
 CONCAVITY_TOL = 1e-9
+MIN_SAMPLES = 1000  # fewest Monte Carlo draws mc_survival accepts
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,8 @@ def mc_survival(
     |empirical tail - analytic survival|.  Identical inputs give an
     identical report.
     """
-    if n_samples < 1000:
-        raise ValueError("n_samples must be at least 1000")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
     rng = np.random.default_rng(seed)
     u = rng.random((n_samples, h.n))
     draws = -np.log1p(-u) / np.asarray(h.rates)  # inverse CDF per component

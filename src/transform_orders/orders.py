@@ -33,7 +33,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .expsum import ExpSum, ScanOptions, SignPattern, sign_pattern
+from .expsum import ExpSum, ScanOptions, SignPattern, certain_signs, sign_pattern
 from .systems import HazardVector, density, inverse_survival, majorizes, survival
 
 
@@ -504,8 +504,9 @@ def sign_map(
     """Matrix of gap signs over (x, a) at fixed b, for CSV emission.
 
     The rows a = theta1/lam2 and a = theta1/lam1 (the strip boundaries)
-    are always included exactly.  Cells whose |gap| is below the sign
-    floor or the rounding bound carry sign 0 (uncertain).
+    are always included exactly.  A cell's sign is certain by the rule of
+    ``sign_pattern``: cells whose |gap| does not clear both the sign floor
+    and the rounding bound carry sign 0 (uncertain).
     """
     opts = opts or OrderOptions()
     na, nx = (resolution, resolution) if isinstance(resolution, int) else resolution
@@ -524,18 +525,8 @@ def sign_map(
         | {t1 / lam.rates[-1], t1 / lam.rates[0]}
     )
     x_vals = np.linspace(x_min, x_max, nx)
-    floor = opts.scan.sign_floor
     gaps = _Gaps(lam, theta)
-    rows = []
-    for a in a_vals:
-        gap = gaps(a, b)
-        if gap.is_zero:
-            rows.append((0,) * nx)
-            continue
-        vals = gap.eval_many(x_vals)
-        noise = np.maximum(floor, 16.0 * 2.220446049250313e-16 * gap.abs_scale(x_vals))
-        signs = np.where(np.abs(vals) <= noise, 0, np.sign(vals)).astype(int)
-        rows.append(tuple(int(s) for s in signs))
+    rows = [tuple(certain_signs(gaps(a, b), x_vals, opts.scan)[0].tolist()) for a in a_vals]
     return SignMap(
         a_values=tuple(a_vals),
         x_values=tuple(float(x) for x in x_vals),

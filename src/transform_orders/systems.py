@@ -112,43 +112,26 @@ def _check_survival_form(f: ExpSum) -> None:
 def inverse_survival(f: ExpSum, u: float) -> float:
     """x with f(x) = u for a survival-form ExpSum (f(0)=1, decreasing to 0).
 
+    A one-element :func:`inverse_survival_many`.
+    """
+    return float(inverse_survival_many(f, np.array([u]))[0])
+
+
+def inverse_survival_many(f: ExpSum, u: np.ndarray) -> np.ndarray:
+    """x with f(x) = u for each tail level u in (0, 1] of a survival-form
+    ExpSum (f(0)=1, decreasing to 0).
+
     Bracketing by doubling followed by bisection to machine width, so the
     residual |f(x) - u| is far below 1e-13 for any u in (0, 1].
     """
     _check_survival_form(f)
-    if not (0.0 < u <= 1.0):
-        raise ValueError(f"u must lie in (0, 1], got {u}")
-    if u == 1.0:
-        return 0.0
-    lo = 0.0
-    hi = 1.0 / f.rates[0]
-    for _ in range(200):
-        if f.eval(hi) < u:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("failed to bracket the quantile by doubling")
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        if f.eval(mid) > u:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def inverse_survival_many(f: ExpSum, u: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`inverse_survival` for a grid of tail levels."""
-    _check_survival_form(f)
     u = np.asarray(u, dtype=float)
-    if np.any((u <= 0.0) | (u > 1.0)):
+    if not np.all((u > 0.0) & (u <= 1.0)):
         raise ValueError("all tail levels must lie in (0, 1]")
     lo = np.zeros_like(u)
-    hi = np.full_like(u, 1.0 / f.rates[0])
+    hi = np.where(u < 1.0, 1.0 / f.rates[0], 0.0)  # level 1 is x = 0
     for _ in range(200):
-        too_high = f.eval_many(hi) >= u
+        too_high = (f.eval_many(hi) >= u) & (hi > 0.0)
         if not too_high.any():
             break
         hi[too_high] *= 2.0
@@ -156,12 +139,13 @@ def inverse_survival_many(f: ExpSum, u: np.ndarray) -> np.ndarray:
         raise ValueError("failed to bracket all quantiles by doubling")
     for _ in range(120):
         mid = 0.5 * (lo + hi)
+        step = (lo < mid) & (mid < hi)  # brackets still wider than one ulp
+        if not step.any():
+            break
         above = f.eval_many(mid) > u
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    x = 0.5 * (lo + hi)
-    x[u == 1.0] = 0.0
-    return x
+        lo = np.where(step & above, mid, lo)
+        hi = np.where(step & ~above, mid, hi)
+    return 0.5 * (lo + hi)
 
 
 def majorizes(lam: HazardVector, theta: HazardVector) -> bool:

@@ -191,6 +191,24 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"lam": [2, 3], "bogus": 1}))
         assert main(["check-star", "--config", str(cfg)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, fields", [
+        (["simulate"], {"samples": 1500.5}),
+        (["simulate"], {"samples": True}),
+        (["simulate"], {"samples": 10}),
+        (["simulate"], {"seed": -1}),
+        (["simulate"], {"seed": "7"}),
+        (["sign-map", "--b", "0"], {"resolution": 21.0}),
+        (["check-star"], {"allow_numerical_holds": "no"}),
+        (["check-star"], {"allow_numerical_holds": 1}),
+        (["check-convex", "--b", "0"], {"a": "0.5"}),
+        (["check-convex", "--b", "0"], {"a": 10**400}),
+        (["check-star"], {"sign_floor": None}),
+    ])
+    def test_malformed_config_values(self, tmp_path, argv, fields):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"lam": [2, 3], "theta": [1.5, 3.5], **fields}))
+        assert main(argv + ["--config", str(cfg)]) == EXIT_USAGE
+
 
 class TestUsageErrors:
     def test_bad_rate_list(self):
@@ -218,6 +236,14 @@ class TestUsageErrors:
     def test_non_finite_numbers(self, argv):
         assert main(argv) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--lambda", "1,2", "--samples", "10"],
+        ["simulate", "--lambda", "1,2", "--seed", "-1"],
+        ["sign-map", "--lambda", "2,3", "--theta", "1.5,3.5", "--b", "0", "--resolution", "1"],
+    ])
+    def test_out_of_range_integers(self, argv):
+        assert main(argv) == EXIT_USAGE
+
     @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf", "1e400"])
     def test_malformed_tol_override(self, monkeypatch, value):
         monkeypatch.setenv("TOL_OVERRIDE", value)
@@ -234,6 +260,8 @@ class TestUsageErrors:
             RunConfig(command="check-star", lam=[], theta=[1.0])
         with pytest.raises(UsageError):
             RunConfig(command="nope")
+        with pytest.raises(UsageError):
+            RunConfig(command="check-star", out=1)  # a file descriptor, not a path
 
     def test_parser_roundtrip(self):
         config = config_from_args(

@@ -4,6 +4,7 @@ import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 
 from transform_orders import (
     ExpSum,
+    HazardVector,
     ScanOptions,
     canonicalize,
     count_roots,
     sign_pattern,
+    survival,
 )
 
 from _samplers import random_expsum
@@ -22,6 +25,19 @@ from _samplers import random_expsum
 # Gap of the theta=(1.5,3.5) system over the lam=(2,3) system at unit scale;
 # the shared rate-5 terms cancel exactly.
 GAP_AT_UNIT_SCALE = canonicalize([(1.5, 1), (2, -1), (3, -1), (3.5, 1)])
+
+
+def assert_rounding_bound_holds(f, xs):
+    """|s - f(x) * exp(-m)| <= err for _scaled_many at every x, with the true
+    f(x) of the float64 coefficients and rates summed at 60 digits."""
+    s, m, err = f._scaled_many(xs)
+    with mpmath.workdps(60):
+        for x, si, mi, ei in zip(xs, s.tolist(), m.tolist(), err.tolist()):
+            exact = mpmath.fsum(
+                mpmath.mpf(c) * mpmath.exp(-mpmath.mpf(r) * mpmath.mpf(x) - mpmath.mpf(mi))
+                for r, c in f.terms()
+            )
+            assert abs(mpmath.mpf(si) - exact) <= ei, (f, x)
 
 
 def expsum_strategy(max_terms=5):
@@ -104,6 +120,33 @@ class TestEval:
         np.testing.assert_allclose(
             f.eval_many(xs), [f.eval(float(x)) for x in xs], rtol=1e-13, atol=1e-300
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 10.0), st.booleans(), st.floats(-3.0, 3.0)),
+            min_size=2,
+            max_size=8,
+        ),
+        st.lists(st.floats(-60.0, 300.0), min_size=1, max_size=16),
+    )
+    def test_rounding_bound_holds_against_mpmath(self, raw, xs):
+        # Coefficients of both signs with magnitudes in 1e-3..1e3.
+        f = canonicalize([(r, (-1.0 if neg else 1.0) * 10.0**e) for r, neg, e in raw])
+        assert_rounding_bound_holds(f, xs)
+
+    @pytest.mark.parametrize("base, other, a, b", [
+        # The classic witness: (1.5,3.5) over (2,3) at the published (a, b).
+        ((2, 3), (1.5, 3.5), 0.749, 0.0125),
+        # n = 6: 2^6 - 1 terms per survival.
+        ((2, 2.2, 2.4, 2.6, 2.8, 3), (1.5, 2, 2.4, 2.6, 3, 3.5), 0.8, 0.0),
+    ], ids=["classic-witness", "n6"])
+    def test_rounding_bound_holds_on_gaps(self, base, other, a, b):
+        gap = survival(HazardVector(other)) - survival(HazardVector(base)).shift_scale(a, b)
+        xs = np.concatenate(
+            [-np.geomspace(1e-6, 60.0, 100), [0.0], np.geomspace(1e-9, 300.0, 300)]
+        )
+        assert_rounding_bound_holds(gap, xs)
 
     def test_large_negative_argument_keeps_sign(self):
         f = canonicalize([(1, 1), (2, -3), (3, 2)])
