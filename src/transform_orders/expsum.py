@@ -91,43 +91,16 @@ class ExpSum:
     # -- evaluation -----------------------------------------------------
 
     def _scaled_many(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Evaluate a 1-D array xs as (s, m, err): f = s * exp(m), |rounding| <= err.
-
-        The one certified evaluator: every sign decision rests on ``err``.
-        The shared exponent m = max_i(-r_i * x) (the first rate's term for
-        x >= 0, the last one's for x < 0) keeps the computation free of
-        overflow for any real x, so the *sign* of f stays decidable far
-        beyond the range where f itself over- or underflows.  ``err`` bounds
-        the rounding error of s (exp-argument rounding plus compensated
-        summation), on the same scale as s.
-        """
+        """Evaluate a 1-D array xs as (s, m, err): the one-row case of
+        :func:`scaled_rows`, with the terms broadcast over the points."""
         xs = np.asarray(xs, dtype=float)
         if self.is_zero:
             return np.zeros_like(xs), np.zeros_like(xs), np.zeros_like(xs)
         if self.n_terms * xs.size > _BLOCK and xs.size > 1:  # points are independent
             parts = zip(*map(self._scaled_many, np.array_split(xs, 2)))
             return tuple(np.concatenate(p) for p in parts)
-        # Three (terms x points) arrays, reused in place to bound peak memory.
         exps = np.multiply.outer(-np.asarray(self.rates), xs)
-        m = np.where(xs >= 0.0, exps[0], exps[-1])
-        bounds = 2.0 * (np.abs(exps) + np.abs(m)) + 4.0
-        terms = np.exp(np.subtract(exps, m, out=exps), out=exps)
-        terms *= np.asarray(self.coeffs)[:, None]
-        mags = np.abs(terms)
-        bounds *= mags
-        bounds *= _EPS
-        # cumsum adds terms in order for any batch; sum goes pairwise for one x.
-        abs_sum = np.cumsum(mags, axis=0, out=mags)[-1]
-        err = np.cumsum(bounds, axis=0, out=bounds)[-1] + 2.0 * _EPS * abs_sum
-        s = np.zeros(xs.shape)
-        comp = np.zeros(xs.shape)
-        for t in terms:  # Kahan summation over terms, all points at once
-            t -= comp
-            tot = s + t
-            np.subtract(tot, s, out=comp)
-            comp -= t
-            s = tot
-        return s, m, err
+        return _scaled_block(exps, np.asarray(self.coeffs)[:, None], xs)
 
     def eval(self, x: float) -> float:
         """Value at x, computed with compensated (Kahan) summation."""
@@ -246,6 +219,82 @@ class ExpSum:
         for r, c in zip(self.rates[1:], self.coeffs[1:]):
             worst = max(worst, math.log((n - 1) * abs(c) / abs(c0)) / (r - r0))
         return max(worst, 0.0)
+
+
+def scaled_rows(fs: Sequence[ExpSum], xss) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate each sum fs[k] on its own 1-D array xss[k], as (s, m, err)
+    with the rows concatenated in order: f = s * exp(m), |rounding| <= err.
+
+    The one certified evaluator: every sign decision rests on ``err``.
+    The shared exponent m = max_i(-r_i * x) (the first rate's term for
+    x >= 0, the last one's for x < 0) keeps the computation free of
+    overflow for any real x, so the *sign* of f stays decidable far
+    beyond the range where f itself over- or underflows.  ``err`` bounds
+    the rounding error of s (exp-argument rounding plus compensated
+    summation), on the same scale as s.  Rows with equal term counts are
+    evaluated together, each point with its own row's rates and
+    coefficients, so every point sees the operations it would see alone.
+    """
+    sizes = [len(x) for x in xss]
+    xs = np.concatenate(xss, dtype=float) if xss else np.zeros(0)
+    s, m, err = np.zeros((3, xs.size))
+    counts = [f.n_terms for f in fs]
+    owner = np.repeat(np.arange(len(fs)), sizes)  # the row of each point
+    for n in {c for c, size in zip(counts, sizes) if size} - {0}:  # the zero sum is 0
+        rows = [k for k, c in enumerate(counts) if c == n]
+        # The points of these rows (a slice when they are all the points)
+        # and the column of each one's row among them.
+        if len(rows) == len(fs):
+            at, col = slice(None), owner
+        else:
+            col = np.full(len(fs), -1)
+            col[rows] = np.arange(len(rows))
+            col = col[owner]
+            at = np.flatnonzero(col >= 0)
+            col = col[at]
+        if len(rows) == 1:
+            s[at], m[at], err[at] = fs[rows[0]]._scaled_many(xs[at])
+            continue
+        neg_rates = -np.array([fs[k].rates for k in rows]).T
+        coeffs = np.array([fs[k].coeffs for k in rows]).T
+        pts = xs[at]
+        step = max(1, _BLOCK // n)  # points are independent
+        for i in range(0, pts.size, step):
+            part = slice(i, i + step)
+            where = part if isinstance(at, slice) else at[part]
+            exps = np.take(neg_rates, col[part], axis=1)
+            exps *= pts[part]
+            s[where], m[where], err[where] = _scaled_block(
+                exps, np.take(coeffs, col[part], axis=1), pts[part]
+            )
+    return s, m, err
+
+
+def _scaled_block(exps, coeffs, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, m, err) at xs from the (terms x points) array exps of -rate * x,
+    which it overwrites, and the matching coefficients."""
+    # Three (terms x points) arrays, reused in place to bound peak memory.
+    m = np.where(xs >= 0.0, exps[0], exps[-1])
+    bounds = np.abs(exps)
+    bounds += np.abs(m)
+    bounds *= 2.0
+    bounds += 4.0
+    terms = np.exp(np.subtract(exps, m, out=exps), out=exps)
+    terms *= coeffs
+    mags = np.abs(terms)
+    bounds *= mags
+    bounds *= _EPS
+    # cumsum adds terms in order for any batch; sum goes pairwise for one x.
+    abs_sum = np.cumsum(mags, axis=0, out=mags)[-1]
+    err = np.cumsum(bounds, axis=0, out=bounds)[-1] + 2.0 * _EPS * abs_sum
+    s, tot, comp = np.zeros(xs.shape), np.empty(xs.shape), np.zeros(xs.shape)
+    for t in terms:  # Kahan summation over terms, all points at once
+        t -= comp
+        np.add(s, t, out=tot)
+        np.subtract(tot, s, out=comp)
+        comp -= t
+        s, tot = tot, s
+    return s, m, err
 
 
 def canonicalize(
@@ -372,15 +421,28 @@ class RootScan:
     touches: tuple[float, ...] = ()
 
 
-class _Pt(NamedTuple):
-    x: float
-    s: float  # scaled mantissa: f(x) = s * exp(m)
-    m: float
-    logmag: float  # log|f(x)|, -inf where s == 0
-    sign: int  # +1 / -1, or 0 when below the floor or the rounding bound
+class _Pts(NamedTuple):
+    """Evaluated points as parallel arrays, f(x) = s * exp(m) at each x."""
 
-    def value(self) -> float:
-        return _unscale(self.s, self.m)
+    x: np.ndarray
+    s: np.ndarray  # scaled mantissa
+    m: np.ndarray
+    logmag: np.ndarray  # log|f(x)|, -inf where s == 0
+    sign: np.ndarray  # +1 / -1, or 0 when below the floor or the rounding bound
+
+    def take(self, idx) -> "_Pts":
+        return _Pts(*(a[idx] for a in self))
+
+    def merged(self, new: "_Pts") -> "_Pts":
+        """Both point sets sorted by x; at equal x, self's points come first."""
+        both = _Pts(*(np.concatenate(pair) for pair in zip(self, new)))
+        return both.take(np.argsort(both.x, kind="stable"))
+
+    def value(self, i: int) -> float:
+        return _unscale(float(self.s[i]), float(self.m[i]))
+
+
+_NO_PTS = _Pts(*[np.zeros(0)] * 4, np.zeros(0, dtype=np.int8))
 
 
 def _unscale(s: float, m: float) -> float:
@@ -391,77 +453,127 @@ def _unscale(s: float, m: float) -> float:
         return math.copysign(math.inf, s)
 
 
-def certain_signs(f: ExpSum, xs, opts: ScanOptions) -> tuple[np.ndarray, ...]:
-    """Signs of f at xs, with the scaled values they rest on.
-
-    A sign is +1 or -1 only where |f| clears both the rounding bound of
-    :meth:`ExpSum._scaled_many` and the sign floor; elsewhere it is 0.
-    Returns (sign, s, m, logmag) with f = s * exp(m) and logmag = log|f|.
-    """
-    s, m, err = f._scaled_many(xs)
+def _certify(s, m, err, opts: ScanOptions) -> tuple[np.ndarray, np.ndarray]:
+    """(sign, logmag) of f = s * exp(m): the sign is +1 or -1 only where |f|
+    clears both the rounding bound err and the sign floor, else 0."""
+    mag = np.abs(s)
+    certain = mag > err
     with np.errstate(divide="ignore"):
-        logmag = m + np.log(np.abs(s))
-    certain = (np.abs(s) > err) & (logmag > math.log(opts.sign_floor))
-    return np.where(certain, np.sign(s), 0.0).astype(int), s, m, logmag
+        logmag = np.log(mag, out=mag)
+    logmag += m
+    certain &= logmag > math.log(opts.sign_floor)
+    sign = np.sign(s).astype(np.int8)
+    sign[~certain] = 0
+    return sign, logmag
 
 
-def _eval_pts(f: ExpSum, xs, opts: ScanOptions) -> list[_Pt]:
-    xs = np.asarray(xs, dtype=float)
-    sign, s, m, logmag = certain_signs(f, xs, opts)
-    return list(map(_Pt, xs.tolist(), s.tolist(), m.tolist(), logmag.tolist(), sign.tolist()))
+def certain_signs(f: ExpSum, xs, opts: ScanOptions) -> np.ndarray:
+    """Signs of f at xs: +1 or -1 only where |f| clears both the rounding
+    bound of :func:`scaled_rows` and the sign floor; elsewhere 0."""
+    return _certify(*f._scaled_many(xs), opts)[0]
 
 
-def _mid(lo: float, hi: float, geometric: bool) -> float:
-    return math.sqrt(lo * hi) if geometric and lo > 0 else 0.5 * (lo + hi)
+def _lockstep(fs: Sequence[ExpSum], steps, opts: ScanOptions) -> list:
+    """Run the step generator ``steps(f)`` of every sum in fs together.
+
+    A step generator yields each x-array it needs evaluated, is sent back
+    those points as :class:`_Pts` in request order, and returns its result.
+    Each round, the requests of all running generators go to one
+    :func:`scaled_rows` call.
+    """
+    gens = [steps(f) for f in fs]
+    results: list = [None] * len(gens)
+    pending: dict[int, np.ndarray] = {}
+
+    def advance(k: int, pts: _Pts | None) -> None:
+        try:
+            pending[k] = gens[k].send(pts)
+        except StopIteration as done:
+            results[k] = done.value
+
+    for k in range(len(gens)):
+        advance(k, None)
+    while pending:
+        ks, xss = list(pending), list(pending.values())
+        pending.clear()
+        s, m, err = scaled_rows([fs[k] for k in ks], xss)
+        sign, logmag = _certify(s, m, err, opts)
+        end = 0
+        for k, xs in zip(ks, xss):
+            rows = slice(end, end + xs.size)
+            end += xs.size
+            advance(k, _Pts(xs, s[rows], m[rows], logmag[rows], sign[rows]))
+        del s, m, err, sign, logmag  # not kept alive through the next round
+    return results
 
 
-def _refine_flips(
-    f: ExpSum, brackets: list[tuple[_Pt, _Pt]], opts: ScanOptions, geometric: bool
-) -> list[list]:
-    """Shrink certain-sign flip brackets together, one evaluation call per
-    step; returns [left, right, interior points] per bracket."""
-    states = [[left, right, []] for left, right in brackets]
-    active = states
+def _mids(lo: np.ndarray, hi: np.ndarray, geometric: bool) -> np.ndarray:
+    if not geometric:
+        return 0.5 * (lo + hi)
+    with np.errstate(invalid="ignore"):
+        return np.where(lo > 0, np.sqrt(lo * hi), 0.5 * (lo + hi))
+
+
+def _refine_flips(lo: list, hi: list, left_sign: list, geometric: bool):
+    """Shrink certain-sign flip brackets [lo[k], hi[k]] in place and
+    together, one evaluation per step (a step generator; see _lockstep).
+    left_sign[k] is the sign at lo[k].  Returns lo and hi, every point
+    evaluated on the way in evaluation order, and each one's bracket."""
+    seen, owners = [_NO_PTS], []
+    active = list(range(len(lo)))
     for _ in range(MAX_REFINEMENTS):
         stepping, mids = [], []
-        for st in active:
-            lo, hi = st[0].x, st[1].x
-            mid = _mid(lo, hi, geometric)
-            if lo < mid < hi and hi - lo > X_RTOL * max(abs(lo), abs(hi), 1e-30):
-                stepping.append(st)
+        for k in active:  # a scan has a few brackets: scalar arithmetic is cheaper
+            a, b = lo[k], hi[k]
+            mid = math.sqrt(a * b) if geometric and a > 0 else 0.5 * (a + b)
+            if a < mid < b and b - a > X_RTOL * max(abs(a), abs(b), 1e-30):
+                stepping.append(k)
                 mids.append(mid)
         if not mids:
             break
+        p = yield np.array(mids)
+        seen.append(p)
+        owners += stepping
         active = []
-        for st, p in zip(stepping, _eval_pts(f, mids, opts)):
-            st[2].append(p)
-            if p.sign == 0:
+        for k, mid, sign in zip(stepping, mids, p.sign.tolist()):
+            if sign == 0:
                 continue  # cannot place the flip more precisely than this gap
-            st[0 if p.sign == st[0].sign else 1] = p
-            active.append(st)
-    return states
+            if sign == left_sign[k]:
+                lo[k] = mid
+            else:
+                hi[k] = mid
+            active.append(k)
+    extra = _Pts(*(np.concatenate(col) for col in zip(*seen)))
+    return lo, hi, extra, np.array(owners, dtype=np.intp)
 
 
-def _dip_refine(
-    f: ExpSum, pts: list[_Pt], opts: ScanOptions, geometric: bool
-) -> list[_Pt]:
-    """Subdivide around |f| valleys and uncertain gaps to expose narrow regions."""
+def _grid_points(grid: np.ndarray, geometric: bool):
+    """Evaluate the sorted grid, then subdivide around |f| valleys and
+    uncertain gaps to expose narrow regions (a step generator; see
+    _lockstep); returns all points by x."""
+    pts = yield grid
     for _ in range(DIP_PASSES):
-        inserts: list[float] = []
-        logs = [p.logmag for p in pts]
-        for i in range(len(pts) - 1):
-            a, b = pts[i], pts[i + 1]
-            near_valley = (
-                (0 < i and logs[i] < logs[i - 1] and logs[i] <= logs[i + 1])
-                or (i + 2 < len(pts) and logs[i + 1] <= logs[i] and logs[i + 1] < logs[i + 2])
-            )
-            if a.sign == 0 or b.sign == 0 or near_valley:
-                inserts.append(_mid(a.x, b.x, geometric))
-        if not inserts:
+        logs, inner = pts.logmag, pts.logmag[1:-1]
+        split = (pts.sign[:-1] == 0) | (pts.sign[1:] == 0)
+        split[1:] |= (inner < logs[:-2]) & (inner <= logs[2:])  # valley at the left end
+        split[:-1] |= (inner <= logs[:-2]) & (inner < logs[2:])  # valley at the right end
+        if not split.any():
             break
-        pts.extend(_eval_pts(f, inserts, opts))
-        pts.sort(key=lambda p: p.x)
+        pts = pts.merged((yield _mids(pts.x[:-1][split], pts.x[1:][split], geometric)))
     return pts
+
+
+def _zero_walk(pts: _Pts, s0: int):
+    """Materialize the 0+ region if the grid starts past its end: steps
+    left by factors of 4 (down to 1e-300), up to the first point with sign
+    s0 (a step generator; see _lockstep); returns all points by x."""
+    signs = pts.sign[pts.sign != 0]
+    if s0 == 0 or not signs.size or signs[0] == s0:
+        return pts
+    xs = np.ldexp(pts.x[0], -2 * np.arange(1, MAX_REFINEMENTS + 1))
+    walk = yield xs[xs >= 1e-300]
+    hits = np.flatnonzero(walk.sign == s0)
+    return pts.merged(walk.take(slice(0, hits[0] + 1 if hits.size else None)))
 
 
 def sign_pattern(f: ExpSum, opts: ScanOptions | None = None) -> SignPattern:
@@ -475,7 +587,21 @@ def sign_pattern(f: ExpSum, opts: ScanOptions | None = None) -> SignPattern:
     witness sits at or below the sign floor is flagged uncertain and the
     whole pattern is then not certified.
     """
-    opts = opts or ScanOptions()
+    return sign_patterns([f], opts)[0]
+
+
+def sign_patterns(
+    fs: Sequence[ExpSum], opts: ScanOptions | None = None
+) -> list[SignPattern]:
+    """``[sign_pattern(f) for f in fs]``, computed in lock step: each grid,
+    dip pass, 0+ walk and bisection step evaluates the points that every
+    scan still running requests in one evaluator call."""
+    fs = list(fs)
+    return _lockstep(fs, _pattern_steps, opts or ScanOptions())
+
+
+def _pattern_steps(f: ExpSum):
+    """The step generator of sign_pattern(f) (see _lockstep)."""
     if f.is_zero:
         return SignPattern((), (), certified=True, complete=True)
 
@@ -487,82 +613,93 @@ def sign_pattern(f: ExpSum, opts: ScanOptions | None = None) -> SignPattern:
     if f.n_terms == 1:
         r = f.rates[0]
         x_rep = 1.0 / r if r > 0 else 1.0
-        (p,) = _eval_pts(f, [x_rep], opts)
-        region = SignRegion("+" if s_inf > 0 else "-", x_rep, p.value(), p.sign != 0)
+        p = yield np.array([x_rep])
+        region = SignRegion("+" if s_inf > 0 else "-", x_rep, p.value(0), bool(p.sign[0]))
         return SignPattern((region,), (), certified=region.certain, complete=True)
 
     gap = f.rates[1] - f.rates[0]
     x_hi = 1.05 * max(40.0 / gap, f.dominance_point()) + 1e-6
     x_lo = 1e-9 / f.rates[-1]
-    grid = np.geomspace(x_lo, x_hi, BASE_POINTS)
-    pts = _dip_refine(f, _eval_pts(f, grid, opts), opts, geometric=True)
+    pts = yield from _grid_points(np.geomspace(x_lo, x_hi, BASE_POINTS), geometric=True)
+    pts = yield from _zero_walk(pts, s0)
+    certain = pts.take(np.flatnonzero(pts.sign))
+    del pts  # only the certain points are kept while the flips are bisected
+    n_certain = certain.x.size
 
-    # Materialize the 0+ region if the grid starts past its end.
-    if s0 != 0:
-        first_certain = next((p for p in pts if p.sign != 0), None)
-        if first_certain is not None and first_certain.sign != s0:
-            # Steps left by factors of 4 (down to 1e-300), up to the first with sign s0.
-            xs = np.ldexp(pts[0].x, -2 * np.arange(1, MAX_REFINEMENTS + 1))
-            walk = _eval_pts(f, xs[xs >= 1e-300], opts)
-            end = next((k + 1 for k, p in enumerate(walk) if p.sign == s0), len(walk))
-            pts.extend(walk[:end])
-            pts.sort(key=lambda q: q.x)
-
-    certain = [p for p in pts if p.sign != 0]
-
-    # Assemble the alternating region runs, with analytic endpoints.
-    runs: list[list[_Pt]] = []
-    run_signs: list[int] = []
-    for p in certain:
-        if run_signs and run_signs[-1] == p.sign:
-            runs[-1].append(p)
-        else:
-            runs.append([p])
-            run_signs.append(p.sign)
+    # Assemble the alternating region runs (index ranges into certain),
+    # with empty runs for the analytic endpoints.
+    cuts = (np.flatnonzero(np.diff(certain.sign)) + 1).tolist()
+    edges = [0, *cuts, n_certain] if n_certain else []
+    runs = [range(a, b) for a, b in zip(edges, edges[1:])]
+    run_signs = [int(certain.sign[run.start]) for run in runs]
     if s0 != 0 and (not run_signs or run_signs[0] != s0):
-        runs.insert(0, [])
+        runs.insert(0, range(0))
         run_signs.insert(0, s0)
     if s_inf != 0 and (not run_signs or run_signs[-1] != s_inf):
-        runs.append([])
+        runs.append(range(0))
         run_signs.append(s_inf)
 
     # Transition abscissae between consecutive runs; witnessed flips are
     # bisected together.
     flips = [i for i in range(len(runs) - 1) if runs[i] and runs[i + 1]]
-    brackets = [(runs[i][-1], runs[i + 1][0]) for i in flips]
-    refined = dict(zip(flips, _refine_flips(f, brackets, opts, geometric=True)))
+    left = [runs[i][-1] for i in flips]
+    right = [runs[i + 1][0] for i in flips]
+    lo, hi, extra, owner = yield from _refine_flips(
+        certain.x[left].tolist(), certain.x[right].tolist(), certain.sign[left].tolist(), True
+    )
+    refined = dict(zip(flips, zip(lo, hi)))
     transitions: list[float] = []
     for i in range(len(runs) - 1):
         if i in refined:
-            lo, hi, extra = refined[i]
-            for p in extra:
-                if p.sign == run_signs[i]:
-                    runs[i].append(p)
-                elif p.sign == run_signs[i + 1]:
-                    runs[i + 1].insert(0, p)
-            transitions.append(0.5 * (lo.x + hi.x))
+            a, b = refined[i]
+            transitions.append(0.5 * (a + b))
         elif runs[i]:
-            transitions.append(runs[i][-1].x)
+            transitions.append(float(certain.x[runs[i][-1]]))
         elif runs[i + 1]:
-            transitions.append(runs[i + 1][0].x)
+            transitions.append(float(certain.x[runs[i + 1][0]]))
         else:
             transitions.append(math.nan)
 
-    regions: list[SignRegion] = []
-    for sign, run in zip(run_signs, runs):
-        label = "+" if sign > 0 else "-"
+    # Each run's witness is its largest certain |f|, counting the bisection
+    # points of the flips on either side.  Ties go to the first of: those
+    # before the run (latest first), the run itself, those after it.
+    beside: dict[int, list[int]] = {}  # run index -> its flip's bisection points
+    for e, k in enumerate(owner.tolist()):
+        beside.setdefault(flips[k], []).append(e)
+    extra_logs, extra_signs = extra.logmag.tolist(), extra.sign.tolist()
+    xs_found: list[float] = []
+    values: list[float | None] = []
+    for j, (sign, run) in enumerate(zip(run_signs, runs)):
         if run:
-            best = max(run, key=lambda p: p.logmag)
-            regions.append(SignRegion(label, best.x, best.value(), True))
+            before = [e for e in reversed(beside.get(j - 1, [])) if extra_signs[e] == sign]
+            after = [e for e in beside.get(j, []) if extra_signs[e] == sign]
+            i = run.start + int(np.argmax(certain.logmag[run.start : run.stop]))
+            _, best, k = max(
+                [(extra_logs[e], extra, e) for e in before]
+                + [(float(certain.logmag[i]), certain, i)]
+                + [(extra_logs[e], extra, e) for e in after],
+                key=lambda c: c[0],
+            )
+            xs_found.append(float(best.x[k]))
+            values.append(best.value(k))
         else:
             # Analytically implied region without a witness above the floor.
-            if regions:
-                x_guess = regions[-1].x * 2.0
-            elif certain:
-                x_guess = certain[0].x / 2.0
+            if xs_found:
+                xs_found.append(xs_found[-1] * 2.0)
+            elif n_certain:
+                xs_found.append(float(certain.x[0]) / 2.0)
             else:
-                x_guess = x_lo
-            regions.append(SignRegion(label, x_guess, f.eval(x_guess), False))
+                xs_found.append(x_lo)
+            values.append(None)
+    guessed = [k for k, v in enumerate(values) if v is None]
+    if guessed:
+        p = yield np.array([xs_found[k] for k in guessed])
+        for i, k in enumerate(guessed):
+            values[k] = p.value(i)
+    regions = [
+        SignRegion("+" if sign > 0 else "-", x, value, bool(run))
+        for sign, run, x, value in zip(run_signs, runs, xs_found, values)
+    ]
 
     # A certified pattern can never exceed the zero bound; if numerical dust
     # produced extra alternations anyway, drop the weakest regions.
@@ -612,24 +749,33 @@ def count_roots(
         raise ValueError("count_roots requires a nonzero ExpSum")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    return _lockstep([f], lambda g: _root_steps(g, lo, hi, opts), opts)[0]
+
+
+def _root_steps(f: ExpSum, lo: float, hi: float, opts: ScanOptions):
+    """The step generator of count_roots(f, lo, hi, opts) (see _lockstep)."""
     bound = f.sign_change_bound()
 
     grid = list(np.linspace(lo, hi, BASE_POINTS))
     if lo < 0.0 < hi:
         grid.extend([0.0, -1e-12 * abs(lo), 1e-12 * hi])
-    grid = sorted(set(grid))
-    pts = _dip_refine(f, _eval_pts(f, grid, opts), opts, geometric=False)
+    pts = yield from _grid_points(np.array(sorted(set(grid)), dtype=float), geometric=False)
 
-    certain = [p for p in pts if p.sign != 0]
-    flips = [(a, b) for a, b in zip(certain, certain[1:]) if a.sign != b.sign]
-    brackets = [(left.x, right.x) for left, right, _ in _refine_flips(f, flips, opts, False)]
-    touches: list[float] = []
-    log_floor = math.log(opts.sign_floor)
-    for a, b in zip(certain, certain[1:]):
-        if a.sign == b.sign:
-            interior = [p for p in pts if a.x < p.x < b.x]
-            if interior and all(p.logmag <= log_floor for p in interior):
-                touches.append(0.5 * (a.x + b.x))
+    certain = pts.take(np.flatnonzero(pts.sign))
+    flip = np.flatnonzero(certain.sign[1:] != certain.sign[:-1])
+    left, right, _, _ = yield from _refine_flips(
+        certain.x[flip].tolist(), certain.x[flip + 1].tolist(), certain.sign[flip].tolist(), False
+    )
+    brackets = list(zip(left, right))
+
+    # A touch: two same-sign neighbours with only sub-floor points between.
+    same = np.flatnonzero(certain.sign[1:] == certain.sign[:-1])
+    a, b = certain.x[same], certain.x[same + 1]
+    start = np.searchsorted(pts.x, a, side="right")
+    stop = np.searchsorted(pts.x, b, side="left")
+    above = np.concatenate([[0], np.cumsum(pts.logmag > math.log(opts.sign_floor))])
+    touch = (stop > start) & (above[stop] == above[start])
+    touches = (0.5 * (a[touch] + b[touch])).tolist()
 
     count = len(brackets)
     if count > bound:
@@ -640,10 +786,10 @@ def count_roots(
         )
 
     implied = 0
-    if certain:
-        if f.sign_at_minus_inf() != certain[0].sign:
+    if certain.x.size:
+        if f.sign_at_minus_inf() != certain.sign[0]:
             implied += 1
-        if f.asymptotic_sign() != certain[-1].sign:
+        if f.asymptotic_sign() != certain.sign[-1]:
             implied += 1
     extra0 = 0
     if lo <= 0.0 <= hi:

@@ -17,8 +17,10 @@ from transform_orders import (
     canonicalize,
     count_roots,
     sign_pattern,
+    sign_patterns,
     survival,
 )
+from transform_orders.expsum import _BLOCK, scaled_rows
 
 from _samplers import random_expsum
 
@@ -27,10 +29,11 @@ from _samplers import random_expsum
 GAP_AT_UNIT_SCALE = canonicalize([(1.5, 1), (2, -1), (3, -1), (3.5, 1)])
 
 
-def assert_rounding_bound_holds(f, xs):
-    """|s - f(x) * exp(-m)| <= err for _scaled_many at every x, with the true
-    f(x) of the float64 coefficients and rates summed at 60 digits."""
-    s, m, err = f._scaled_many(xs)
+def assert_rounding_bound_holds(f, xs, evaluated=None):
+    """|s - f(x) * exp(-m)| <= err at every x, for (s, m, err) from
+    _scaled_many unless given, with the true f(x) of the float64
+    coefficients and rates summed at 60 digits."""
+    s, m, err = f._scaled_many(xs) if evaluated is None else evaluated
     with mpmath.workdps(60):
         for x, si, mi, ei in zip(xs, s.tolist(), m.tolist(), err.tolist()):
             exact = mpmath.fsum(
@@ -135,23 +138,99 @@ class TestEval:
         f = canonicalize([(r, (-1.0 if neg else 1.0) * 10.0**e) for r, neg, e in raw])
         assert_rounding_bound_holds(f, xs)
 
-    @pytest.mark.parametrize("base, other, a, b", [
+    @pytest.mark.parametrize("base, other, probes", [
         # The classic witness: (1.5,3.5) over (2,3) at the published (a, b).
-        ((2, 3), (1.5, 3.5), 0.749, 0.0125),
+        ((2, 3), (1.5, 3.5), [(0.749, 0.0125)]),
         # n = 6: 2^6 - 1 terms per survival.
-        ((2, 2.2, 2.4, 2.6, 2.8, 3), (1.5, 2, 2.4, 2.6, 3, 3.5), 0.8, 0.0),
-    ], ids=["classic-witness", "n6"])
-    def test_rounding_bound_holds_on_gaps(self, base, other, a, b):
-        gap = survival(HazardVector(other)) - survival(HazardVector(base)).shift_scale(a, b)
+        ((2, 2.2, 2.4, 2.6, 2.8, 3), (1.5, 2, 2.4, 2.6, 3, 3.5), [(0.8, 0.0)]),
+        # Four gaps in one scaled_rows call: three of 6 terms, and one of 4
+        # (at a = 1, b = 0 the rate-5 terms cancel).
+        ((2, 3), (1.5, 3.5), [(0.749, 0.0125), (0.6, 0.0125), (1.0, 0.0), (0.9, 0.0125)]),
+    ], ids=["classic-witness", "n6", "classic-batch"])
+    def test_rounding_bound_holds_on_gaps(self, base, other, probes):
+        gaps = [
+            survival(HazardVector(other)) - survival(HazardVector(base)).shift_scale(a, b)
+            for a, b in probes
+        ]
         xs = np.concatenate(
             [-np.geomspace(1e-6, 60.0, 100), [0.0], np.geomspace(1e-9, 300.0, 300)]
         )
-        assert_rounding_bound_holds(gap, xs)
+        s, m, err = scaled_rows(gaps, [xs] * len(gaps))
+        for k, gap in enumerate(gaps):
+            rows = slice(k * xs.size, (k + 1) * xs.size)
+            assert_rounding_bound_holds(gap, xs, (s[rows], m[rows], err[rows]))
 
     def test_large_negative_argument_keeps_sign(self):
         f = canonicalize([(1, 1), (2, -3), (3, 2)])
         # Largest rate has positive coefficient, so f -> +inf as x -> -inf.
         assert f.eval(-500.0) == math.inf
+
+
+class TestScaledRows:
+    """The multi-sum evaluator gives each row exactly what it gives alone."""
+
+    @staticmethod
+    def random_sum(rng, n):
+        """n terms: distinct rates in (0, 20), coefficients of both signs."""
+        rates = np.sort(rng.choice(np.arange(1, 400), n, replace=False) * 0.05)
+        coeffs = rng.uniform(0.1, 5.0, n) * rng.choice([-1.0, 1.0], n)
+        return ExpSum(tuple(rates.tolist()), tuple(coeffs.tolist()))
+
+    @staticmethod
+    def assert_rows_exact(fs, xss):
+        got = scaled_rows(fs, xss)
+        end = 0
+        for f, xs in zip(fs, xss):
+            rows = slice(end, end + len(xs))
+            end += len(xs)
+            for batched, alone in zip(got, f._scaled_many(xs)):
+                assert batched[rows].tobytes() == np.asarray(alone).tobytes(), f
+        assert end == got[0].size
+
+    def test_mixed_batch_matches_rows_alone(self):
+        rng = np.random.default_rng(3)
+        # Term counts 1..63 (some rows share a count) and the zero sum; up to
+        # 40 points of both signs per row, some rows with none, and signed
+        # zeros and tiny |x| in the first row.
+        fs = [ExpSum((), ())]
+        fs += [self.random_sum(rng, n) for n in list(range(1, 64)) + [2, 6, 6, 15, 15, 63]]
+        order = rng.permutation(len(fs))
+        fs = [fs[k] for k in order]
+        xss = [rng.uniform(-20.0, 60.0, int(rng.integers(0, 41))) for _ in fs]
+        xss[0] = np.array([0.0, -0.0, -1e-300, 1e-300])
+        self.assert_rows_exact(fs, xss)
+
+    def test_batches_split_above_block(self):
+        rng = np.random.default_rng(5)
+        # 12 rows of 10 terms with 300 points each hold 36_000 (term, point)
+        # pairs, so the evaluation runs in blocks; so does one row alone.
+        fs = [self.random_sum(rng, 10) for _ in range(12)] + [ExpSum((), ())]
+        xss = [rng.uniform(-30.0, 80.0, 300) for _ in fs]
+        assert sum(f.n_terms * len(xs) for f, xs in zip(fs, xss)) > 2 * _BLOCK
+        self.assert_rows_exact(fs, xss)
+        long_row = rng.uniform(-5.0, 50.0, 3 * _BLOCK // fs[0].n_terms)
+        self.assert_rows_exact(fs[:1], [long_row])
+
+    def test_one_row_matches_sequential_formula(self):
+        # The scalar loop the vectorized form replaced: same term order,
+        # exponent, Kahan summation and bound, with np.exp.
+        f = canonicalize([(0.5, 2.0), (1.5, -1.0), (4.0, 0.25), (7.5, -3.0)])
+        xs = np.array([-3.0, -1e-9, 0.0, 1e-9, 0.3, 2.0, 40.0, 900.0])
+        s, m, err = f._scaled_many(xs)
+        eps = np.finfo(float).eps
+        for i, x in enumerate(xs.tolist()):
+            mx = -f.rates[0] * x if x >= 0.0 else -f.rates[-1] * x
+            total = comp = bound = abs_sum = 0.0
+            for r, c in f.terms():
+                e = -r * x
+                term = c * float(np.exp(e - mx))
+                bound += (2.0 * (abs(e) + abs(mx)) + 4.0) * abs(term) * eps
+                abs_sum += abs(term)
+                y = term - comp
+                tot = total + y
+                comp = (tot - total) - y
+                total = tot
+            assert (s[i], m[i], err[i]) == (total, mx, bound + 2.0 * eps * abs_sum)
 
 
 # -- derivative -----------------------------------------------------------
@@ -351,6 +430,41 @@ class TestSignPattern:
         for r0, r1 in zip(p.regions, p.regions[1:]):
             assert r0.sign != r1.sign
             assert r0.x < r1.x
+
+
+@st.composite
+def gap_sums(draw):
+    """Gaps of random n = 2..4 systems at a in [0.1, 3], b in [0, 1]."""
+    n = draw(st.integers(2, 4))
+    rates = st.lists(st.floats(0.2, 5.0), min_size=n, max_size=n).map(tuple)
+    lam, theta = HazardVector(draw(rates)), HazardVector(draw(rates))
+    a, b = draw(st.floats(0.1, 3.0)), draw(st.floats(0.0, 1.0))
+    return survival(theta) - survival(lam).shift_scale(a, b)
+
+
+def assert_same_pattern(p, q):
+    assert p.regions == q.regions
+    assert np.array_equal(p.transitions, q.transitions, equal_nan=True)
+    assert (p.certified, p.complete) == (q.certified, q.complete)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            gap_sums(),
+            expsum_strategy(max_terms=1),
+            st.just(ExpSum((), ())),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_sign_patterns_match_one_at_a_time(fs):
+    batch = sign_patterns(fs)
+    assert len(batch) == len(fs)
+    for f, p in zip(fs, batch):
+        assert_same_pattern(p, sign_pattern(f))
 
 
 def test_scan_options_floor_scaling():

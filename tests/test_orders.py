@@ -1,6 +1,7 @@
 """Star/convex order verdicts, region map, counterexample search, sign maps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from transform_orders import (
     HazardVector,
     OrderOptions,
+    ScanOptions,
+    SignRegion,
     OrderVerdict,
     RegionLabel,
     Status,
@@ -24,6 +27,7 @@ from transform_orders import (
     survival_gap,
     violation_search,
 )
+from transform_orders import expsum, orders, systems
 
 from _samplers import random_majorized_pair
 
@@ -214,6 +218,100 @@ class TestViolationSearch:
             assert a_lo < report.a < a_hi
             found += 1
         assert found >= 5
+
+
+    def test_reverification_needs_the_rounding_bound(self):
+        # Move a region next to the first sign change, to a point whose
+        # float value clears the 1e-18 floor but not the rounding bound:
+        # its sign is not certain there, so re-verification rejects it.
+        report = violation_search(LAM, THETA)
+        gap = survival_gap(LAM, THETA, report.a, report.b)
+        regions = list(report.pattern.regions)
+        lo, hi = regions[0].x, regions[1].x
+        for _ in range(200):  # float bisection down to adjacent doubles
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if gap.eval(mid) > 0 else (lo, mid)
+        xs = lo + np.arange(-2000, 2001) * math.ulp(lo)
+        s, m, err = gap._scaled_many(xs)
+        noisy = np.flatnonzero((np.abs(s) <= err) & (np.abs(s * np.exp(m)) > 1e-18))
+        assert noisy.size
+        x = float(xs[noisy[0]])
+        value = gap.eval(x)
+        k = 0 if value > 0 else 1  # the region whose sign the float value agrees with
+        assert (value > 0) == (regions[k].sign == "+") and abs(value) > 1e-18
+        regions[k] = SignRegion(regions[k].sign, x, value, True)
+        fabricated = replace(report.pattern, regions=tuple(regions))
+        opts = ScanOptions()
+        assert orders._unconfirmed_region(gap, fabricated, opts) == regions[k]
+        assert orders._unconfirmed_region(gap, report.pattern, opts) is None
+
+
+def scan_one_at_a_time(gaps, probes, violates, opts):
+    """The probe loop as a plain sequence of sign_pattern calls."""
+    scanned = []
+    for a, b in probes:
+        p = sign_pattern(gaps(a, b), opts)
+        scanned.append((a, p))
+        if p.certified and violates(p):
+            return orders.Witness(a, b, p), scanned
+    return None, scanned
+
+
+class TestScanBlocks:
+    @staticmethod
+    def assert_same_scan(lam, theta, probes, violates):
+        gaps, opts = orders._Gaps(lam, theta), ScanOptions()
+        got = orders._scan(gaps, probes, violates, opts)
+        want = scan_one_at_a_time(gaps, probes, violates, opts)
+        assert repr(got) == repr(want)
+        return got
+
+    def test_hit_in_mid_grid(self):
+        # Reversed classic star check: the violation is found part way up.
+        probes = [(a, 0.0) for a in orders._a_grid(THETA, LAM)]
+        hit, scanned = self.assert_same_scan(THETA, LAM, probes, orders._star_violation)
+        assert hit is not None
+        assert 1 < len(scanned) < len(probes) - orders.MAX_BLOCK
+
+    def test_majorized_pair_has_no_hit(self):
+        probes = [(a, 0.0) for a in orders._a_grid(LAM, THETA)]
+        hit, scanned = self.assert_same_scan(LAM, THETA, probes, orders._star_violation)
+        assert hit is None and len(scanned) == len(probes)
+
+    def test_b_halving_list(self):
+        # The first probe list of violation_search on the classic pair.
+        gaps = orders._Gaps(LAM, THETA)
+        (t1, t2), a_hi = THETA.rates, THETA.rates[0] / LAM.rates[0]
+        x0 = 1.0 / (t1 + t2)
+        slack = systems.inverse_survival(gaps.surv_x, gaps.surv_y.eval(x0)) - a_hi * x0
+        probes = [(a_hi, 0.5 * slack * 0.5**k) for k in range(orders.SEARCH_MAX_HALVINGS)]
+        hit, _ = self.assert_same_scan(
+            LAM, THETA, probes, lambda p: p.signs() == ("+", "-", "+")
+        )
+        assert hit is not None
+
+    def test_evaluator_calls_shared_by_a_block(self, monkeypatch):
+        # Outermost evaluator calls, counted deterministically.  One pattern
+        # at a time, this scan of 335 probes made 7,101 of them.
+        calls, depth = [0], [0]
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[0] += depth[0] == 0
+                depth[0] += 1
+                try:
+                    return fn(*args)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        monkeypatch.setattr(expsum, "scaled_rows", counted(expsum.scaled_rows))
+        monkeypatch.setattr(expsum.ExpSum, "_scaled_many", counted(expsum.ExpSum._scaled_many))
+        verdict = convex_check(THETA, LAM)
+        assert verdict.status is Status.INCONCLUSIVE
+        assert 0 < calls[0] <= 1500
 
 
 class TestGapDerivativeInScale:
