@@ -102,6 +102,17 @@ class RunConfig:
                 raise UsageError(f"{_flag(name)} needs a nonempty list of positive reals")
         if self.sign_floor is None or self.sign_floor <= 0:
             raise UsageError("--sign-floor must be positive")
+        for name in ("a", "a_min", "a_max", "x", "x_max"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
+                raise UsageError(f"{_flag(name)} must be positive")
+        if self.b is not None and self.b < 0:
+            raise UsageError("--b must be nonnegative")
+        if None not in (self.lam, self.theta) and len(self.lam) != len(self.theta):
+            raise UsageError("--lambda and --theta need the same number of rates")
+        if self.command in ("check-convex", "find-counterexample") and any(
+            rates is not None and len(rates) != 2 for rates in (self.lam, self.theta)
+        ):
+            raise UsageError(f"{self.command} compares systems of 2 components")
         for name, kind in (("resolution", int), ("seed", int), ("samples", int),
                            ("allow_numerical_holds", bool)):
             if type(getattr(self, name)) is not kind:
@@ -310,6 +321,8 @@ def run(config: RunConfig) -> tuple[int, str]:
         a_min = config.a_min if config.a_min is not None else t1 / (2 * lam.rates[-1])
         a_max = config.a_max if config.a_max is not None else 1.0
         x_max = config.x_max if config.x_max is not None else 20.0 / t1
+        if not a_min < a_max:
+            raise UsageError(f"--a-max must exceed --a-min, got {a_max!r} <= {a_min!r}")
         smap = sign_map(lam, theta, config.b, (a_min, a_max), (0.0, x_max),
                         config.resolution, opts)
         if (config.format or "csv") == "csv":

@@ -92,15 +92,8 @@ class ExpSum:
 
     def _scaled_many(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Evaluate a 1-D array xs as (s, m, err): the one-row case of
-        :func:`scaled_rows`, with the terms broadcast over the points."""
-        xs = np.asarray(xs, dtype=float)
-        if self.is_zero:
-            return np.zeros_like(xs), np.zeros_like(xs), np.zeros_like(xs)
-        if self.n_terms * xs.size > _BLOCK and xs.size > 1:  # points are independent
-            parts = zip(*map(self._scaled_many, np.array_split(xs, 2)))
-            return tuple(np.concatenate(p) for p in parts)
-        exps = np.multiply.outer(-np.asarray(self.rates), xs)
-        return _scaled_block(exps, np.asarray(self.coeffs)[:, None], xs)
+        :func:`scaled_rows`."""
+        return scaled_rows([self], [xs])
 
     def eval(self, x: float) -> float:
         """Value at x, computed with compensated (Kahan) summation."""
@@ -112,8 +105,9 @@ class ExpSum:
 
         For x >= 0 no term exceeds |c_i|, so this unscaled form cannot
         overflow; x < 0 is outside its domain.  Bulk value paths (oracles,
-        quantiles, Monte Carlo) use it because :meth:`_scaled_many` costs
-        about 38% more per 2000-point call.
+        quantiles, Monte Carlo) use it because :func:`scaled_rows` costs
+        about 3.5 to 4.5 times as much per 2000-point call (sums of 3, 6
+        and 41 terms, on a 2-CPU machine).
         """
         xs = np.asarray(xs, dtype=float)
         s = np.zeros_like(xs)
@@ -252,9 +246,6 @@ def scaled_rows(fs: Sequence[ExpSum], xss) -> tuple[np.ndarray, np.ndarray, np.n
             col = col[owner]
             at = np.flatnonzero(col >= 0)
             col = col[at]
-        if len(rows) == 1:
-            s[at], m[at], err[at] = fs[rows[0]]._scaled_many(xs[at])
-            continue
         neg_rates = -np.array([fs[k].rates for k in rows]).T
         coeffs = np.array([fs[k].coeffs for k in rows]).T
         pts = xs[at]
@@ -262,11 +253,13 @@ def scaled_rows(fs: Sequence[ExpSum], xss) -> tuple[np.ndarray, np.ndarray, np.n
         for i in range(0, pts.size, step):
             part = slice(i, i + step)
             where = part if isinstance(at, slice) else at[part]
-            exps = np.take(neg_rates, col[part], axis=1)
-            exps *= pts[part]
-            s[where], m[where], err[where] = _scaled_block(
-                exps, np.take(coeffs, col[part], axis=1), pts[part]
-            )
+            if len(rows) == 1:  # one (terms x 1) column, broadcast over the points
+                exps, c = neg_rates * pts[part], coeffs
+            else:
+                exps = np.take(neg_rates, col[part], axis=1)
+                exps *= pts[part]
+                c = np.take(coeffs, col[part], axis=1)
+            s[where], m[where], err[where] = _scaled_block(exps, c, pts[part])
     return s, m, err
 
 
@@ -467,10 +460,12 @@ def _certify(s, m, err, opts: ScanOptions) -> tuple[np.ndarray, np.ndarray]:
     return sign, logmag
 
 
-def certain_signs(f: ExpSum, xs, opts: ScanOptions) -> np.ndarray:
-    """Signs of f at xs: +1 or -1 only where |f| clears both the rounding
-    bound of :func:`scaled_rows` and the sign floor; elsewhere 0."""
-    return _certify(*f._scaled_many(xs), opts)[0]
+def certain_signs(fs: Sequence[ExpSum], xss, opts: ScanOptions) -> list[np.ndarray]:
+    """Signs of each fs[k] at its own points xss[k], one array per row, from
+    one :func:`scaled_rows` call: +1 or -1 only where |f| clears both the
+    rounding bound and the sign floor; elsewhere 0."""
+    sign = _certify(*scaled_rows(fs, xss), opts)[0]
+    return np.split(sign, np.cumsum([len(xs) for xs in xss])[:-1])
 
 
 def _lockstep(fs: Sequence[ExpSum], steps, opts: ScanOptions) -> list:
@@ -517,9 +512,10 @@ def _mids(lo: np.ndarray, hi: np.ndarray, geometric: bool) -> np.ndarray:
 def _refine_flips(lo: list, hi: list, left_sign: list, geometric: bool):
     """Shrink certain-sign flip brackets [lo[k], hi[k]] in place and
     together, one evaluation per step (a step generator; see _lockstep).
-    left_sign[k] is the sign at lo[k].  Returns lo and hi, every point
-    evaluated on the way in evaluation order, and each one's bracket."""
-    seen, owners = [_NO_PTS], []
+    left_sign[k] is the sign at lo[k].  Returns lo, hi and every point
+    evaluated on the way.  Each certain one lies inside its bracket, on the
+    side of its own sign: left of every point of the other sign."""
+    seen = [_NO_PTS]
     active = list(range(len(lo)))
     for _ in range(MAX_REFINEMENTS):
         stepping, mids = [], []
@@ -533,7 +529,6 @@ def _refine_flips(lo: list, hi: list, left_sign: list, geometric: bool):
             break
         p = yield np.array(mids)
         seen.append(p)
-        owners += stepping
         active = []
         for k, mid, sign in zip(stepping, mids, p.sign.tolist()):
             if sign == 0:
@@ -543,8 +538,7 @@ def _refine_flips(lo: list, hi: list, left_sign: list, geometric: bool):
             else:
                 hi[k] = mid
             active.append(k)
-    extra = _Pts(*(np.concatenate(col) for col in zip(*seen)))
-    return lo, hi, extra, np.array(owners, dtype=np.intp)
+    return lo, hi, _Pts(*(np.concatenate(col) for col in zip(*seen)))
 
 
 def _grid_points(grid: np.ndarray, geometric: bool):
@@ -624,6 +618,14 @@ def _pattern_steps(f: ExpSum):
     pts = yield from _zero_walk(pts, s0)
     certain = pts.take(np.flatnonzero(pts.sign))
     del pts  # only the certain points are kept while the flips are bisected
+
+    # Bisect the witnessed flips together, then keep their certain points:
+    # each lies between its flip's two runs, so it joins the run of its sign.
+    flip = np.flatnonzero(np.diff(certain.sign))
+    _, _, bisected = yield from _refine_flips(
+        certain.x[flip].tolist(), certain.x[flip + 1].tolist(), certain.sign[flip].tolist(), True
+    )
+    certain = certain.merged(bisected.take(np.flatnonzero(bisected.sign)))
     n_certain = certain.x.size
 
     # Assemble the alternating region runs (index ranges into certain),
@@ -639,55 +641,34 @@ def _pattern_steps(f: ExpSum):
         runs.append(range(0))
         run_signs.append(s_inf)
 
-    # Transition abscissae between consecutive runs; witnessed flips are
-    # bisected together.
-    flips = [i for i in range(len(runs) - 1) if runs[i] and runs[i + 1]]
-    left = [runs[i][-1] for i in flips]
-    right = [runs[i + 1][0] for i in flips]
-    lo, hi, extra, owner = yield from _refine_flips(
-        certain.x[left].tolist(), certain.x[right].tolist(), certain.sign[left].tolist(), True
-    )
-    refined = dict(zip(flips, zip(lo, hi)))
+    # A transition sits mid-way between two witnessed runs, else at the
+    # end of the one witnessed run beside it.
+    xs = certain.x.tolist()
     transitions: list[float] = []
-    for i in range(len(runs) - 1):
-        if i in refined:
-            a, b = refined[i]
-            transitions.append(0.5 * (a + b))
-        elif runs[i]:
-            transitions.append(float(certain.x[runs[i][-1]]))
-        elif runs[i + 1]:
-            transitions.append(float(certain.x[runs[i + 1][0]]))
+    for left, right in zip(runs, runs[1:]):
+        if left and right:
+            transitions.append(0.5 * (xs[left[-1]] + xs[right[0]]))
+        elif left:
+            transitions.append(xs[left[-1]])
+        elif right:
+            transitions.append(xs[right[0]])
         else:
             transitions.append(math.nan)
 
-    # Each run's witness is its largest certain |f|, counting the bisection
-    # points of the flips on either side.  Ties go to the first of: those
-    # before the run (latest first), the run itself, those after it.
-    beside: dict[int, list[int]] = {}  # run index -> its flip's bisection points
-    for e, k in enumerate(owner.tolist()):
-        beside.setdefault(flips[k], []).append(e)
-    extra_logs, extra_signs = extra.logmag.tolist(), extra.sign.tolist()
+    # Each run's witness is its largest certain |f|, the first by x on a tie.
     xs_found: list[float] = []
     values: list[float | None] = []
-    for j, (sign, run) in enumerate(zip(run_signs, runs)):
+    for run in runs:
         if run:
-            before = [e for e in reversed(beside.get(j - 1, [])) if extra_signs[e] == sign]
-            after = [e for e in beside.get(j, []) if extra_signs[e] == sign]
             i = run.start + int(np.argmax(certain.logmag[run.start : run.stop]))
-            _, best, k = max(
-                [(extra_logs[e], extra, e) for e in before]
-                + [(float(certain.logmag[i]), certain, i)]
-                + [(extra_logs[e], extra, e) for e in after],
-                key=lambda c: c[0],
-            )
-            xs_found.append(float(best.x[k]))
-            values.append(best.value(k))
+            xs_found.append(xs[i])
+            values.append(certain.value(i))
         else:
             # Analytically implied region without a witness above the floor.
             if xs_found:
                 xs_found.append(xs_found[-1] * 2.0)
-            elif n_certain:
-                xs_found.append(float(certain.x[0]) / 2.0)
+            elif xs:
+                xs_found.append(xs[0] / 2.0)
             else:
                 xs_found.append(x_lo)
             values.append(None)
@@ -763,7 +744,7 @@ def _root_steps(f: ExpSum, lo: float, hi: float, opts: ScanOptions):
 
     certain = pts.take(np.flatnonzero(pts.sign))
     flip = np.flatnonzero(certain.sign[1:] != certain.sign[:-1])
-    left, right, _, _ = yield from _refine_flips(
+    left, right, _ = yield from _refine_flips(
         certain.x[flip].tolist(), certain.x[flip + 1].tolist(), certain.sign[flip].tolist(), False
     )
     brackets = list(zip(left, right))

@@ -211,8 +211,8 @@ def _unconfirmed_region(
     """The first region of pattern whose sign is not certain at its
     witness abscissa by a fresh evaluation of gap (clearing both the
     rounding bound and the sign floor), or None when every one is."""
-    signs = certain_signs(gap, [r.x for r in pattern.regions], opts).tolist()
-    for sign, region in zip(signs, pattern.regions):
+    (signs,) = certain_signs([gap], [[r.x for r in pattern.regions]], opts)
+    for sign, region in zip(signs.tolist(), pattern.regions):
         if sign != (1 if region.sign == "+" else -1):
             return region
     return None
@@ -564,11 +564,11 @@ def sign_map(
     )
     x_vals = np.linspace(x_min, x_max, nx)
     gaps = _Gaps(lam, theta)
-    rows = [tuple(certain_signs(gaps(a, b), x_vals, opts.scan).tolist()) for a in a_vals]
+    rows = certain_signs([gaps(a, b) for a in a_vals], [x_vals] * len(a_vals), opts.scan)
     return SignMap(
         a_values=tuple(a_vals),
         x_values=tuple(float(x) for x in x_vals),
-        signs=tuple(rows),
+        signs=tuple(tuple(row.tolist()) for row in rows),
         b=b,
     )
 

@@ -244,6 +244,27 @@ class TestUsageErrors:
     def test_out_of_range_integers(self, argv):
         assert main(argv) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["check-convex", "--lambda", "2,3", "--theta", "1.5,3.5", "--a", "-1", "--b", "0.01"],
+        ["check-convex", "--lambda", "2,3", "--theta", "1.5,3.5", "--a", "0", "--b", "0.01"],
+        ["check-convex", "--lambda", "2,3", "--theta", "1.5,3.5", "--a", "0.7", "--b", "-0.01"],
+        ["sign-map", "--lambda", "2,3", "--theta", "1.5,3.5", "--b", "-1"],
+        ["sign-map", "--lambda", "2,3", "--theta", "1.5,3.5", "--b", "0", "--a-min", "0"],
+        ["sign-map", "--lambda", "2,3", "--theta", "1.5,3.5", "--b", "0", "--a-max", "-1"],
+        ["sign-map", "--lambda", "2,3", "--theta", "1.5,3.5", "--b", "0",
+         "--a-min", "0.5", "--a-max", "0.5"],
+        ["sign-map", "--lambda", "2,3", "--theta", "1.5,3.5", "--b", "0", "--a-max", "0.1"],
+        ["sign-map", "--lambda", "2,3", "--theta", "1.5,3.5", "--b", "0", "--x-max", "0"],
+        ["failure-rate", "--lambda", "2,3", "--x", "0"],
+        ["failure-rate", "--lambda", "2,3", "--x", "-1"],
+        ["check-star", "--lambda", "2,3", "--theta", "1.5,3.5,4"],
+        ["sign-map", "--lambda", "2,3", "--theta", "1.5,3.5,4", "--b", "0"],
+        ["check-convex", "--lambda", "2,3,4", "--theta", "1,3,5"],
+        ["find-counterexample", "--lambda", "2,3,4", "--theta", "1,3,5"],
+    ])
+    def test_out_of_range_numbers(self, argv):
+        assert main(argv) == EXIT_USAGE
+
     @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf", "1e400"])
     def test_malformed_tol_override(self, monkeypatch, value):
         monkeypatch.setenv("TOL_OVERRIDE", value)

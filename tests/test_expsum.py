@@ -3,6 +3,7 @@
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -20,6 +21,7 @@ from transform_orders import (
     sign_patterns,
     survival,
 )
+from transform_orders import expsum
 from transform_orders.expsum import _BLOCK, scaled_rows
 
 from _samplers import random_expsum
@@ -465,6 +467,62 @@ def test_sign_patterns_match_one_at_a_time(fs):
     assert len(batch) == len(fs)
     for f, p in zip(fs, batch):
         assert_same_pattern(p, sign_pattern(f))
+
+
+def recorded_pattern(f):
+    """sign_pattern(f) and every point it evaluated, sorted by x, as
+    (x, sign, logmag) arrays with the certainty rule restated: a sign
+    only where |f| clears both the rounding bound and the sign floor."""
+    evaluate, seen = expsum.scaled_rows, []
+
+    def recording(fs, xss):
+        s, m, err = evaluate(fs, xss)
+        seen.append((np.concatenate(xss, dtype=float), s, m, err))
+        return s, m, err
+
+    with mock.patch.object(expsum, "scaled_rows", recording):
+        p = sign_pattern(f)
+    x, s, m, err = (np.concatenate(col) for col in zip(*seen))
+    order = np.argsort(x, kind="stable")
+    x, s, m, err = x[order], s[order], m[order], err[order]
+    with np.errstate(divide="ignore"):
+        logmag = np.log(np.abs(s)) + m
+    certain = (np.abs(s) > err) & (logmag > math.log(ScanOptions().sign_floor))
+    return p, x, np.where(certain, np.sign(s), 0), logmag
+
+
+def assert_witnesses_are_first_maxima(f):
+    """Each witnessed region's x is the first-by-x largest |f| among the
+    certain points of its sign between its neighbouring transitions."""
+    p, x, sign, logmag = recorded_pattern(f)
+    bounds = [0.0, *p.transitions, math.inf]
+    for k, region in enumerate(p.regions):
+        if not region.certain:
+            continue
+        mine = (sign == (1 if region.sign == "+" else -1))
+        mine &= (bounds[k] <= x) & (x <= bounds[k + 1])
+        candidates = np.flatnonzero(mine)
+        assert region.x == x[candidates[np.argmax(logmag[candidates])]], (f, k)
+
+
+@pytest.mark.parametrize("lam, theta, a, b, signs", [
+    ((2, 3), (1.5, 3.5), 0.749, 0.0125, ("+", "-", "+", "-")),
+    # The "-" region's largest certain |f| is a flip-bisection point.
+    ((2.296431200415683, 3.3794176154013753), (2.291154516410702, 2.5378911743064947),
+     0.890189887167487, 0.8644769313151992, ("+", "-")),
+], ids=["classic-witness", "bisection-witness"])
+def test_witness_rule_on_fixed_gaps(lam, theta, a, b, signs):
+    gap = survival(HazardVector(theta)) - survival(HazardVector(lam)).shift_scale(a, b)
+    p = sign_pattern(gap)
+    assert p.signs() == signs and p.certified
+    assert_witnesses_are_first_maxima(gap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gap_sums())
+def test_witness_rule_on_certified_gaps(f):
+    assume(not f.is_zero and sign_pattern(f).certified)
+    assert_witnesses_are_first_maxima(f)
 
 
 def test_scan_options_floor_scaling():

@@ -370,6 +370,40 @@ class TestSignMap:
         with pytest.raises(ValueError):
             sign_map(LAM, THETA, 0.0, (0.5, 1.0), (0.0, 5.0), 1)
 
+    def test_one_evaluator_call_per_map(self, monkeypatch):
+        # Counted as in test_evaluator_calls_shared_by_a_block.  One call
+        # per a-row, this 201x201 map (203 rows) made 203 of them.
+        calls, depth = [0], [0]
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[0] += depth[0] == 0
+                depth[0] += 1
+                try:
+                    return fn(*args)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        monkeypatch.setattr(expsum, "scaled_rows", counted(expsum.scaled_rows))
+        monkeypatch.setattr(expsum.ExpSum, "_scaled_many", counted(expsum.ExpSum._scaled_many))
+        smap = sign_map(LAM, THETA, 0.0125, (0.25, 1.0), (0.0, 12.0), 201)
+        assert len(smap.a_values) == 203 and calls[0] == 1
+
+    def test_rows_match_rows_certified_alone(self):
+        smap = sign_map(LAM, THETA, 0.0125, (0.3, 1.1), (0.0, 12.0), (17, 33))
+        gaps, opts = orders._Gaps(LAM, THETA), ScanOptions()
+        x_vals = np.array(smap.x_values)
+        n_terms = set()
+        for a, row in zip(smap.a_values, smap.signs):
+            gap = gaps(a, smap.b)
+            n_terms.add(gap.n_terms)
+            (alone,) = expsum.certain_signs([gap], [x_vals], opts)
+            assert row == tuple(alone.tolist()), a
+        # canonicalize merges a*lam_i = theta_1 on the strip-boundary rows,
+        # so the map's one call mixes rows of different term counts.
+        assert n_terms == {5, 6}
+
 
 class TestStarCheckN:
     def test_three_component_scan_consistent(self):
