@@ -594,6 +594,32 @@ def sign_patterns(
     return _lockstep(fs, _pattern_steps, opts or ScanOptions())
 
 
+def possible_signs(f: ExpSum) -> list[tuple[str, ...]]:
+    """Every sign tuple that a certified ``sign_pattern(f)`` can report,
+    read off the coefficients without evaluating f.
+
+    Each tuple alternates from ``sign_at_zero()`` (either start when that
+    sign is 0) to ``asymptotic_sign()`` with at most
+    ``sign_change_bound()`` changes, so its parity fixes which change
+    counts occur; the zero sum gives ``[()]``.  The scan guarantees this by
+    construction, not by any further analysis: ``_pattern_steps`` puts an
+    uncertified region in front of (behind) the witnessed runs when the
+    first (last) one disagrees with those signs, drops regions beyond the
+    bound and then clears ``certified``, and ``SignPattern`` enforces
+    alternation.
+    """
+    if f.is_zero:
+        return [()]
+    s0, _ = f.sign_at_zero()
+    s_inf = f.asymptotic_sign()
+    return [
+        tuple("+-"[(start < 0) ^ (i % 2)] for i in range(changes + 1))
+        for start in ((s0,) if s0 else (1, -1))
+        for changes in range(f.sign_change_bound() + 1)
+        if start * (-1) ** changes == s_inf
+    ]
+
+
 def _pattern_steps(f: ExpSum):
     """The step generator of sign_pattern(f) (see _lockstep)."""
     if f.is_zero:

@@ -27,10 +27,19 @@ It hands the probes to ``expsum.sign_patterns`` in blocks of 1, 2, 4, ...
 up to ``MAX_BLOCK``, whose patterns advance in lock step: each evaluator
 call carries the points of the whole block, and the first certified
 violation in probe order is still the one returned.
+
+``convex_check`` prunes its non-majorized (a, b) grid before scanning: a
+probe whose gap admits no violating sign tuple among
+``expsum.possible_signs`` (coefficient signs, their change bound and its
+parity) cannot yield a certified violation, so only the other probes are
+scanned and the first certified violation is the same probe as without
+the filter.  Every other scan runs unfiltered, since its scanned patterns
+are reported as evidence or attempts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable
@@ -43,6 +52,7 @@ from .expsum import (
     SignPattern,
     SignRegion,
     certain_signs,
+    possible_signs,
     sign_patterns,
 )
 from .systems import HazardVector, density, inverse_survival, majorizes, survival
@@ -179,14 +189,14 @@ def survival_gap(
 
 
 def _scan(
-    gaps: _Gaps,
+    gaps: Callable[[float, float], ExpSum],
     probes: Iterable[tuple[float, float]],
     violates: Callable[[SignPattern], bool],
     opts: ScanOptions,
 ) -> tuple[Witness | None, list[tuple[float, SignPattern]]]:
-    """Sign patterns of the gap at each (a, b) probe, in order, up to the
-    first certified one that ``violates``: returns it as a witness (or None)
-    and every scanned (a, pattern).
+    """Sign patterns of the gap ``gaps(a, b)`` at each (a, b) probe, in
+    order, up to the first certified one that ``violates``: returns it as a
+    witness (or None) and every scanned (a, pattern).
 
     Probes go to :func:`sign_patterns` in blocks of 1, 2, 4, ... up to
     MAX_BLOCK, so an early violation costs little extra work and a long
@@ -226,10 +236,13 @@ def _star_violation(p: SignPattern) -> bool:
 
 
 def _convex_violation(p: SignPattern) -> bool:
+    return _convex_signs(p.signs())
+
+
+def _convex_signs(signs: tuple[str, ...]) -> bool:
     # Allowed: <= 1 change in any order, or exactly two in the order "+,-,+".
-    if p.n_changes >= 3:
-        return True
-    return p.n_changes == 2 and p.regions[0].sign == "-"
+    changes = len(signs) - 1
+    return changes >= 3 or (changes == 2 and signs[0] == "-")
 
 
 def _a_grid(lam: HazardVector, theta: HazardVector) -> list[float]:
@@ -307,10 +320,10 @@ def region_classify(
     favorable side; only the open strip between theta1/lam2 and
     theta1/lam1 can host convex-order violations.
     """
-    if not (a > 0.0):
-        raise ValueError("a must be positive")
-    if b < 0.0:
-        raise ValueError("b must be nonnegative")
+    if not (0.0 < a < math.inf):
+        raise ValueError(f"a must be positive and finite, got {a}")
+    if not (0.0 <= b < math.inf):
+        raise ValueError(f"b must be nonnegative and finite, got {b}")
     if not majorizes(lam, theta):
         raise ValueError("region classification assumes majorized hazard vectors")
     if lam.close_to(theta):
@@ -333,12 +346,12 @@ def dVda(lam: HazardVector, x: float, a: float, b: float = 0.0) -> float:
     Strictly positive for x > 0, which makes the gap increasing in a and
     justifies the downward a-scan of the violation search.
     """
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    if not (a > 0.0):
-        raise ValueError("a must be positive")
-    if b < 0.0:
-        raise ValueError("b must be nonnegative")
+    if not (0.0 <= x < math.inf):
+        raise ValueError(f"x must be nonnegative and finite, got {x}")
+    if not (0.0 < a < math.inf):
+        raise ValueError(f"a must be positive and finite, got {a}")
+    if not (0.0 <= b < math.inf):
+        raise ValueError(f"b must be nonnegative and finite, got {b}")
     if x == 0.0:
         return 0.0
     return x * density(lam).eval(a * x + b)
@@ -429,6 +442,12 @@ def convex_check(
     numerical: a certified violating pattern on the (a, b) grid gives
     FAILS, otherwise INCONCLUSIVE (grids cannot certify HOLDS unless
     explicitly allowed).
+
+    The grid is pruned first: a probe whose gap has no violating sign
+    tuple among ``possible_signs`` is not scanned, since no pattern the
+    scan could certify there violates.  The verdict and witness are those
+    of the full grid.  For ``allow_numerical_holds`` a pruned probe counts
+    as settled, like a probe whose pattern is complete.
     """
     opts = opts or OrderOptions()
     if lam.n != 2 or theta.n != 2:
@@ -480,10 +499,14 @@ def convex_check(
             ),
         )
 
-    # Not majorized: numerical (a, b) sweep with nonnegative shifts only.
+    # Not majorized: numerical (a, b) sweep with nonnegative shifts only,
+    # over the probes whose coefficients leave room for a violation.
+    gaps = _Gaps(lam, theta)
     b_scale = 1.0 / (theta.rates[0] + theta.rates[-1])
-    probes = [(a, f * b_scale) for a in _a_grid(lam, theta) for f in B_FACTORS]
-    hit, scanned = _scan(_Gaps(lam, theta), probes, _convex_violation, opts.scan)
+    grid = [(a, f * b_scale) for a in _a_grid(lam, theta) for f in B_FACTORS]
+    built = {ab: gaps(*ab) for ab in grid}
+    probes = [ab for ab in grid if any(map(_convex_signs, possible_signs(built[ab])))]
+    hit, scanned = _scan(lambda a, b: built[a, b], probes, _convex_violation, opts.scan)
     if hit is not None:
         detail = f"pattern '{hit.pattern.text()}' violates the two-change criterion"
         return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)

@@ -22,7 +22,7 @@ from transform_orders import (
     survival,
 )
 from transform_orders import expsum
-from transform_orders.expsum import _BLOCK, scaled_rows
+from transform_orders.expsum import _BLOCK, possible_signs, scaled_rows
 
 from _samplers import random_expsum
 
@@ -523,6 +523,42 @@ def test_witness_rule_on_fixed_gaps(lam, theta, a, b, signs):
 def test_witness_rule_on_certified_gaps(f):
     assume(not f.is_zero and sign_pattern(f).certified)
     assert_witnesses_are_first_maxima(f)
+
+
+# -- possible_signs ---------------------------------------------------------
+
+
+def assert_certified_signs_possible(f):
+    p = sign_pattern(f)
+    if p.certified:
+        assert p.signs() in possible_signs(f), (f, p.signs())
+
+
+@pytest.mark.parametrize("f, want", [
+    (ExpSum((), ()), [()]),
+    (canonicalize([(2.0, -3.0)]), [("-",)]),
+    # Rates 1.498 (-), 1.5 (+), 2.247 (-), 3.5 (+), 3.745 (+), 5 (-): four
+    # coefficient sign changes, "+" at 0 and "-" at infinity, so 1 or 3.
+    (survival(HazardVector((1.5, 3.5))) - survival(HazardVector((2, 3))).shift_scale(0.749, 0.0125),
+     [("+", "-"), ("+", "-", "+", "-")]),
+    # Every derivative sum at 0 is below the ZERO_TOL threshold: both starts.
+    (ExpSum((1.0, 1.0 + 1e-13), (1.0, -1.0)), [("+",), ("-", "+")]),
+], ids=["zero-sum", "one-term", "classic-witness-gap", "zero-at-origin"])
+def test_possible_signs_on_fixed_sums(f, want):
+    assert possible_signs(f) == want
+    assert_certified_signs_possible(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(gap_sums(), expsum_strategy()))
+def test_certified_signs_are_possible(f):
+    assert_certified_signs_possible(f)
+
+
+def test_certified_signs_of_random_sums_are_possible():
+    rng = np.random.default_rng(23)
+    for _ in range(150):
+        assert_certified_signs_possible(random_expsum(rng))
 
 
 def test_scan_options_floor_scaling():

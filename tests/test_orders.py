@@ -3,8 +3,11 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from transform_orders import (
     HazardVector,
@@ -314,6 +317,96 @@ class TestScanBlocks:
         assert 0 < calls[0] <= 1500
 
 
+def counted_outermost(fn, calls):
+    """fn, adding 1 to calls[0] for each call not made from inside another."""
+    depth = [0]
+
+    def wrapper(*args):
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return fn(*args)
+        finally:
+            depth[0] -= 1
+    return wrapper
+
+
+def full_grid_convex_verdict(lam, theta):
+    """The non-majorized convex_check verdict from one _scan over the whole
+    (a, b) grid, with no probe pruned."""
+    b_scale = 1.0 / (theta.rates[0] + theta.rates[-1])
+    probes = [(a, f * b_scale) for a in orders._a_grid(lam, theta) for f in orders.B_FACTORS]
+    hit, _ = orders._scan(
+        orders._Gaps(lam, theta), probes, orders._convex_violation, ScanOptions()
+    )
+    if hit is not None:
+        detail = f"pattern '{hit.pattern.text()}' violates the two-change criterion"
+        return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)
+    detail = "no violation found on the (a, b) grid; grids cannot certify HOLDS"
+    return OrderVerdict(Status.INCONCLUSIVE, None, detail=detail)
+
+
+class TestConvexGridPrefilter:
+    @pytest.mark.parametrize("lam, theta", [
+        (THETA, LAM), (HazardVector((1, 4)), HazardVector((2, 2.5))),
+        (HazardVector((2, 3)), HazardVector((3, 7))),
+    ], ids=["reversed-classic", "(1,4)-(2,2.5)", "(2,3)-(3,7)"])
+    def test_verdict_equals_full_grid_scan(self, lam, theta):
+        assert repr(convex_check(lam, theta)) == repr(full_grid_convex_verdict(lam, theta))
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        st.tuples(st.floats(0.2, 8.0), st.floats(0.2, 8.0)),
+        st.tuples(st.floats(0.2, 8.0), st.floats(0.2, 8.0)),
+    )
+    def test_random_non_majorized_pairs_equal_full_grid_scan(self, lam, theta):
+        lam, theta = HazardVector(lam), HazardVector(theta)
+        assume(not systems.majorizes(lam, theta) and not lam.close_to(theta))
+        assert repr(convex_check(lam, theta)) == repr(full_grid_convex_verdict(lam, theta))
+
+    def test_pruned_grid_counts(self, monkeypatch):
+        # Deterministic counts on the reversed classic pair: the full grid
+        # scans 335 patterns in 612 outermost evaluator calls.
+        calls, patterns = [0], [0]
+        scan_patterns = orders.sign_patterns
+
+        def counting_patterns(fs, opts=None):
+            fs = list(fs)
+            patterns[0] += len(fs)
+            return scan_patterns(fs, opts)
+
+        monkeypatch.setattr(orders, "sign_patterns", counting_patterns)
+        monkeypatch.setattr(expsum, "scaled_rows", counted_outermost(expsum.scaled_rows, calls))
+        monkeypatch.setattr(
+            expsum.ExpSum, "_scaled_many", counted_outermost(expsum.ExpSum._scaled_many, calls)
+        )
+        verdict = convex_check(THETA, LAM)
+        assert verdict.status is Status.INCONCLUSIVE
+        assert 0 < patterns[0] <= 230
+        assert 0 < calls[0] <= 400
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="canonicalize drops every X term of this gap (|c| <= 1e-12), so the scan "
+    "certifies the pattern of survival_Y alone (ROADMAP item 1)",
+)
+def test_pattern_certifies_the_true_gap_not_its_canonical_form():
+    # V(x) = S_Y(x) - S_X(0.5 x + 15): each X term carries exp(-15 r) <= exp(-30).
+    def true_gap(x):
+        def surv(rates, t):
+            r1, r2 = (mpmath.mpf(r) for r in rates)
+            return mpmath.exp(-r1 * t) + mpmath.exp(-r2 * t) - mpmath.exp(-(r1 + r2) * t)
+        x = mpmath.mpf(x)
+        return surv(THETA.rates, x) - surv(LAM.rates, x / 2 + 15)
+
+    with mpmath.workdps(60):
+        assert true_gap(59) > 0 > true_gap(61)
+    p = sign_pattern(survival_gap(LAM, THETA, 0.5, 15.0))
+    assert not (p.certified and p.complete) or "-" in p.signs()
+
+
 class TestGapDerivativeInScale:
     def test_zero_at_origin(self):
         assert dVda(LAM, 0.0, 0.6, 0.01) == 0.0
@@ -335,6 +428,23 @@ class TestGapDerivativeInScale:
             a = float(rng.uniform(0.05, 3.0))
             b = float(rng.uniform(0.0, 2.0))
             assert dVda(LAM, x, a, b) > 0.0
+
+
+@pytest.mark.parametrize("call, args", [
+    (region_classify, (0.6, math.nan, LAM, THETA)),
+    (region_classify, (0.6, math.inf, LAM, THETA)),
+    (region_classify, (math.nan, 0.01, LAM, THETA)),
+    (region_classify, (math.inf, 0.01, LAM, THETA)),
+    (dVda, (LAM, math.nan, 0.6, 0.01)),
+    (dVda, (LAM, 1.0, 0.6, math.nan)),
+    (dVda, (LAM, math.inf, 0.6, 0.0)),
+    (dVda, (LAM, 1.0, math.nan, 0.0)),
+    (dVda, (LAM, 1.0, math.inf, 0.0)),
+    (dVda, (LAM, 1.0, 0.6, math.inf)),
+])
+def test_non_finite_parameters_rejected(call, args):
+    with pytest.raises(ValueError, match="finite"):
+        call(*args)
 
 
 class TestSignMap:
