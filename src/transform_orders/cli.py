@@ -378,8 +378,11 @@ def run(config: RunConfig) -> tuple[int, str]:
 
 def _emit(config: RunConfig, text: str) -> None:
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # the write failed at run time: exit 3, whatever the verdict
+            raise RuntimeError(f"cannot write --out: {exc}") from exc
     else:
         sys.stdout.write(text)
 

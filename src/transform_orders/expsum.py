@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -225,41 +226,34 @@ def scaled_rows(fs: Sequence[ExpSum], xss) -> tuple[np.ndarray, np.ndarray, np.n
     overflow for any real x, so the *sign* of f stays decidable far
     beyond the range where f itself over- or underflows.  ``err`` bounds
     the rounding error of s (exp-argument rounding plus compensated
-    summation), on the same scale as s.  Rows with equal term counts are
-    evaluated together, each point with its own row's rates and
-    coefficients, so every point sees the operations it would see alone.
+    summation), on the same scale as s.
+
+    All rows share one (terms x points) layout: each sum is padded in
+    front, up to the largest term count, with zero coefficients at its
+    own first rate.  That changes no bit of any row: a padding term is
+    exactly +0 (its exponent is <= 0 and its coefficient 0), so the Kahan
+    sum and compensation stay +0 until the first real term and the
+    cumsums of the bound and of |terms| only add exact zeros in front,
+    while m is still the first real rate's term for x >= 0 and the last
+    term's for x < 0.  The zero sum is (+0, +0, +0) everywhere.
     """
     sizes = [len(x) for x in xss]
     xs = np.concatenate(xss, dtype=float) if xss else np.zeros(0)
     s, m, err = np.zeros((3, xs.size))
-    counts = [f.n_terms for f in fs]
+    n = max([1] + [f.n_terms for f in fs])  # the zero sum gets one padding term
+    neg_rates = -np.array([(f.rates[:1] or (0.0,)) * (n - f.n_terms) + f.rates for f in fs]).T
+    coeffs = np.array([(0.0,) * (n - f.n_terms) + f.coeffs for f in fs]).T
     owner = np.repeat(np.arange(len(fs)), sizes)  # the row of each point
-    for n in {c for c, size in zip(counts, sizes) if size} - {0}:  # the zero sum is 0
-        rows = [k for k, c in enumerate(counts) if c == n]
-        # The points of these rows (a slice when they are all the points)
-        # and the column of each one's row among them.
-        if len(rows) == len(fs):
-            at, col = slice(None), owner
-        else:
-            col = np.full(len(fs), -1)
-            col[rows] = np.arange(len(rows))
-            col = col[owner]
-            at = np.flatnonzero(col >= 0)
-            col = col[at]
-        neg_rates = -np.array([fs[k].rates for k in rows]).T
-        coeffs = np.array([fs[k].coeffs for k in rows]).T
-        pts = xs[at]
-        step = max(1, _BLOCK // n)  # points are independent
-        for i in range(0, pts.size, step):
-            part = slice(i, i + step)
-            where = part if isinstance(at, slice) else at[part]
-            if len(rows) == 1:  # one (terms x 1) column, broadcast over the points
-                exps, c = neg_rates * pts[part], coeffs
-            else:
-                exps = np.take(neg_rates, col[part], axis=1)
-                exps *= pts[part]
-                c = np.take(coeffs, col[part], axis=1)
-            s[where], m[where], err[where] = _scaled_block(exps, c, pts[part])
+    step = max(1, _BLOCK // n)  # points are independent
+    for i in range(0, xs.size, step):
+        part = slice(i, i + step)
+        exps = np.take(neg_rates, owner[part], axis=1)
+        exps *= xs[part]
+        c = np.take(coeffs, owner[part], axis=1)
+        s[part], m[part], err[part] = _scaled_block(exps, c, xs[part])
+    for f, end, size in zip(fs, accumulate(sizes), sizes):
+        if f.is_zero:  # its padding term left m = -0.0 * x
+            m[end - size : end] = 0.0
     return s, m, err
 
 

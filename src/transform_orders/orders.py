@@ -245,16 +245,20 @@ def _convex_signs(signs: tuple[str, ...]) -> bool:
     return changes >= 3 or (changes == 2 and signs[0] == "-")
 
 
+def _strip(lam: HazardVector, theta: HazardVector) -> tuple[float, float]:
+    """The strip (theta1/lam_n, theta1/lam_1) of a that can host violations."""
+    return theta.rates[0] / lam.rates[-1], theta.rates[0] / lam.rates[0]
+
+
 def _a_grid(lam: HazardVector, theta: HazardVector) -> list[float]:
     """Logarithmic a-grid covering all analytic breakpoints.
 
     The case boundaries sit at rate ratios (theta1/lam_n, theta1/lam_1, 1),
     so those are always included exactly.
     """
-    t1 = theta.rates[0]
-    lo = t1 / (2.0 * lam.rates[-1])
+    lo = theta.rates[0] / (2.0 * lam.rates[-1])
     grid = set(np.geomspace(min(lo, 1.0), max(2.0, 2.0 * lo), A_POINTS).tolist())
-    grid.update((t1 / lam.rates[-1], t1 / lam.rates[0], 1.0))
+    grid.update((*_strip(lam, theta), 1.0))
     return sorted(grid)
 
 
@@ -276,8 +280,8 @@ def star_check(
     gaps = _Gaps(lam, theta)
 
     if majorizes(lam, theta):
-        t1, l1 = theta.rates[0], lam.rates[0]
-        probes = sorted({0.5 * t1 / l1, t1 / l1, 0.5 * (t1 / l1 + 1.0), 1.0})
+        a_hi = _strip(lam, theta)[1]
+        probes = sorted({0.5 * a_hi, a_hi, 0.5 * (a_hi + 1.0), 1.0})
         hit, evidence = _scan(gaps, [(a, 0.0) for a in probes], _star_violation, opts.scan)
         if hit is not None:
             raise RuntimeError(
@@ -328,9 +332,7 @@ def region_classify(
         raise ValueError("region classification assumes majorized hazard vectors")
     if lam.close_to(theta):
         raise ValueError("degenerate: identical rate vectors admit no classification")
-    t1 = theta.rates[0]
-    a_lo = t1 / lam.rates[-1]
-    a_hi = t1 / lam.rates[0]
+    a_lo, a_hi = _strip(lam, theta)
     if a >= 1.0:
         return RegionLabel.FAV1
     if a >= a_hi:
@@ -377,9 +379,8 @@ def violation_search(
         raise ValueError("violation_search requires majorized hazard vectors")
     if lam.close_to(theta):
         raise ValueError("identical rate vectors: nothing to violate")
-    l1, l2 = lam.rates
     t1, t2 = theta.rates
-    a_lo, a_hi = t1 / l2, t1 / l1
+    a_lo, a_hi = _strip(lam, theta)
     if not a_lo < a_hi:
         raise ValueError(
             f"degenerate strip ({a_lo:.6g}, {a_hi:.6g}): homogeneous base rates "
@@ -461,8 +462,7 @@ def convex_check(
         )
 
     if majorizes(lam, theta):
-        a_lo = theta.rates[0] / lam.rates[-1]
-        a_hi = theta.rates[0] / lam.rates[0]
+        a_lo, a_hi = _strip(lam, theta)
         if not a_lo < a_hi:  # homogeneous base: strip is empty
             b_ref = 0.1 / (theta.rates[0] + theta.rates[-1])
             probes = [(a, b_ref) for a in (1.25, 0.5 * (a_hi + 1.0), 0.5 * a_lo)]
@@ -580,11 +580,7 @@ def sign_map(
     if not (0.0 <= x_min < x_max):
         raise ValueError("x_range must satisfy 0 <= x_min < x_max")
 
-    t1 = theta.rates[0]
-    a_vals = sorted(
-        set(np.linspace(a_min, a_max, na).tolist())
-        | {t1 / lam.rates[-1], t1 / lam.rates[0]}
-    )
+    a_vals = sorted(set(np.linspace(a_min, a_max, na).tolist()) | set(_strip(lam, theta)))
     x_vals = np.linspace(x_min, x_max, nx)
     gaps = _Gaps(lam, theta)
     rows = certain_signs([gaps(a, b) for a in a_vals], [x_vals] * len(a_vals), opts.scan)

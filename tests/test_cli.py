@@ -265,6 +265,18 @@ class TestUsageErrors:
     def test_out_of_range_numbers(self, argv):
         assert main(argv) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["check-star", "--lambda", "2,3", "--theta", "1.5,3.5"],
+        ["sign-map", "--lambda", "2,3", "--theta", "1.5,3.5", "--b", "0", "--resolution", "8"],
+    ])
+    @pytest.mark.parametrize("out", [(), ("missing", "r.json")])
+    def test_unwritable_out_is_runtime_error(self, argv, out, tmp_path, capsys):
+        # A directory, or a file under a missing one: the configuration is
+        # well formed and the write fails at run time, whatever the verdict.
+        assert main(argv + ["--out", str(tmp_path.joinpath(*out))]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf", "1e400"])
     def test_malformed_tol_override(self, monkeypatch, value):
         monkeypatch.setenv("TOL_OVERRIDE", value)

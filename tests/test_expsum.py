@@ -234,6 +234,42 @@ class TestScaledRows:
                 total = tot
             assert (s[i], m[i], err[i]) == (total, mx, bound + 2.0 * eps * abs_sum)
 
+    @staticmethod
+    def counted_blocks(monkeypatch):
+        """A one-element list that counts the _scaled_block calls from now on."""
+        calls = [0]
+        block = expsum._scaled_block
+
+        def wrapper(*args):
+            calls[0] += 1
+            return block(*args)
+        monkeypatch.setattr(expsum, "_scaled_block", wrapper)
+        return calls
+
+    def test_strip_row_mix_is_one_block_pass(self, monkeypatch):
+        # sign_map's rows have 5 and 6 terms; all rows share one padded
+        # layout, so a batch within _BLOCK is one pass whatever its counts.
+        rng = np.random.default_rng(11)
+        fs = [self.random_sum(rng, 5 + k % 2) for k in range(16)]
+        calls = self.counted_blocks(monkeypatch)
+        scaled_rows(fs, [rng.uniform(0.0, 20.0, 4) for _ in fs])
+        assert calls[0] == 1
+
+    def test_mixed_batch_passes_fewer_than_term_counts(self, monkeypatch):
+        # The batch of test_mixed_batch_matches_rows_alone: term counts 0..63.
+        rng = np.random.default_rng(3)
+        fs = [ExpSum((), ())]
+        fs += [self.random_sum(rng, n) for n in list(range(1, 64)) + [2, 6, 6, 15, 15, 63]]
+        order = rng.permutation(len(fs))
+        fs = [fs[k] for k in order]
+        xss = [rng.uniform(-20.0, 60.0, int(rng.integers(0, 41))) for _ in fs]
+        calls = self.counted_blocks(monkeypatch)
+        scaled_rows(fs, xss)
+        # One pass per _BLOCK // 63 points, fewer than one per term count.
+        points = sum(len(xs) for xs in xss)
+        counts = {f.n_terms for f, xs in zip(fs, xss) if len(xs) and not f.is_zero}
+        assert calls[0] == -(-points // (_BLOCK // 63)) < len(counts)
+
 
 # -- derivative -----------------------------------------------------------
 
