@@ -36,7 +36,7 @@ from .orders import (
     star_check_n,
     violation_search,
 )
-from .systems import HazardVector, failure_rate
+from .systems import MAX_COMPONENTS, HazardVector, failure_rate
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -100,6 +100,9 @@ class RunConfig:
             rates = getattr(self, name)
             if rates is not None and (not rates or any(r <= 0 for r in rates)):
                 raise UsageError(f"{_flag(name)} needs a nonempty list of positive reals")
+            if rates is not None and len(rates) > MAX_COMPONENTS:
+                raise UsageError(f"{_flag(name)} has {len(rates)} rates; "
+                                 f"at most {MAX_COMPONENTS} are supported")
         if self.sign_floor is None or self.sign_floor <= 0:
             raise UsageError("--sign-floor must be positive")
         for name in ("a", "a_min", "a_max", "x", "x_max"):

@@ -35,7 +35,7 @@ DEFAULT_MERGE_TOL = 1e-12  # relative tolerance for duplicate-rate merging
 
 # Sign-scan and root-isolation budgets.
 BASE_POINTS = 256  # initial grid points
-DIP_PASSES = 3  # subdivision passes around |f| valleys and uncertain gaps
+DIP_PASSES = 3  # passes that halve |f| valleys and uncertain gaps, outside the end bands
 MAX_REFINEMENTS = 80  # bisection steps per sign flip
 X_RTOL = 1e-10  # relative bracket width at which bisection stops
 ZERO_TOL = 1e-12  # relative threshold for a nonzero derivative sum at 0
@@ -535,16 +535,39 @@ def _refine_flips(lo: list, hi: list, left_sign: list, geometric: bool):
     return lo, hi, _Pts(*(np.concatenate(col) for col in zip(*seen)))
 
 
+def _dip_split(pts: _Pts) -> np.ndarray:
+    """Which intervals between neighbouring points (sorted by x) a dip pass
+    halves: those at an |f| valley and those with an uncertain end, except
+    the intervals with two uncertain ends that lie before the first certain
+    point or after the last one (with no certain point, none is left out).
+
+    In a sign scan those end bands hold cancellation noise near 0 or a tail
+    below the floor, whose signs the 0+ walk and the analytic tail sign
+    settle.  Leaving them whole certifies nothing new: every certified
+    region still rests on an evaluated point that clears the rounding bound
+    and the floor.  At worst a region there is missed, which leaves a
+    pattern incomplete, never wrong.
+    """
+    logs, inner = pts.logmag, pts.logmag[1:-1]
+    unsure = pts.sign == 0
+    split = unsure[:-1] | unsure[1:]
+    split[1:] |= (inner < logs[:-2]) & (inner <= logs[2:])  # valley at the left end
+    split[:-1] |= (inner <= logs[:-2]) & (inner < logs[2:])  # valley at the right end
+    certain = np.flatnonzero(~unsure)
+    if certain.size:
+        band = unsure[:-1] & unsure[1:]
+        band[certain[0] : certain[-1]] = False
+        split &= ~band
+    return split
+
+
 def _grid_points(grid: np.ndarray, geometric: bool):
-    """Evaluate the sorted grid, then subdivide around |f| valleys and
-    uncertain gaps to expose narrow regions (a step generator; see
-    _lockstep); returns all points by x."""
+    """Evaluate the sorted grid, then run up to DIP_PASSES passes that halve
+    the intervals :func:`_dip_split` picks, to expose narrow regions (a step
+    generator; see _lockstep); returns all points by x."""
     pts = yield grid
     for _ in range(DIP_PASSES):
-        logs, inner = pts.logmag, pts.logmag[1:-1]
-        split = (pts.sign[:-1] == 0) | (pts.sign[1:] == 0)
-        split[1:] |= (inner < logs[:-2]) & (inner <= logs[2:])  # valley at the left end
-        split[:-1] |= (inner <= logs[:-2]) & (inner < logs[2:])  # valley at the right end
+        split = _dip_split(pts)
         if not split.any():
             break
         pts = pts.merged((yield _mids(pts.x[:-1][split], pts.x[1:][split], geometric)))

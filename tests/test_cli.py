@@ -16,6 +16,9 @@ from transform_orders.cli import (
     main,
     run,
 )
+from transform_orders.systems import MAX_COMPONENTS
+
+TOO_MANY_RATES = ",".join(str(1.0 + k) for k in range(MAX_COMPONENTS + 1))
 
 
 def run_cli(argv, tmp_path, name="report.json"):
@@ -264,6 +267,24 @@ class TestUsageErrors:
     ])
     def test_out_of_range_numbers(self, argv):
         assert main(argv) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command, extra", [
+        ("check-star", ["--theta", TOO_MANY_RATES]),
+        ("sign-map", ["--theta", TOO_MANY_RATES, "--b", "0"]),
+        ("failure-rate", ["--x", "1"]),
+        ("simulate", []),
+    ])
+    def test_more_rates_than_max_components(self, command, extra, capsys):
+        # 21 rates would give 2^21 - 1 survival terms: a malformed
+        # configuration, caught before any survival is built.
+        assert main([command, "--lambda", TOO_MANY_RATES] + extra) == EXIT_USAGE
+        assert f"at most {MAX_COMPONENTS}" in capsys.readouterr().err
+
+    def test_more_rates_than_max_components_in_config(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        rates = [1.0 + k for k in range(MAX_COMPONENTS + 1)]
+        cfg.write_text(json.dumps({"lam": rates, "theta": rates}))
+        assert main(["check-star", "--config", str(cfg)]) == EXIT_USAGE
 
     @pytest.mark.parametrize("argv", [
         ["check-star", "--lambda", "2,3", "--theta", "1.5,3.5"],

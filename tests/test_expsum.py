@@ -561,6 +561,96 @@ def test_witness_rule_on_certified_gaps(f):
     assert_witnesses_are_first_maxima(f)
 
 
+# -- dip passes -------------------------------------------------------------
+
+CLASSIC_WITNESS_GAP = (
+    survival(HazardVector((1.5, 3.5))) - survival(HazardVector((2, 3))).shift_scale(0.749, 0.0125)
+)
+# Linspace-rate n = 6 systems at a = 0.5: 63-term survivals.
+N6_GAP = survival(HazardVector(tuple(np.linspace(1.5, 3.5, 6)))) - survival(
+    HazardVector(tuple(np.linspace(2.0, 3.0, 6)))
+).shift_scale(0.5)
+# Two near-degenerate gaps from narrow-strip convex scans (bench
+# majorized-n2, seed 4): the smallest rate's coefficient, 3e-9 to 4e-9,
+# leaves the "+" tail uncertain, and the "+" at 0+ is cancellation noise.
+NEAR_DEGENERATE_GAPS = [
+    ExpSum(
+        (0.777560926086392, 0.778035886370497, 1.555596812456889, 1.7590074489300815,
+         2.536568375016474),
+        (4.318594259977715e-09, -0.9999999956787679, 0.9999999913601736, 1.0, -1.0),
+    ),
+    ExpSum(
+        (2.752562017424994, 2.775233275528073, 3.0819756435019263, 5.527795292953067,
+         5.83453766092692),
+        (3.0011426677134523e-09, -0.9999999969741387, 1.0, 0.9999999939729959, -1.0),
+    ),
+]
+
+
+def split_every_uncertain_end(pts):
+    """The reference split rule: every interval at an |f| valley or with an
+    uncertain end, the end bands included."""
+    logs, inner = pts.logmag, pts.logmag[1:-1]
+    split = (pts.sign[:-1] == 0) | (pts.sign[1:] == 0)
+    split[1:] |= (inner < logs[:-2]) & (inner <= logs[2:])
+    split[:-1] |= (inner <= logs[:-2]) & (inner < logs[2:])
+    return split
+
+
+def reference_pattern(f):
+    with mock.patch.object(expsum, "_dip_split", split_every_uncertain_end):
+        return sign_pattern(f)
+
+
+@pytest.mark.parametrize("signs, want", [
+    # Bands of two uncertain ends before the first and after the last
+    # certain point stay whole; one uncertain end, or a gap between
+    # certain points, is still split.
+    ([0, 0, 0, 1, 0, 0, -1, 0, 0], [0, 0, 1, 1, 1, 1, 1, 0]),
+    ([1, 0, 0, 1], [1, 1, 1]),
+    ([1, -1, 1], [0, 0]),
+    # With no certain point there is no band.
+    ([0, 0, 0], [1, 1]),
+], ids=["bands", "inner-gap", "all-certain", "none-certain"])
+def test_dip_split_leaves_end_bands_whole(signs, want):
+    n = len(signs)
+    flat = np.zeros(n)  # equal |f| everywhere: no valley
+    pts = expsum._Pts(np.arange(1.0, n + 1), flat, flat, flat, np.array(signs, dtype=np.int8))
+    assert expsum._dip_split(pts).tolist() == [bool(w) for w in want]
+
+
+@pytest.mark.parametrize("f, budget", [
+    (CLASSIC_WITNESS_GAP, 400),  # 722 points when the end bands are split
+    (N6_GAP, 300),  # 1,469 points when the end bands are split
+], ids=["classic-witness", "n6-linspace"])
+def test_sign_pattern_point_budget(f, budget):
+    _, x, _, _ = recorded_pattern(f)
+    assert x.size <= budget
+
+
+@pytest.mark.parametrize("f", [CLASSIC_WITNESS_GAP, N6_GAP], ids=["classic-witness", "n6-linspace"])
+def test_end_bands_keep_fixed_patterns(f):
+    assert_same_pattern(sign_pattern(f), reference_pattern(f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gap_sums())
+def test_end_bands_keep_certified_patterns(f):
+    ref = reference_pattern(f)
+    assume(ref.certified)
+    assert_same_pattern(sign_pattern(f), ref)
+
+
+@pytest.mark.parametrize("f", NEAR_DEGENERATE_GAPS, ids=["rates-0.78-2.54", "rates-2.75-5.83"])
+def test_end_bands_move_only_uncertified_patterns(f):
+    # The reference places the uncertain 0+ region at another x; the signs
+    # and every certain region agree, and neither pattern is certified.
+    ref, got = reference_pattern(f), sign_pattern(f)
+    assert not ref.certified and not got.certified
+    assert got.signs() == ref.signs()
+    assert [r for r in got.regions if r.certain] == [r for r in ref.regions if r.certain]
+
+
 # -- possible_signs ---------------------------------------------------------
 
 
