@@ -602,13 +602,23 @@ def sign_pattern(f: ExpSum, opts: ScanOptions | None = None) -> SignPattern:
 
 
 def sign_patterns(
-    fs: Sequence[ExpSum], opts: ScanOptions | None = None
+    fs: Sequence[ExpSum], opts: ScanOptions | None = None, *, refine: bool = True
 ) -> list[SignPattern]:
     """``[sign_pattern(f) for f in fs]``, computed in lock step: each grid,
     dip pass, 0+ walk and bisection step evaluates the points that every
-    scan still running requests in one evaluator call."""
+    scan still running requests in one evaluator call.
+
+    ``refine=False`` skips flip bisection, for scans that only decide.
+    Bisection places transitions and may move witnesses and values, but
+    never the sign tuple, ``certified`` or ``complete`` of a certified
+    pattern: every certain point it adds lies inside its flip's bracket,
+    on the side of its own sign, so each run keeps its place.  An
+    uncertified pattern whose regions outnumber the zero bound can differ
+    in its signs, since which region is dropped as the weakest depends on
+    the witness values.
+    """
     fs = list(fs)
-    return _lockstep(fs, _pattern_steps, opts or ScanOptions())
+    return _lockstep(fs, lambda f: _pattern_steps(f, refine), opts or ScanOptions())
 
 
 def possible_signs(f: ExpSum) -> list[tuple[str, ...]]:
@@ -637,8 +647,9 @@ def possible_signs(f: ExpSum) -> list[tuple[str, ...]]:
     ]
 
 
-def _pattern_steps(f: ExpSum):
-    """The step generator of sign_pattern(f) (see _lockstep)."""
+def _pattern_steps(f: ExpSum, refine: bool):
+    """The step generator of sign_pattern(f) (see _lockstep); without
+    ``refine`` the runs come from the grid, dip and 0+ walk points alone."""
     if f.is_zero:
         return SignPattern((), (), certified=True, complete=True)
 
@@ -664,11 +675,15 @@ def _pattern_steps(f: ExpSum):
 
     # Bisect the witnessed flips together, then keep their certain points:
     # each lies between its flip's two runs, so it joins the run of its sign.
-    flip = np.flatnonzero(np.diff(certain.sign))
-    _, _, bisected = yield from _refine_flips(
-        certain.x[flip].tolist(), certain.x[flip + 1].tolist(), certain.sign[flip].tolist(), True
-    )
-    certain = certain.merged(bisected.take(np.flatnonzero(bisected.sign)))
+    if refine:
+        flip = np.flatnonzero(np.diff(certain.sign))
+        _, _, bisected = yield from _refine_flips(
+            certain.x[flip].tolist(),
+            certain.x[flip + 1].tolist(),
+            certain.sign[flip].tolist(),
+            True,
+        )
+        certain = certain.merged(bisected.take(np.flatnonzero(bisected.sign)))
     n_certain = certain.x.size
 
     # Assemble the alternating region runs (index ranges into certain),

@@ -35,6 +35,16 @@ parity) cannot yield a certified violation, so only the other probes are
 scanned and the first certified violation is the same probe as without
 the filter.  Every other scan runs unfiltered, since its scanned patterns
 are reported as evidence or attempts.
+
+Scans decide first and bisect only what a verdict reports.  Flip bisection
+places transitions and witnesses but never changes which pattern is a
+certified violation, so the scans whose patterns are discarded
+(``violation_search``, the non-majorized ``convex_check`` grid and
+``star_check_n``) run without it, and ``_scan`` scans only their violating
+probe again with bisection.  Per-point results do not depend on the batch,
+so that witness is byte-identical to the one a fully bisected scan finds.
+``star_check``, the homogeneous spot checks and ``convex_check_at`` return
+their scanned patterns as evidence and keep bisection throughout.
 """
 
 from __future__ import annotations
@@ -193,6 +203,8 @@ def _scan(
     probes: Iterable[tuple[float, float]],
     violates: Callable[[SignPattern], bool],
     opts: ScanOptions,
+    *,
+    refine: bool = True,
 ) -> tuple[Witness | None, list[tuple[float, SignPattern]]]:
     """Sign patterns of the gap ``gaps(a, b)`` at each (a, b) probe, in
     order, up to the first certified one that ``violates``: returns it as a
@@ -201,15 +213,31 @@ def _scan(
     Probes go to :func:`sign_patterns` in blocks of 1, 2, 4, ... up to
     MAX_BLOCK, so an early violation costs little extra work and a long
     scan shares each evaluator call among many patterns.
+
+    With ``refine=False`` the scanned patterns skip flip bisection, which
+    never changes which probe violates, and only the violating probe is
+    scanned again with it.  Its pattern there is byte-identical to a
+    bisected scan of the whole block, since no per-point result depends on
+    the batch, so the witness is too; a re-scan that does not certify the
+    violation is a numerical defect.
     """
     probes = list(probes)
     scanned = []
     start, size = 0, 1
     while start < len(probes):
         block = probes[start : start + size]
-        for (a, b), p in zip(block, sign_patterns([gaps(a, b) for a, b in block], opts)):
+        fs = [gaps(a, b) for a, b in block]
+        for (a, b), f, p in zip(block, fs, sign_patterns(fs, opts, refine=refine)):
+            hit = p.certified and violates(p)
+            if hit and not refine:
+                (p,) = sign_patterns([f], opts)
+                if not (p.certified and violates(p)):
+                    raise RuntimeError(
+                        f"bisected re-scan at a={a}, b={b} does not certify the "
+                        "violation; this is a numerical defect"
+                    )
             scanned.append((a, p))
-            if p.certified and violates(p):
+            if hit:
                 return Witness(a, b, p), scanned
         start, size = start + size, min(2 * size, MAX_BLOCK)
     return None, scanned
@@ -396,7 +424,9 @@ def violation_search(
         )
 
     probes = [(a_hi, 0.5 * slack * 0.5**k) for k in range(SEARCH_MAX_HALVINGS)]
-    top, scanned = _scan(gaps, probes, lambda p: p.signs() == ("+", "-", "+"), opts.scan)
+    top, scanned = _scan(
+        gaps, probes, lambda p: p.signs() == ("+", "-", "+"), opts.scan, refine=False
+    )
     attempts = [(x0, b) for _, b in probes[: len(scanned)]]
     if top is None:
         raise ViolationSearchError(
@@ -412,7 +442,9 @@ def violation_search(
     walk = [a_hi - width / (2.0**k) for k in range(SEARCH_A_STEPS, 0, -1)]
     sweep = np.linspace(a_hi - width / 2.0**SEARCH_A_STEPS, a_lo, 64)[1:].tolist()
     probes = [(a, b0) for a in walk + sweep]
-    hit, _ = _scan(gaps, probes, lambda p: p.signs() == ("+", "-", "+", "-"), opts.scan)
+    hit, _ = _scan(
+        gaps, probes, lambda p: p.signs() == ("+", "-", "+", "-"), opts.scan, refine=False
+    )
     if hit is None:
         raise ViolationSearchError(
             f"'+,-,+' certified at the strip top (b0={b0:.6g}) but no a in the strip "
@@ -506,7 +538,9 @@ def convex_check(
     grid = [(a, f * b_scale) for a in _a_grid(lam, theta) for f in B_FACTORS]
     built = {ab: gaps(*ab) for ab in grid}
     probes = [ab for ab in grid if any(map(_convex_signs, possible_signs(built[ab])))]
-    hit, scanned = _scan(lambda a, b: built[a, b], probes, _convex_violation, opts.scan)
+    hit, scanned = _scan(
+        lambda a, b: built[a, b], probes, _convex_violation, opts.scan, refine=False
+    )
     if hit is not None:
         detail = f"pattern '{hit.pattern.text()}' violates the two-change criterion"
         return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)
@@ -611,7 +645,7 @@ def star_check_n(
     if not majorizes(lam, theta):
         notes.append("majorization precondition fails; scanning anyway")
     probes = [(a, 0.0) for a in _a_grid(lam, theta)]
-    hit, _ = _scan(gaps, probes, _star_violation, opts.scan)
+    hit, _ = _scan(gaps, probes, _star_violation, opts.scan, refine=False)
     if hit is not None:
         found = f"violating pattern '{hit.pattern.text()}' at a={hit.a:.6g}"
         return OrderVerdict(Status.FAILS, None, witness=hit, detail="; ".join([found] + notes))

@@ -56,7 +56,7 @@ class HazardVector:
         if self.n != other.n:
             return False
         return all(
-            abs(a - b) <= rtol * max(abs(a), abs(b), 1.0)
+            abs(a - b) <= rtol * max(a, b)
             for a, b in zip(self.rates, other.rates)
         )
 
@@ -163,4 +163,4 @@ def majorizes(lam: HazardVector, theta: HazardVector) -> bool:
             return False
     tot_l = math.fsum(lam.rates)
     tot_t = math.fsum(theta.rates)
-    return abs(tot_l - tot_t) <= 1e-12 * max(tot_l, tot_t, 1.0)
+    return abs(tot_l - tot_t) <= 1e-12 * max(tot_l, tot_t)

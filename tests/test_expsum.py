@@ -651,6 +651,39 @@ def test_end_bands_move_only_uncertified_patterns(f):
     assert [r for r in got.regions if r.certain] == [r for r in ref.regions if r.certain]
 
 
+# -- two-phase scans ----------------------------------------------------------
+
+
+def decision(p):
+    return p.signs(), p.certified, p.complete
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(gap_sums(), min_size=1, max_size=16))
+def test_unrefined_scans_keep_decisions(fs):
+    # Flip bisection only places transitions and may move witnesses.
+    assert [decision(p) for p in sign_patterns(fs, refine=False)] == [
+        decision(p) for p in sign_patterns(fs)
+    ]
+
+
+# f(0) = -1e-12 is below ZERO_TOL, so sign_at_zero reads "+" from f'(0) and
+# puts a "+" region in front of the certain "-" and "+" runs: three regions
+# against a zero bound of 1, so the weakest is dropped and certified cleared.
+DROPPED_REGION_GAP = ExpSum((1.0, 1.0 + 1e-10), (1.0, -(1.0 + 1e-12)))
+
+
+def test_unrefined_scan_keeps_decision_after_a_dropped_region():
+    f = DROPPED_REGION_GAP
+    assert f.sign_at_zero() == (1, 1) and f.sign_change_bound() == 1
+    p = sign_pattern(f)
+    # Every region is witnessed, so only the drop can have cleared certified.
+    assert p.signs() == ("-", "+") and all(r.certain for r in p.regions)
+    assert not p.certified and not p.complete
+    (q,) = sign_patterns([f], refine=False)
+    assert decision(q) == decision(p)
+
+
 # -- possible_signs ---------------------------------------------------------
 
 

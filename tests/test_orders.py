@@ -370,10 +370,10 @@ class TestConvexGridPrefilter:
         calls, patterns = [0], [0]
         scan_patterns = orders.sign_patterns
 
-        def counting_patterns(fs, opts=None):
+        def counting_patterns(fs, opts=None, **kw):
             fs = list(fs)
             patterns[0] += len(fs)
-            return scan_patterns(fs, opts)
+            return scan_patterns(fs, opts, **kw)
 
         monkeypatch.setattr(orders, "sign_patterns", counting_patterns)
         monkeypatch.setattr(expsum, "scaled_rows", counted_outermost(expsum.scaled_rows, calls))
@@ -384,6 +384,82 @@ class TestConvexGridPrefilter:
         assert verdict.status is Status.INCONCLUSIVE
         assert 0 < patterns[0] <= 230
         assert 0 < calls[0] <= 400
+
+
+def linspace_pair(n):
+    return HazardVector(tuple(np.linspace(2, 3, n))), HazardVector(tuple(np.linspace(1.5, 3.5, n)))
+
+
+def bisect_every_scan(fs, opts=None, **kw):
+    """orders.sign_patterns with refine=False ignored: every scan bisects."""
+    return expsum.sign_patterns(fs, opts)
+
+
+class TestTwoPhaseScans:
+    @pytest.mark.parametrize("run, budget", [
+        (lambda: violation_search(LAM, THETA), 100),  # 141 when every scan bisects
+        (lambda: convex_check(THETA, LAM), 100),  # 345
+        (lambda: star_check_n(*linspace_pair(6)), 40),  # 63
+    ], ids=["violation-search-classic", "convex-check-reversed", "star-check-n6-linspace"])
+    def test_outermost_evaluator_calls(self, monkeypatch, run, budget):
+        calls = [0]
+        monkeypatch.setattr(expsum, "scaled_rows", counted_outermost(expsum.scaled_rows, calls))
+        monkeypatch.setattr(
+            expsum.ExpSum, "_scaled_many", counted_outermost(expsum.ExpSum._scaled_many, calls)
+        )
+        run()
+        assert 0 < calls[0] <= budget
+
+    @pytest.mark.parametrize("lam, theta", [
+        (LAM, THETA), (THETA, LAM), (HazardVector((1, 4)), HazardVector((2, 2.5))),
+        (HazardVector((2, 3)), HazardVector((3, 7))),
+        (HazardVector((1.6702, 1.6707)), HazardVector((0.6158, 2.7251))),
+        *(linspace_pair(n) for n in (3, 4, 5)), linspace_pair(3)[::-1],
+    ], ids=["classic", "reversed", "(1,4)-(2,2.5)", "(2,3)-(3,7)", "narrow-strip",
+            "linspace-n3", "linspace-n4", "linspace-n5", "reversed-n3"])
+    def test_verdicts_equal_bisected_scans(self, monkeypatch, lam, theta):
+        # Skipping bisection in discarded patterns moves no byte of a verdict.
+        if lam.n == 2:
+            checks = [star_check, convex_check, violation_search]
+        else:
+            checks = [star_check_n]
+
+        def verdicts():
+            out = []
+            for check in checks:
+                try:
+                    out.append(repr(check(lam, theta)))
+                except (ValueError, orders.ViolationSearchError) as exc:
+                    out.append(repr(exc))
+            return out
+
+        got = verdicts()
+        monkeypatch.setattr(orders, "sign_patterns", bisect_every_scan)
+        assert got == verdicts()
+
+    def test_unconfirmed_rescan_is_a_numerical_defect(self, monkeypatch):
+        # The bisected re-scan of a violating probe must certify it again.
+        def uncertified_when_bisected(fs, opts=None, refine=True):
+            ps = expsum.sign_patterns(fs, opts, refine=refine)
+            return ps if not refine else [replace(p, certified=False) for p in ps]
+
+        monkeypatch.setattr(orders, "sign_patterns", uncertified_when_bisected)
+        with pytest.raises(RuntimeError, match="numerical defect"):
+            star_check_n(*linspace_pair(3)[::-1])
+
+
+class TestScaleFreeCertificates:
+    @pytest.mark.parametrize("k", [1e-13, 1e-20])
+    def test_tiny_rates_get_no_analytic_certificate(self, k):
+        # The reversed classic pair's star order FAILS at scale 1, so its
+        # convex order cannot hold; the totals of (2,4) and (1.5,3.5) differ
+        # by a factor 1.2.  Neither pair earns a certificate at any scale.
+        for verdict in (
+            convex_check(THETA.scaled(k), LAM.scaled(k)),
+            star_check(HazardVector((2, 4)).scaled(k), THETA.scaled(k)),
+        ):
+            assert verdict.certificate is None
+            assert verdict.status is not Status.HOLDS
 
 
 @pytest.mark.xfail(

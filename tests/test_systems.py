@@ -46,6 +46,14 @@ class TestHazardVector:
     def test_scaled(self):
         assert HazardVector((1, 2)).scaled(2.0).rates == (2.0, 4.0)
 
+    @pytest.mark.parametrize("k", [1.0, 1e-13, 1e-20])
+    def test_close_to_is_scale_free(self, k):
+        # An absolute tolerance floor made every pair of rates below about
+        # 1e-12 count as equal.
+        a, b = HazardVector((1.5, 3.5)).scaled(k), HazardVector((2, 3)).scaled(k)
+        assert not a.close_to(b) and not b.close_to(a)
+        assert a.close_to(HazardVector((1.5, 3.5 * (1 + 1e-13))).scaled(k))
+
 
 class TestSurvival:
     def test_two_heterogeneous_components(self):
@@ -203,6 +211,15 @@ class TestMajorizes:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             majorizes(HazardVector((1, 2)), HazardVector((1, 2, 3)))
+
+    @pytest.mark.parametrize("k", [1e-13, 1e-20])
+    def test_scale_free(self, k):
+        # (2,4) and (1.5,3.5) have totals 6k and 5k: never majorized, though
+        # an absolute tolerance floor accepted them below about k = 1e-12.
+        pairs = [((2, 4), (1.5, 3.5)), ((2, 3), (1.5, 3.5)), ((1.5, 3.5), (2, 3))]
+        for lam, theta in pairs:
+            unit = majorizes(HazardVector(lam), HazardVector(theta))
+            assert majorizes(HazardVector(lam).scaled(k), HazardVector(theta).scaled(k)) == unit
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(77)
