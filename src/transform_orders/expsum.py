@@ -385,10 +385,6 @@ class SignPattern:
     def text(self) -> str:
         return ",".join(self.signs())
 
-    @property
-    def n_changes(self) -> int:
-        return max(len(self.regions) - 1, 0)
-
 
 @dataclass(frozen=True)
 class RootScan:
@@ -430,6 +426,18 @@ class _Pts(NamedTuple):
 
 
 _NO_PTS = _Pts(*[np.zeros(0)] * 4, np.zeros(0, dtype=np.int8))
+
+
+class _Run(NamedTuple):
+    """A sign region under assembly: its certain points span [first, last]
+    (None for an analytic end region, which has none); x is its witness."""
+
+    sign: int  # +1 or -1
+    first: float | None
+    last: float | None
+    x: float
+    value: float
+    certain: bool
 
 
 def _unscale(s: float, m: float) -> float:
@@ -496,14 +504,13 @@ def _lockstep(fs: Sequence[ExpSum], steps, opts: ScanOptions) -> list:
     return results
 
 
-def _mids(lo: np.ndarray, hi: np.ndarray, geometric: bool) -> np.ndarray:
-    if not geometric:
-        return 0.5 * (lo + hi)
+def _mids(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The one bisection midpoint rule: geometric where lo > 0, else arithmetic."""
     with np.errstate(invalid="ignore"):
         return np.where(lo > 0, np.sqrt(lo * hi), 0.5 * (lo + hi))
 
 
-def _refine_flips(lo: list, hi: list, left_sign: list, geometric: bool):
+def _refine_flips(lo: list, hi: list, left_sign: list):
     """Shrink certain-sign flip brackets [lo[k], hi[k]] in place and
     together, one evaluation per step (a step generator; see _lockstep).
     left_sign[k] is the sign at lo[k].  Returns lo, hi and every point
@@ -515,7 +522,7 @@ def _refine_flips(lo: list, hi: list, left_sign: list, geometric: bool):
         stepping, mids = [], []
         for k in active:  # a scan has a few brackets: scalar arithmetic is cheaper
             a, b = lo[k], hi[k]
-            mid = math.sqrt(a * b) if geometric and a > 0 else 0.5 * (a + b)
+            mid = math.sqrt(a * b) if a > 0 else 0.5 * (a + b)  # the rule of _mids
             if a < mid < b and b - a > X_RTOL * max(abs(a), abs(b), 1e-30):
                 stepping.append(k)
                 mids.append(mid)
@@ -561,7 +568,7 @@ def _dip_split(pts: _Pts) -> np.ndarray:
     return split
 
 
-def _grid_points(grid: np.ndarray, geometric: bool):
+def _grid_points(grid: np.ndarray):
     """Evaluate the sorted grid, then run up to DIP_PASSES passes that halve
     the intervals :func:`_dip_split` picks, to expose narrow regions (a step
     generator; see _lockstep); returns all points by x."""
@@ -570,7 +577,7 @@ def _grid_points(grid: np.ndarray, geometric: bool):
         split = _dip_split(pts)
         if not split.any():
             break
-        pts = pts.merged((yield _mids(pts.x[:-1][split], pts.x[1:][split], geometric)))
+        pts = pts.merged((yield _mids(pts.x[:-1][split], pts.x[1:][split])))
     return pts
 
 
@@ -649,7 +656,13 @@ def possible_signs(f: ExpSum) -> list[tuple[str, ...]]:
 
 def _pattern_steps(f: ExpSum, refine: bool):
     """The step generator of sign_pattern(f) (see _lockstep); without
-    ``refine`` the runs come from the grid, dip and 0+ walk points alone."""
+    ``refine`` the runs come from the grid, dip and 0+ walk points alone.
+
+    Transitions are placed after the zero-bound repair, from the extents
+    of the regions left (a merged region spans both of its parts): mid-way
+    between the facing ends of two neighbours, else at the one end that
+    exists, else nan.  So each lies between the regions it separates.
+    """
     if f.is_zero:
         return SignPattern((), (), certified=True, complete=True)
 
@@ -668,7 +681,7 @@ def _pattern_steps(f: ExpSum, refine: bool):
     gap = f.rates[1] - f.rates[0]
     x_hi = 1.05 * max(40.0 / gap, f.dominance_point()) + 1e-6
     x_lo = 1e-9 / f.rates[-1]
-    pts = yield from _grid_points(np.geomspace(x_lo, x_hi, BASE_POINTS), geometric=True)
+    pts = yield from _grid_points(np.geomspace(x_lo, x_hi, BASE_POINTS))
     pts = yield from _zero_walk(pts, s0)
     certain = pts.take(np.flatnonzero(pts.sign))
     del pts  # only the certain points are kept while the flips are bisected
@@ -678,95 +691,58 @@ def _pattern_steps(f: ExpSum, refine: bool):
     if refine:
         flip = np.flatnonzero(np.diff(certain.sign))
         _, _, bisected = yield from _refine_flips(
-            certain.x[flip].tolist(),
-            certain.x[flip + 1].tolist(),
-            certain.sign[flip].tolist(),
-            True,
+            certain.x[flip].tolist(), certain.x[flip + 1].tolist(), certain.sign[flip].tolist()
         )
         certain = certain.merged(bisected.take(np.flatnonzero(bisected.sign)))
-    n_certain = certain.x.size
 
-    # Assemble the alternating region runs (index ranges into certain),
-    # with empty runs for the analytic endpoints.
-    cuts = (np.flatnonzero(np.diff(certain.sign)) + 1).tolist()
-    edges = [0, *cuts, n_certain] if n_certain else []
-    runs = [range(a, b) for a, b in zip(edges, edges[1:])]
-    run_signs = [int(certain.sign[run.start]) for run in runs]
-    if s0 != 0 and (not run_signs or run_signs[0] != s0):
-        runs.insert(0, range(0))
-        run_signs.insert(0, s0)
-    if s_inf != 0 and (not run_signs or run_signs[-1] != s_inf):
-        runs.append(range(0))
-        run_signs.append(s_inf)
-
-    # A transition sits mid-way between two witnessed runs, else at the
-    # end of the one witnessed run beside it.
+    # One record per region: each run of equal certain sign, then an
+    # analytic end region (the sign at 0+ or at infinity) with no extent
+    # where the nearest run disagrees with it.
     xs = certain.x.tolist()
-    transitions: list[float] = []
-    for left, right in zip(runs, runs[1:]):
-        if left and right:
-            transitions.append(0.5 * (xs[left[-1]] + xs[right[0]]))
-        elif left:
-            transitions.append(xs[left[-1]])
-        elif right:
-            transitions.append(xs[right[0]])
-        else:
-            transitions.append(math.nan)
-
-    # Each run's witness is its largest certain |f|, the first by x on a tie.
-    xs_found: list[float] = []
-    values: list[float | None] = []
-    for run in runs:
-        if run:
-            i = run.start + int(np.argmax(certain.logmag[run.start : run.stop]))
-            xs_found.append(xs[i])
-            values.append(certain.value(i))
-        else:
-            # Analytically implied region without a witness above the floor.
-            if xs_found:
-                xs_found.append(xs_found[-1] * 2.0)
-            elif xs:
-                xs_found.append(xs[0] / 2.0)
-            else:
-                xs_found.append(x_lo)
-            values.append(None)
-    guessed = [k for k, v in enumerate(values) if v is None]
+    cuts = (np.flatnonzero(np.diff(certain.sign)) + 1).tolist()
+    edges = [0, *cuts, len(xs)] if xs else []
+    runs = []
+    for a, b in zip(edges, edges[1:]):
+        i = a + int(np.argmax(certain.logmag[a:b]))  # the first-by-x largest |f|
+        runs.append(_Run(int(certain.sign[a]), xs[a], xs[b - 1], xs[i], certain.value(i), True))
+    if s0 != 0 and (not runs or runs[0].sign != s0):
+        runs.insert(0, _Run(s0, None, None, xs[0] / 2.0 if xs else x_lo, math.nan, False))
+    if s_inf != 0 and (not runs or runs[-1].sign != s_inf):
+        runs.append(_Run(s_inf, None, None, runs[-1].x * 2.0 if runs else x_lo, math.nan, False))
+    guessed = [k for k, run in enumerate(runs) if run.first is None]
     if guessed:
-        p = yield np.array([xs_found[k] for k in guessed])
+        p = yield np.array([runs[k].x for k in guessed])
         for i, k in enumerate(guessed):
-            values[k] = p.value(i)
-    regions = [
-        SignRegion("+" if sign > 0 else "-", x, value, bool(run))
-        for sign, run, x, value in zip(run_signs, runs, xs_found, values)
-    ]
+            runs[k] = runs[k]._replace(value=p.value(i))
 
     # A certified pattern can never exceed the zero bound; if numerical dust
-    # produced extra alternations anyway, drop the weakest regions.
-    certified = all(r.certain for r in regions)
-    while len(regions) - 1 > bound and len(regions) >= 2:
-        weakest = min(
-            range(len(regions)), key=lambda i: abs(regions[i].value)
-        )
-        regions.pop(weakest)
+    # produced extra alternations anyway, drop the weakest regions.  An
+    # interior drop merges its two neighbours into one region that spans
+    # both and keeps the stronger one's witness.
+    certified = all(run.certain for run in runs)
+    while len(runs) - 1 > bound:
+        k = min(range(len(runs)), key=lambda i: abs(runs[i].value))
         certified = False
-        if 0 < weakest < len(regions):
-            merged = max(
-                (regions[weakest - 1], regions[weakest]), key=lambda r: abs(r.value)
-            )
-            regions[weakest - 1] = merged
-            regions.pop(weakest)
-        if transitions:
-            transitions = transitions[: len(regions) - 1]
+        if 0 < k < len(runs) - 1:
+            left, right = runs[k - 1], runs[k + 1]
+            stronger = max((left, right), key=lambda run: abs(run.value))
+            runs[k - 1 : k + 2] = [stronger._replace(first=left.first, last=right.last)]
+        else:
+            runs.pop(k)
 
-    sign_right_of_zero = (
-        (1 if regions[0].sign == "+" else -1) if regions else s0
-    )
+    transitions = []
+    for left, right in zip(runs, runs[1:]):
+        ends = [x for x in (left.last, right.first) if x is not None]
+        transitions.append(sum(ends) / len(ends) if ends else math.nan)
+
+    sign_right_of_zero = runs[0].sign if runs else s0
     sign_left_of_zero = sign_right_of_zero * (-1 if mult0 % 2 else 1)
     neg_min = 1 if (s_neg != 0 and s_neg != sign_left_of_zero) else 0
-    accounted = (len(regions) - 1) + mult0 + neg_min
+    accounted = (len(runs) - 1) + mult0 + neg_min
     complete = certified and accounted == bound
 
-    return SignPattern(tuple(regions), tuple(transitions), certified, complete)
+    regions = tuple(SignRegion("+-"[run.sign < 0], run.x, run.value, run.certain) for run in runs)
+    return SignPattern(regions, tuple(transitions), certified, complete)
 
 
 def count_roots(
@@ -798,12 +774,12 @@ def _root_steps(f: ExpSum, lo: float, hi: float, opts: ScanOptions):
     grid = list(np.linspace(lo, hi, BASE_POINTS))
     if lo < 0.0 < hi:
         grid.extend([0.0, -1e-12 * abs(lo), 1e-12 * hi])
-    pts = yield from _grid_points(np.array(sorted(set(grid)), dtype=float), geometric=False)
+    pts = yield from _grid_points(np.array(sorted(set(grid)), dtype=float))
 
     certain = pts.take(np.flatnonzero(pts.sign))
     flip = np.flatnonzero(certain.sign[1:] != certain.sign[:-1])
     left, right, _ = yield from _refine_flips(
-        certain.x[flip].tolist(), certain.x[flip + 1].tolist(), certain.sign[flip].tolist(), False
+        certain.x[flip].tolist(), certain.x[flip + 1].tolist(), certain.sign[flip].tolist()
     )
     brackets = list(zip(left, right))
 

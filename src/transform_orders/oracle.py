@@ -20,6 +20,7 @@ from .systems import HazardVector, inverse_survival_many, survival
 RATIO_DROP_TOL = 1e-9
 CONCAVITY_TOL = 1e-9
 MIN_SAMPLES = 1000  # fewest Monte Carlo draws mc_survival accepts
+MC_GRID_POINTS = 256  # x points at which mc_survival compares the tails
 
 
 @dataclass(frozen=True)
@@ -65,16 +66,11 @@ def transform_values(
     return inverse_survival_many(survival(theta), u)
 
 
-def star_ratio_oracle(
-    lam: HazardVector,
-    theta: HazardVector,
-    grid: np.ndarray,
-    drop_tol: float = RATIO_DROP_TOL,
-) -> GridReport:
+def star_ratio_oracle(lam: HazardVector, theta: HazardVector, grid: np.ndarray) -> GridReport:
     """Check the star-shape ratio T(x)/x for decreasing stretches.
 
     Reports every adjacent pair where the ratio falls by more than
-    ``drop_tol``; an increasing ratio is exactly the star order.
+    RATIO_DROP_TOL; an increasing ratio is exactly the star order.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
@@ -83,7 +79,7 @@ def star_ratio_oracle(
         raise ValueError("star ratio grid must stay strictly positive")
     ratio = transform_values(lam, theta, grid) / grid
     drops = ratio[:-1] - ratio[1:]
-    bad = np.nonzero(drops > drop_tol)[0]
+    bad = np.nonzero(drops > RATIO_DROP_TOL)[0]
     return GridReport(
         grid_x=tuple(float(x) for x in grid),
         values=tuple(float(v) for v in ratio),
@@ -119,15 +115,13 @@ def convexity_oracle(
     )
 
 
-def mc_survival(
-    h: HazardVector, n_samples: int, seed: int, grid_points: int = 256
-) -> McSurvivalReport:
+def mc_survival(h: HazardVector, n_samples: int, seed: int) -> McSurvivalReport:
     """Monte Carlo validation of the analytic survival function.
 
     Samples the system lifetime as the maximum of inverse-CDF exponential
     draws from a seeded generator, then returns the sup over a grid of
-    |empirical tail - analytic survival|.  Identical inputs give an
-    identical report.
+    MC_GRID_POINTS points of |empirical tail - analytic survival|.
+    Identical inputs give an identical report.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
@@ -138,7 +132,7 @@ def mc_survival(
 
     surv = survival(h)
     x_hi = -np.log(1e-4) / h.rates[0]  # past this both tails are < 1e-4-ish
-    grid = np.linspace(0.0, float(x_hi), grid_points)
+    grid = np.linspace(0.0, float(x_hi), MC_GRID_POINTS)
     analytic = surv.eval_many(grid)
     empirical = 1.0 - np.searchsorted(lifetimes, grid, side="right") / n_samples
     sup = float(np.max(np.abs(empirical - analytic)))

@@ -18,6 +18,7 @@ import numpy as np
 from .expsum import ExpSum, canonicalize
 
 MAX_COMPONENTS = 20  # inclusion-exclusion yields 2^n - 1 terms
+RATE_RTOL = 1e-12  # relative tolerance at which two rates, or two rate totals, agree
 
 
 class SurvivalUnderflow(ArithmeticError):
@@ -52,11 +53,11 @@ class HazardVector:
             raise ValueError("scale factor must be positive")
         return HazardVector(tuple(r * k for r in self.rates))
 
-    def close_to(self, other: "HazardVector", rtol: float = 1e-12) -> bool:
+    def close_to(self, other: "HazardVector") -> bool:
         if self.n != other.n:
             return False
         return all(
-            abs(a - b) <= rtol * max(a, b)
+            abs(a - b) <= RATE_RTOL * max(a, b)
             for a, b in zip(self.rates, other.rates)
         )
 
@@ -153,7 +154,7 @@ def majorizes(lam: HazardVector, theta: HazardVector) -> bool:
 
     True iff every prefix sum of the (sorted ascending) lam rates
     dominates the corresponding theta prefix sum while the totals agree to
-    relative 1e-12; theta is then at least as spread out as lam.
+    relative RATE_RTOL; theta is then at least as spread out as lam.
     """
     if lam.n != theta.n:
         raise ValueError(f"length mismatch: {lam.n} vs {theta.n}")
@@ -163,4 +164,4 @@ def majorizes(lam: HazardVector, theta: HazardVector) -> bool:
             return False
     tot_l = math.fsum(lam.rates)
     tot_t = math.fsum(theta.rates)
-    return abs(tot_l - tot_t) <= 1e-12 * max(tot_l, tot_t)
+    return abs(tot_l - tot_t) <= RATE_RTOL * max(tot_l, tot_t)

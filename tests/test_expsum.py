@@ -8,7 +8,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from transform_orders import (
@@ -682,6 +682,53 @@ def test_unrefined_scan_keeps_decision_after_a_dropped_region():
     assert not p.certified and not p.complete
     (q,) = sign_patterns([f], refine=False)
     assert decision(q) == decision(p)
+
+
+def test_transition_after_a_dropped_region_lies_between_its_regions():
+    # The dropped "+" at 0+ took the first transition with it: the one left
+    # is the sign change between the certain "-" and "+" runs.
+    f = DROPPED_REGION_GAP
+    p = sign_pattern(f)
+    minus, plus = p.regions
+    (t,) = p.transitions
+    assert minus.x < t < plus.x
+    (signs,) = expsum.certain_signs([f], [[t / 1.5, 1.5 * t]], ScanOptions())
+    assert signs.tolist() == [-1, 1]
+
+
+# t(t - 0.5)(t - 0.49)(t - 0.1) with t = exp(-x): "+,-,+,-" with the narrow
+# "-" on (ln 2, ln(1/0.49)) the weakest region, and three sign changes.
+NARROW_SECOND_REGION_SUM = ExpSum((1.0, 2.0, 3.0, 4.0), (-0.0245, 0.344, -1.09, 1.0))
+
+
+@pytest.mark.parametrize("refine", [True, False], ids=["refined", "unrefined"])
+def test_interior_drop_merges_its_neighbours(refine):
+    # No sum found so far has an interior region dropped, so the repair is
+    # forced here by lowering the zero bound to 2: the weakest "-" goes,
+    # and its neighbours merge into one "+" that spans both.
+    f = NARROW_SECOND_REGION_SUM
+    (full,) = sign_patterns([f], refine=refine)
+    assert full.signs() == ("+", "-", "+", "-") and full.certified
+    with mock.patch.object(ExpSum, "sign_change_bound", lambda self: 2):
+        (p,) = sign_patterns([f], refine=refine)
+    assert p.regions == (full.regions[0], full.regions[3])
+    assert p.transitions == full.transitions[2:]
+    assert not p.certified and not p.complete
+
+
+def assert_transitions_between_certain_witnesses(p):
+    for left, right, t in zip(p.regions, p.regions[1:], p.transitions):
+        if left.certain and right.certain:
+            assert left.x < t < right.x, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(gap_sums(), expsum_strategy()))
+@example(DROPPED_REGION_GAP)
+def test_transitions_lie_between_certain_witnesses(f):
+    assert_transitions_between_certain_witnesses(sign_pattern(f))
+    (q,) = sign_patterns([f], refine=False)
+    assert_transitions_between_certain_witnesses(q)
 
 
 # -- possible_signs ---------------------------------------------------------
