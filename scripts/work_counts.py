@@ -1,0 +1,157 @@
+#!/usr/bin/env python3
+"""Deterministic work counters of the verdict functions on fixed pairs.
+
+Wall times on a small shared machine spread too widely to compare two
+trees; these counts do not move between runs.  For each verdict the line
+reads
+
+    name evaluator_calls=E sign_patterns_calls=C patterns=P dip_split=D geomspace=G
+
+- ``evaluator_calls``: calls of the certified evaluator (``scaled_rows``
+  or ``ExpSum._scaled_many``) not made from inside another one;
+- ``sign_patterns_calls`` and ``patterns``: calls of ``sign_patterns``
+  made by the verdict functions, and the sums they scanned in total;
+- ``dip_split``: calls of the dip-pass split rule ``expsum._dip_split``;
+- ``geomspace``: calls of ``numpy.geomspace`` (sign grids and a-grids).
+
+With ``--check FILE`` the lines are compared with those stored in FILE
+(``scripts/work_counts.txt`` holds the counts of this tree): the script
+exits 1 when a count is higher than stored or a verdict has no stored
+line, and names every count that is lower, so that the file can be
+brought down with it.
+
+Usage:
+    PYTHONPATH=src python scripts/work_counts.py [--check scripts/work_counts.txt]
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from collections import Counter
+from contextlib import ExitStack
+from unittest import mock
+
+import numpy as np
+
+from transform_orders import (
+    HazardVector,
+    convex_check,
+    convex_check_at,
+    star_check,
+    star_check_n,
+    violation_search,
+)
+from transform_orders import expsum, orders
+
+CLASSIC = HazardVector((2.0, 3.0)), HazardVector((1.5, 3.5))
+REVERSED = CLASSIC[::-1]
+HOMOGENEOUS = HazardVector((2.5, 2.5)), HazardVector((1.5, 3.5))
+STAR_FAILS = HazardVector((1.0, 4.0)), HazardVector((2.0, 2.5))
+
+
+def linspace_pair(n: int):
+    return (
+        HazardVector(tuple(np.linspace(2.0, 3.0, n).tolist())),
+        HazardVector(tuple(np.linspace(1.5, 3.5, n).tolist())),
+    )
+
+
+VERDICTS = (
+    ("star_check classic", star_check, CLASSIC),
+    ("star_check reversed", star_check, REVERSED),
+    ("violation_search classic", violation_search, CLASSIC),
+    ("convex_check classic", convex_check, CLASSIC),
+    ("convex_check reversed", convex_check, REVERSED),
+    ("convex_check homogeneous", convex_check, HOMOGENEOUS),
+    ("convex_check (1,4)/(2,2.5)", convex_check, STAR_FAILS),
+    ("convex_check_at classic", lambda lam, theta: convex_check_at(lam, theta, 0.749, 0.0125),
+     CLASSIC),
+    ("star_check_n n=3", star_check_n, linspace_pair(3)),
+    ("star_check_n n=6", star_check_n, linspace_pair(6)),
+)
+
+
+def counted(counts: Counter, key: str, fn, outermost=None):
+    """fn, adding 1 to counts[key] for each call (only for calls made from
+    outside every function that shares the one-element list outermost)."""
+
+    def wrapper(*args, **kwargs):
+        if outermost is None or outermost[0] == 0:
+            counts[key] += 1
+        if outermost is not None:
+            outermost[0] += 1
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if outermost is not None:
+                outermost[0] -= 1
+
+    return wrapper
+
+
+def work(run, *args) -> Counter:
+    counts: Counter = Counter()
+    depth = [0]
+    scan = orders.sign_patterns
+
+    def scanning(fs, *rest, **kwargs):
+        fs = list(fs)
+        counts["sign_patterns_calls"] += 1
+        counts["patterns"] += len(fs)
+        return scan(fs, *rest, **kwargs)
+
+    with ExitStack() as stack:
+        patch = stack.enter_context
+        patch(mock.patch.object(expsum, "scaled_rows",
+                                counted(counts, "evaluator_calls", expsum.scaled_rows, depth)))
+        patch(mock.patch.object(expsum.ExpSum, "_scaled_many",
+                                counted(counts, "evaluator_calls", expsum.ExpSum._scaled_many,
+                                        depth)))
+        patch(mock.patch.object(orders, "sign_patterns", scanning))
+        patch(mock.patch.object(expsum, "_dip_split",
+                                counted(counts, "dip_split", expsum._dip_split)))
+        patch(mock.patch.object(np, "geomspace", counted(counts, "geomspace", np.geomspace)))
+        run(*args)
+    return counts
+
+
+KEYS = ("evaluator_calls", "sign_patterns_calls", "patterns", "dip_split", "geomspace")
+
+
+def parse(line: str) -> tuple[str, dict[str, int]]:
+    """(name, counts) of one printed line."""
+    name, _, counts = line.partition(f" {KEYS[0]}=")
+    return name, {k: int(v) for k, v in (w.split("=") for w in f"{KEYS[0]}={counts}".split())}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", metavar="FILE",
+                        help="exit 1 if a count is higher than in FILE's lines")
+    args = parser.parse_args(argv)
+    stored = {}
+    if args.check:
+        with open(args.check) as fh:
+            stored = dict(parse(line) for line in fh if line.strip())
+    failed = False
+    for name, run, pair in VERDICTS:
+        counts = work(run, *pair)
+        print(name, " ".join(f"{k}={counts[k]}" for k in KEYS), flush=True)
+        if not args.check:
+            continue
+        if name not in stored:
+            print(f"  no stored line for {name!r} in {args.check}", file=sys.stderr)
+            failed = True
+            continue
+        for k in KEYS:
+            if counts[k] != stored[name].get(k):
+                rose = counts[k] > stored[name].get(k, -1)
+                failed |= rose
+                print(f"  {name}: {k} {'rose' if rose else 'fell'}: "
+                      f"{stored[name].get(k)} -> {counts[k]}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

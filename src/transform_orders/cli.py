@@ -402,6 +402,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError as exc:  # a run too large for memory, such as a huge --resolution
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
+        return EXIT_ERROR
     elapsed = time.perf_counter() - started
     print(f"[{config.command}] finished in {elapsed:.3f}s -> exit {code}",
           file=sys.stderr)

@@ -470,15 +470,24 @@ def certain_signs(fs: Sequence[ExpSum], xss, opts: ScanOptions) -> list[np.ndarr
     return np.split(sign, np.cumsum([len(xs) for xs in xss])[:-1])
 
 
-def _lockstep(fs: Sequence[ExpSum], steps, opts: ScanOptions) -> list:
-    """Run the step generator ``steps(f)`` of every sum in fs together.
+def _evaluated(fs: Sequence[ExpSum], xss, opts: ScanOptions) -> _Pts:
+    """The points xss[k] of each fs[k] from one :func:`scaled_rows` call,
+    concatenated in row order."""
+    s, m, err = scaled_rows(fs, xss)
+    sign, logmag = _certify(s, m, err, opts)
+    return _Pts(np.concatenate(xss, dtype=float), s, m, logmag, sign)
+
+
+def _lockstep(fs: Sequence[ExpSum], gens: list, opts: ScanOptions) -> list:
+    """Run the step generators gens[k], one for each sum fs[k], together.
 
     A step generator yields each x-array it needs evaluated, is sent back
     those points as :class:`_Pts` in request order, and returns its result.
     Each round, the requests of all running generators go to one
-    :func:`scaled_rows` call.
+    :func:`scaled_rows` call.  The generators of sign scans and root scans
+    start from the points of :func:`_grid_phase`, which has already
+    evaluated the grids and dip passes of all the sums.
     """
-    gens = [steps(f) for f in fs]
     results: list = [None] * len(gens)
     pending: dict[int, np.ndarray] = {}
 
@@ -493,14 +502,12 @@ def _lockstep(fs: Sequence[ExpSum], steps, opts: ScanOptions) -> list:
     while pending:
         ks, xss = list(pending), list(pending.values())
         pending.clear()
-        s, m, err = scaled_rows([fs[k] for k in ks], xss)
-        sign, logmag = _certify(s, m, err, opts)
+        pts = _evaluated([fs[k] for k in ks], xss, opts)
         end = 0
         for k, xs in zip(ks, xss):
-            rows = slice(end, end + xs.size)
+            advance(k, pts.take(slice(end, end + xs.size)))
             end += xs.size
-            advance(k, _Pts(xs, s[rows], m[rows], logmag[rows], sign[rows]))
-        del s, m, err, sign, logmag  # not kept alive through the next round
+        del pts  # not kept alive through the next round
     return results
 
 
@@ -542,11 +549,17 @@ def _refine_flips(lo: list, hi: list, left_sign: list):
     return lo, hi, _Pts(*(np.concatenate(col) for col in zip(*seen)))
 
 
-def _dip_split(pts: _Pts) -> np.ndarray:
-    """Which intervals between neighbouring points (sorted by x) a dip pass
-    halves: those at an |f| valley and those with an uncertain end, except
-    the intervals with two uncertain ends that lie before the first certain
-    point or after the last one (with no certain point, none is left out).
+def _dip_split(pts: _Pts, owner: np.ndarray | None = None) -> np.ndarray:
+    """Which intervals between neighbouring points a dip pass halves: those
+    at an |f| valley and those with an uncertain end, except the intervals
+    with two uncertain ends that lie before the first certain point of
+    their sum or after its last one (a sum with no certain point keeps
+    all of its intervals).
+
+    The points of one sum are sorted by x; for a block of sums, owner[i]
+    is the index of the sum of point i and the points are sorted by owner,
+    then x.  No interval or valley spans two sums, so each sum's intervals
+    are split as if it were alone.
 
     In a sign scan those end bands hold cancellation noise near 0 or a tail
     below the floor, whose signs the 0+ walk and the analytic tail sign
@@ -557,28 +570,50 @@ def _dip_split(pts: _Pts) -> np.ndarray:
     """
     logs, inner = pts.logmag, pts.logmag[1:-1]
     unsure = pts.sign == 0
+    if owner is None:
+        owner = np.zeros(logs.size, dtype=np.intp)
+    inside = owner[:-1] == owner[1:]  # the intervals within one sum
+    valley = inside[:-1] & inside[1:]  # the inner points with both neighbours in their sum
     split = unsure[:-1] | unsure[1:]
-    split[1:] |= (inner < logs[:-2]) & (inner <= logs[2:])  # valley at the left end
-    split[:-1] |= (inner <= logs[:-2]) & (inner < logs[2:])  # valley at the right end
-    certain = np.flatnonzero(~unsure)
-    if certain.size:
-        band = unsure[:-1] & unsure[1:]
-        band[certain[0] : certain[-1]] = False
-        split &= ~band
+    split[1:] |= valley & (inner < logs[:-2]) & (inner <= logs[2:])  # valley at the left end
+    split[:-1] |= valley & (inner <= logs[:-2]) & (inner < logs[2:])  # valley at the right end
+    # An interval is in an end band when its sum has certain points on one side only.
+    seen = np.concatenate(([0], np.cumsum(~unsure)))  # certain points before each index
+    firsts = np.searchsorted(owner, np.arange(owner[-1] + 2 if owner.size else 0))
+    sums = owner[:-1]  # the sum of each interval
+    before = seen[1:-1] > seen[firsts[sums]]
+    after = seen[firsts[sums + 1]] > seen[1:-1]
+    split &= inside & ~(unsure[:-1] & unsure[1:] & (before != after))
     return split
 
 
-def _grid_points(grid: np.ndarray):
-    """Evaluate the sorted grid, then run up to DIP_PASSES passes that halve
-    the intervals :func:`_dip_split` picks, to expose narrow regions (a step
-    generator; see _lockstep); returns all points by x."""
-    pts = yield grid
+def _grid_phase(fs: Sequence[ExpSum], grids, opts: ScanOptions) -> list[_Pts]:
+    """Evaluate each sum fs[k] on its sorted grid grids[k], then run up to
+    DIP_PASSES passes that halve the intervals :func:`_dip_split` picks, to
+    expose narrow regions; returns each sum's points by x.
+
+    The points of all sums are held in one array sorted by (owner, x), so
+    the grid and every dip pass take one evaluator call and one split, one
+    midpoint and one sort for the whole block.  A sum whose split is empty
+    stays so, as its points no longer change.
+    """
+    owner = np.repeat(np.arange(len(fs)), [len(grid) for grid in grids])
+    if not owner.size:
+        return [_NO_PTS] * len(fs)
+    pts = _evaluated(fs, grids, opts)
     for _ in range(DIP_PASSES):
-        split = _dip_split(pts)
+        split = _dip_split(pts, owner)
         if not split.any():
             break
-        pts = pts.merged((yield _mids(pts.x[:-1][split], pts.x[1:][split])))
-    return pts
+        new_owner = owner[:-1][split]
+        mids = _mids(pts.x[:-1][split], pts.x[1:][split])
+        rows = np.split(mids, np.cumsum(np.bincount(new_owner, minlength=len(fs)))[:-1])
+        both = _Pts(*(np.concatenate(pair) for pair in zip(pts, _evaluated(fs, rows, opts))))
+        owner = np.concatenate((owner, new_owner))
+        order = np.lexsort((both.x, owner))  # stable: at equal keys the old point first
+        pts, owner = both.take(order), owner[order]
+    ends = np.searchsorted(owner, np.arange(len(fs) + 1)).tolist()
+    return [pts.take(slice(a, b)) for a, b in zip(ends, ends[1:])]
 
 
 def _zero_walk(pts: _Pts, s0: int):
@@ -611,8 +646,12 @@ def sign_pattern(f: ExpSum, opts: ScanOptions | None = None) -> SignPattern:
 def sign_patterns(
     fs: Sequence[ExpSum], opts: ScanOptions | None = None, *, refine: bool = True
 ) -> list[SignPattern]:
-    """``[sign_pattern(f) for f in fs]``, computed in lock step: each grid,
-    dip pass, 0+ walk and bisection step evaluates the points that every
+    """``[sign_pattern(f) for f in fs]``, computed together.  The grid
+    phase runs once for the whole block: one geomspace call builds every
+    grid, and the grid and each dip pass take one evaluator call over the
+    points of all sums (see :func:`_grid_phase`).  Then each scan's step
+    generator goes on from its own points in lock step: each 0+ walk,
+    bisection step and guessed end region evaluates the points that every
     scan still running requests in one evaluator call.
 
     ``refine=False`` skips flip bisection, for scans that only decide.
@@ -624,8 +663,29 @@ def sign_patterns(
     in its signs, since which region is dropped as the weakest depends on
     the witness values.
     """
-    fs = list(fs)
-    return _lockstep(fs, lambda f: _pattern_steps(f, refine), opts or ScanOptions())
+    fs, opts = list(fs), opts or ScanOptions()
+    grids = _grid_phase(fs, _sign_grids(fs), opts)
+    return _lockstep(fs, [_pattern_steps(f, pts, refine) for f, pts in zip(fs, grids)], opts)
+
+
+def _sign_grids(fs: Sequence[ExpSum]) -> list[np.ndarray]:
+    """The grid each sign scan starts from, built with one geomspace call:
+    BASE_POINTS log-spaced points from 1e-9 / (largest rate) to past the
+    dominance point for a sum of two or more terms, the one point 1/rate
+    (1 at rate 0) for a single term, and none for the zero sum."""
+    multi = [f for f in fs if f.n_terms > 1]
+    lo = [1e-9 / f.rates[-1] for f in multi]
+    hi = [1.05 * max(40.0 / (f.rates[1] - f.rates[0]), f.dominance_point()) + 1e-6 for f in multi]
+    logs = iter(np.geomspace(lo, hi, BASE_POINTS, axis=1) if multi else ())
+    grids = []
+    for f in fs:
+        if f.n_terms > 1:
+            grids.append(next(logs))
+        elif f.n_terms == 1:
+            grids.append(np.array([1.0 / f.rates[0] if f.rates[0] > 0 else 1.0]))
+        else:
+            grids.append(np.zeros(0))
+    return grids
 
 
 def possible_signs(f: ExpSum) -> list[tuple[str, ...]]:
@@ -654,9 +714,10 @@ def possible_signs(f: ExpSum) -> list[tuple[str, ...]]:
     ]
 
 
-def _pattern_steps(f: ExpSum, refine: bool):
-    """The step generator of sign_pattern(f) (see _lockstep); without
-    ``refine`` the runs come from the grid, dip and 0+ walk points alone.
+def _pattern_steps(f: ExpSum, pts: _Pts, refine: bool):
+    """The step generator of sign_pattern(f) (see _lockstep), from f's
+    grid-phase points ``pts``; without ``refine`` the runs come from the
+    grid, dip and 0+ walk points alone.
 
     Transitions are placed after the zero-bound repair, from the extents
     of the regions left (a merged region spans both of its parts): mid-way
@@ -671,17 +732,12 @@ def _pattern_steps(f: ExpSum, refine: bool):
     s_neg = f.sign_at_minus_inf()
     bound = f.sign_change_bound()
 
-    if f.n_terms == 1:
-        r = f.rates[0]
-        x_rep = 1.0 / r if r > 0 else 1.0
-        p = yield np.array([x_rep])
-        region = SignRegion("+" if s_inf > 0 else "-", x_rep, p.value(0), bool(p.sign[0]))
+    if f.n_terms == 1:  # its one grid point, 1/rate, is the witness
+        x = float(pts.x[0])
+        region = SignRegion("+" if s_inf > 0 else "-", x, pts.value(0), bool(pts.sign[0]))
         return SignPattern((region,), (), certified=region.certain, complete=True)
 
-    gap = f.rates[1] - f.rates[0]
-    x_hi = 1.05 * max(40.0 / gap, f.dominance_point()) + 1e-6
-    x_lo = 1e-9 / f.rates[-1]
-    pts = yield from _grid_points(np.geomspace(x_lo, x_hi, BASE_POINTS))
+    x_lo = float(pts.x[0])  # the grid's left end: geomspace keeps both ends exact
     pts = yield from _zero_walk(pts, s0)
     certain = pts.take(np.flatnonzero(pts.sign))
     del pts  # only the certain points are kept while the flips are bisected
@@ -764,18 +820,17 @@ def count_roots(
         raise ValueError("count_roots requires a nonzero ExpSum")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    return _lockstep([f], lambda g: _root_steps(g, lo, hi, opts), opts)[0]
-
-
-def _root_steps(f: ExpSum, lo: float, hi: float, opts: ScanOptions):
-    """The step generator of count_roots(f, lo, hi, opts) (see _lockstep)."""
-    bound = f.sign_change_bound()
-
     grid = list(np.linspace(lo, hi, BASE_POINTS))
     if lo < 0.0 < hi:
         grid.extend([0.0, -1e-12 * abs(lo), 1e-12 * hi])
-    pts = yield from _grid_points(np.array(sorted(set(grid)), dtype=float))
+    (pts,) = _grid_phase([f], [np.array(sorted(set(grid)), dtype=float)], opts)
+    return _lockstep([f], [_root_steps(f, pts, lo, hi, opts)], opts)[0]
 
+
+def _root_steps(f: ExpSum, pts: _Pts, lo: float, hi: float, opts: ScanOptions):
+    """The step generator of count_roots(f, lo, hi, opts) (see _lockstep),
+    from f's grid-phase points ``pts``."""
+    bound = f.sign_change_bound()
     certain = pts.take(np.flatnonzero(pts.sign))
     flip = np.flatnonzero(certain.sign[1:] != certain.sign[:-1])
     left, right, _ = yield from _refine_flips(

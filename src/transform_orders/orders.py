@@ -24,7 +24,8 @@ search can walk a downward from the top of the strip.
 ``_scan`` is the one place where sign patterns are scanned: every verdict
 probes a list of (a, b) through it, with both survivals built once per call.
 It hands the probes to ``expsum.sign_patterns`` in blocks of 1, 2, 4, ...
-up to ``MAX_BLOCK``, whose patterns advance in lock step: each evaluator
+up to ``MAX_BLOCK`` (a list that fits in one block, such as a list of spot
+checks, goes whole), whose patterns are scanned together: each evaluator
 call carries the points of the whole block, and the first certified
 violation in probe order is still the one returned.
 
@@ -40,9 +41,11 @@ Scans decide first and bisect only what a verdict reports.  Flip bisection
 places transitions and witnesses but never changes which pattern is a
 certified violation, so the scans whose patterns are discarded
 (``violation_search``, the non-majorized ``convex_check`` grid and
-``star_check_n``) run without it, and ``_scan`` scans only their violating
-probe again with bisection.  Per-point results do not depend on the batch,
-so that witness is byte-identical to the one a fully bisected scan finds.
+``star_check_n``) run without it.  A verdict that reports the witness
+scans only that probe again with bisection (``_bisected``); per-point
+results do not depend on the batch, so the witness is byte-identical to
+the one a fully bisected scan finds.  The b-halving of
+``violation_search`` keeps only the b of its hit, so it is not re-scanned.
 ``star_check``, the homogeneous spot checks and ``convex_check_at`` return
 their scanned patterns as evidence and keep bisection throughout.
 """
@@ -212,35 +215,45 @@ def _scan(
 
     Probes go to :func:`sign_patterns` in blocks of 1, 2, 4, ... up to
     MAX_BLOCK, so an early violation costs little extra work and a long
-    scan shares each evaluator call among many patterns.
+    scan shares each evaluator call among many patterns.  A list of at
+    most MAX_BLOCK probes, such as the spot checks, is one block.
 
-    With ``refine=False`` the scanned patterns skip flip bisection, which
-    never changes which probe violates, and only the violating probe is
-    scanned again with it.  Its pattern there is byte-identical to a
-    bisected scan of the whole block, since no per-point result depends on
-    the batch, so the witness is too; a re-scan that does not certify the
-    violation is a numerical defect.
+    With ``refine=False`` the patterns, the witness's included, skip flip
+    bisection, which never changes which probe violates.  A caller that
+    reports the witness scans it again with :func:`_bisected`.
     """
     probes = list(probes)
     scanned = []
-    start, size = 0, 1
+    start, size = 0, len(probes) if len(probes) <= MAX_BLOCK else 1
     while start < len(probes):
         block = probes[start : start + size]
         fs = [gaps(a, b) for a, b in block]
-        for (a, b), f, p in zip(block, fs, sign_patterns(fs, opts, refine=refine)):
-            hit = p.certified and violates(p)
-            if hit and not refine:
-                (p,) = sign_patterns([f], opts)
-                if not (p.certified and violates(p)):
-                    raise RuntimeError(
-                        f"bisected re-scan at a={a}, b={b} does not certify the "
-                        "violation; this is a numerical defect"
-                    )
+        for (a, b), p in zip(block, sign_patterns(fs, opts, refine=refine)):
             scanned.append((a, p))
-            if hit:
+            if p.certified and violates(p):
                 return Witness(a, b, p), scanned
         start, size = start + size, min(2 * size, MAX_BLOCK)
     return None, scanned
+
+
+def _bisected(
+    gaps: Callable[[float, float], ExpSum],
+    hit: Witness,
+    violates: Callable[[SignPattern], bool],
+    opts: ScanOptions,
+) -> Witness:
+    """The witness of a ``_scan(..., refine=False)``, scanned again with
+    flip bisection.  Its pattern is byte-identical to the one a bisected
+    scan of the whole block finds, since no per-point result depends on
+    the batch; a re-scan that does not certify the violation is a
+    numerical defect."""
+    (p,) = sign_patterns([gaps(hit.a, hit.b)], opts)
+    if not (p.certified and violates(p)):
+        raise RuntimeError(
+            f"bisected re-scan at a={hit.a}, b={hit.b} does not certify the "
+            "violation; this is a numerical defect"
+        )
+    return Witness(hit.a, hit.b, p)
 
 
 def _unconfirmed_region(
@@ -442,15 +455,18 @@ def violation_search(
     walk = [a_hi - width / (2.0**k) for k in range(SEARCH_A_STEPS, 0, -1)]
     sweep = np.linspace(a_hi - width / 2.0**SEARCH_A_STEPS, a_lo, 64)[1:].tolist()
     probes = [(a, b0) for a in walk + sweep]
-    hit, _ = _scan(
-        gaps, probes, lambda p: p.signs() == ("+", "-", "+", "-"), opts.scan, refine=False
-    )
+
+    def four_regions(p: SignPattern) -> bool:
+        return p.signs() == ("+", "-", "+", "-")
+
+    hit, _ = _scan(gaps, probes, four_regions, opts.scan, refine=False)
     if hit is None:
         raise ViolationSearchError(
             f"'+,-,+' certified at the strip top (b0={b0:.6g}) but no a in the strip "
             "certified '+,-,+,-'",
             tuple(attempts),
         )
+    hit = _bisected(gaps, hit, four_regions, opts.scan)
 
     bad = _unconfirmed_region(gaps(hit.a, b0), hit.pattern, opts.scan)
     if bad is not None:
@@ -538,10 +554,13 @@ def convex_check(
     grid = [(a, f * b_scale) for a in _a_grid(lam, theta) for f in B_FACTORS]
     built = {ab: gaps(*ab) for ab in grid}
     probes = [ab for ab in grid if any(map(_convex_signs, possible_signs(built[ab])))]
-    hit, scanned = _scan(
-        lambda a, b: built[a, b], probes, _convex_violation, opts.scan, refine=False
-    )
+
+    def built_gap(a: float, b: float) -> ExpSum:
+        return built[a, b]
+
+    hit, scanned = _scan(built_gap, probes, _convex_violation, opts.scan, refine=False)
     if hit is not None:
+        hit = _bisected(built_gap, hit, _convex_violation, opts.scan)
         detail = f"pattern '{hit.pattern.text()}' violates the two-change criterion"
         return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)
     if opts.allow_numerical_holds and all(p.complete for _, p in scanned) and (
@@ -647,6 +666,7 @@ def star_check_n(
     probes = [(a, 0.0) for a in _a_grid(lam, theta)]
     hit, _ = _scan(gaps, probes, _star_violation, opts.scan, refine=False)
     if hit is not None:
+        hit = _bisected(gaps, hit, _star_violation, opts.scan)
         found = f"violating pattern '{hit.pattern.text()}' at a={hit.a:.6g}"
         return OrderVerdict(Status.FAILS, None, witness=hit, detail="; ".join([found] + notes))
     notes.insert(0, "no violating pattern found: consistent with the conjectured ordering")

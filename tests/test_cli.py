@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from transform_orders import cli
 from transform_orders.cli import (
     EXIT_ERROR,
     EXIT_FAILS,
@@ -297,6 +298,24 @@ class TestUsageErrors:
         assert main(argv + ["--out", str(tmp_path.joinpath(*out))]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB for an array", ""])
+    @pytest.mark.parametrize("argv, call", [
+        (["check-star", "--lambda", "2,3", "--theta", "1.5,3.5"], "star_check"),
+        (["sign-map", "--lambda", "2,3", "--theta", "1.5,3.5", "--b", "0",
+          "--resolution", "8"], "sign_map"),
+    ])
+    def test_out_of_memory_is_runtime_error(self, argv, call, message, monkeypatch, capsys):
+        # Exit 1 would read as FAILS; the library call is patched to raise,
+        # nothing is allocated.
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, call, out_of_memory)
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert message in err
 
     @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf", "1e400"])
     def test_malformed_tol_override(self, monkeypatch, value):

@@ -486,6 +486,36 @@ def assert_same_pattern(p, q):
     assert (p.certified, p.complete) == (q.certified, q.complete)
 
 
+# -- fixed sums -------------------------------------------------------------
+
+CLASSIC_WITNESS_GAP = (
+    survival(HazardVector((1.5, 3.5))) - survival(HazardVector((2, 3))).shift_scale(0.749, 0.0125)
+)
+# Linspace-rate n = 6 systems at a = 0.5: 63-term survivals.
+N6_GAP = survival(HazardVector(tuple(np.linspace(1.5, 3.5, 6)))) - survival(
+    HazardVector(tuple(np.linspace(2.0, 3.0, 6)))
+).shift_scale(0.5)
+# Two near-degenerate gaps from narrow-strip convex scans (bench
+# majorized-n2, seed 4): the smallest rate's coefficient, 3e-9 to 4e-9,
+# leaves the "+" tail uncertain, and the "+" at 0+ is cancellation noise.
+NEAR_DEGENERATE_GAPS = [
+    ExpSum(
+        (0.777560926086392, 0.778035886370497, 1.555596812456889, 1.7590074489300815,
+         2.536568375016474),
+        (4.318594259977715e-09, -0.9999999956787679, 0.9999999913601736, 1.0, -1.0),
+    ),
+    ExpSum(
+        (2.752562017424994, 2.775233275528073, 3.0819756435019263, 5.527795292953067,
+         5.83453766092692),
+        (3.0011426677134523e-09, -0.9999999969741387, 1.0, 0.9999999939729959, -1.0),
+    ),
+]
+# f(0) = -1e-12 is below ZERO_TOL, so sign_at_zero reads "+" from f'(0) and
+# puts a "+" region in front of the certain "-" and "+" runs: three regions
+# against a zero bound of 1, so the weakest is dropped and certified cleared.
+DROPPED_REGION_GAP = ExpSum((1.0, 1.0 + 1e-10), (1.0, -(1.0 + 1e-12)))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(
@@ -498,6 +528,10 @@ def assert_same_pattern(p, q):
         max_size=12,
     )
 )
+@example([
+    CLASSIC_WITNESS_GAP, N6_GAP, DROPPED_REGION_GAP, *NEAR_DEGENERATE_GAPS,
+    canonicalize([(2.0, -3.0)]), ExpSum((), ()),
+])
 def test_sign_patterns_match_one_at_a_time(fs):
     batch = sign_patterns(fs)
     assert len(batch) == len(fs)
@@ -563,33 +597,11 @@ def test_witness_rule_on_certified_gaps(f):
 
 # -- dip passes -------------------------------------------------------------
 
-CLASSIC_WITNESS_GAP = (
-    survival(HazardVector((1.5, 3.5))) - survival(HazardVector((2, 3))).shift_scale(0.749, 0.0125)
-)
-# Linspace-rate n = 6 systems at a = 0.5: 63-term survivals.
-N6_GAP = survival(HazardVector(tuple(np.linspace(1.5, 3.5, 6)))) - survival(
-    HazardVector(tuple(np.linspace(2.0, 3.0, 6)))
-).shift_scale(0.5)
-# Two near-degenerate gaps from narrow-strip convex scans (bench
-# majorized-n2, seed 4): the smallest rate's coefficient, 3e-9 to 4e-9,
-# leaves the "+" tail uncertain, and the "+" at 0+ is cancellation noise.
-NEAR_DEGENERATE_GAPS = [
-    ExpSum(
-        (0.777560926086392, 0.778035886370497, 1.555596812456889, 1.7590074489300815,
-         2.536568375016474),
-        (4.318594259977715e-09, -0.9999999956787679, 0.9999999913601736, 1.0, -1.0),
-    ),
-    ExpSum(
-        (2.752562017424994, 2.775233275528073, 3.0819756435019263, 5.527795292953067,
-         5.83453766092692),
-        (3.0011426677134523e-09, -0.9999999969741387, 1.0, 0.9999999939729959, -1.0),
-    ),
-]
 
-
-def split_every_uncertain_end(pts):
-    """The reference split rule: every interval at an |f| valley or with an
-    uncertain end, the end bands included."""
+def split_every_uncertain_end(pts, owner=None):
+    """The reference split rule for one sum (owner is ignored): every
+    interval at an |f| valley or with an uncertain end, the end bands
+    included."""
     logs, inner = pts.logmag, pts.logmag[1:-1]
     split = (pts.sign[:-1] == 0) | (pts.sign[1:] == 0)
     split[1:] |= (inner < logs[:-2]) & (inner <= logs[2:])
@@ -617,6 +629,23 @@ def test_dip_split_leaves_end_bands_whole(signs, want):
     flat = np.zeros(n)  # equal |f| everywhere: no valley
     pts = expsum._Pts(np.arange(1.0, n + 1), flat, flat, flat, np.array(signs, dtype=np.int8))
     assert expsum._dip_split(pts).tolist() == [bool(w) for w in want]
+
+
+def test_dip_split_of_a_block_splits_each_sum_alone():
+    # Valleys and end bands never reach across two sums, and the interval
+    # between the last point of one sum and the first of the next is kept.
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        sums = []
+        for _ in range(int(rng.integers(1, 6))):
+            n = int(rng.integers(1, 9))
+            logmag = rng.choice([-3.0, -1.0, 0.0, 2.0], n)
+            sign = rng.choice(np.array([-1, 0, 0, 1], dtype=np.int8), n)
+            sums.append(expsum._Pts(np.arange(1.0, n + 1), logmag, logmag, logmag, sign))
+        block = expsum._Pts(*(np.concatenate(col) for col in zip(*sums)))
+        owner = np.repeat(np.arange(len(sums)), [len(p.x) for p in sums])
+        alone = [np.append(expsum._dip_split(p), False) for p in sums]
+        assert expsum._dip_split(block, owner).tolist() == np.concatenate(alone)[:-1].tolist()
 
 
 @pytest.mark.parametrize("f, budget", [
@@ -651,6 +680,41 @@ def test_end_bands_move_only_uncertified_patterns(f):
     assert [r for r in got.regions if r.certain] == [r for r in ref.regions if r.certain]
 
 
+@pytest.mark.parametrize("f, points, reference_points", [
+    (CLASSIC_WITNESS_GAP, 351, 722),
+    (N6_GAP, 262, 1469),
+], ids=["classic-witness", "n6-linspace"])
+def test_reference_rule_reaches_the_scan(f, points, reference_points):
+    # The reference_pattern tests compare the scan with the reference rule
+    # only if patching _dip_split changes the points the scan evaluates.
+    assert recorded_pattern(f)[1].size == points
+    with mock.patch.object(expsum, "_dip_split", split_every_uncertain_end):
+        assert recorded_pattern(f)[1].size == reference_points
+
+
+@pytest.mark.parametrize("refine", [True, False], ids=["refined", "unrefined"])
+def test_block_takes_one_split_per_dip_pass(refine):
+    # The grid phase splits the points of the whole block at once.
+    lam, theta = HazardVector((2, 3)), HazardVector((1.5, 3.5))
+    fs = [
+        survival(theta) - survival(lam).shift_scale(a, b)
+        for a in np.geomspace(0.3, 3.0, 8).tolist()
+        for b in (0.0, 0.05)
+    ]
+    calls, split = [0], expsum._dip_split
+
+    def counted(pts, owner=None):
+        calls[0] += 1
+        return split(pts, owner)
+
+    with mock.patch.object(expsum, "_dip_split", counted):
+        got = sign_patterns(fs, refine=refine)
+    assert 0 < calls[0] <= expsum.DIP_PASSES
+    for f, p in zip(fs, got):
+        (q,) = sign_patterns([f], refine=refine)
+        assert_same_pattern(p, q)
+
+
 # -- two-phase scans ----------------------------------------------------------
 
 
@@ -665,12 +729,6 @@ def test_unrefined_scans_keep_decisions(fs):
     assert [decision(p) for p in sign_patterns(fs, refine=False)] == [
         decision(p) for p in sign_patterns(fs)
     ]
-
-
-# f(0) = -1e-12 is below ZERO_TOL, so sign_at_zero reads "+" from f'(0) and
-# puts a "+" region in front of the certain "-" and "+" runs: three regions
-# against a zero bound of 1, so the weakest is dropped and certified cleared.
-DROPPED_REGION_GAP = ExpSum((1.0, 1.0 + 1e-10), (1.0, -(1.0 + 1e-12)))
 
 
 def test_unrefined_scan_keeps_decision_after_a_dropped_region():

@@ -448,6 +448,44 @@ class TestTwoPhaseScans:
             star_check_n(*linspace_pair(3)[::-1])
 
 
+def recorded_scans(monkeypatch):
+    """The (block size, refine) of every orders.sign_patterns call, as made."""
+    scans = []
+
+    def recording(fs, opts=None, *, refine=True):
+        fs = list(fs)
+        scans.append((len(fs), refine))
+        return expsum.sign_patterns(fs, opts, refine=refine)
+
+    monkeypatch.setattr(orders, "sign_patterns", recording)
+    return scans
+
+
+class TestSpotChecksAndRescans:
+    def test_violation_search_bisects_only_its_witness(self, monkeypatch):
+        # The b-halving keeps only the b of its "+,-,+" hit: no re-scan.
+        scans = recorded_scans(monkeypatch)
+        violation_search(LAM, THETA)
+        assert [size for size, refine in scans if refine] == [1]
+
+    @pytest.mark.parametrize("check, lam, theta, probes", [
+        (star_check, LAM, THETA, 4),
+        (convex_check, HazardVector((2.5, 2.5)), THETA, 3),
+    ], ids=["star-majorized", "convex-homogeneous"])
+    def test_spot_checks_take_one_block(self, monkeypatch, check, lam, theta, probes):
+        scans = recorded_scans(monkeypatch)
+        verdict = check(lam, theta)
+        assert verdict.status is Status.HOLDS and len(verdict.evidence) == probes
+        assert scans == [(probes, True)]
+
+    def test_long_scans_start_with_one_probe(self, monkeypatch):
+        # Reversed classic pair: the "+,-" hit is the 46th of 67 a-grid probes.
+        scans = recorded_scans(monkeypatch)
+        verdict = star_check(THETA, LAM)
+        assert verdict.status is Status.FAILS
+        assert scans == [(n, True) for n in (1, 2, 4, 8, 16, 16)]
+
+
 class TestScaleFreeCertificates:
     @pytest.mark.parametrize("k", [1e-13, 1e-20])
     def test_tiny_rates_get_no_analytic_certificate(self, k):
