@@ -48,6 +48,8 @@ CLASSIC = HazardVector((2.0, 3.0)), HazardVector((1.5, 3.5))
 REVERSED = CLASSIC[::-1]
 HOMOGENEOUS = HazardVector((2.5, 2.5)), HazardVector((1.5, 3.5))
 STAR_FAILS = HazardVector((1.0, 4.0)), HazardVector((2.0, 2.5))
+# A narrow-strip majorized pair with theta rescaled by 1.5, so not majorized.
+RESCALED_NARROW = HazardVector((1.6702, 1.6707)), HazardVector((0.9237, 4.08765))
 
 
 def linspace_pair(n: int):
@@ -65,6 +67,7 @@ VERDICTS = (
     ("convex_check reversed", convex_check, REVERSED),
     ("convex_check homogeneous", convex_check, HOMOGENEOUS),
     ("convex_check (1,4)/(2,2.5)", convex_check, STAR_FAILS),
+    ("convex_check rescaled narrow", convex_check, RESCALED_NARROW),
     ("convex_check_at classic", lambda lam, theta: convex_check_at(lam, theta, 0.749, 0.0125),
      CLASSIC),
     ("star_check_n n=3", star_check_n, linspace_pair(3)),

@@ -198,8 +198,9 @@ class ExpSum:
             return 0, 0
         max_order = max(4, self.n_terms)
         for k in range(max_order):
-            d = self.derivative_sum(k)
-            scale = math.fsum(abs(c) * r**k for r, c in zip(self.rates, self.coeffs))
+            # (-r)**k is exactly +/- r**k, so each |product| is |c| * r**k.
+            prods = [c * (-r) ** k for r, c in zip(self.rates, self.coeffs)]
+            d, scale = math.fsum(prods), math.fsum(map(abs, prods))
             if abs(d) > ZERO_TOL * max(scale, 1e-300):
                 return (1 if d > 0 else -1), k
         return 0, max_order
@@ -701,15 +702,29 @@ def possible_signs(f: ExpSum) -> list[tuple[str, ...]]:
     first (last) one disagrees with those signs, drops regions beyond the
     bound and then clears ``certified``, and ``SignPattern`` enforces
     alternation.
+
+    One change fewer is allowed when that sign is decided and the
+    coefficients sum to exactly 0 (``derivative_sum(0)`` is an exactly
+    rounded ``fsum``), i.e. f(0) = 0.  By Laguerre's extension of
+    Descartes' rule (Polya and Szego, *Problems and Theorems in Analysis
+    II*, Part V) f has at most ``sign_change_bound()`` real zeros counted
+    with multiplicity, and one of them is at 0.  The regions of a
+    certified pattern are real sign regions of f, each witnessed by a point
+    whose sign clears the rounding bound, so each of its changes needs a
+    zero in (0, infinity): it has at most one change fewer than the bound.
+    The rule counts only the exact sum, never the multiplicity that
+    ``sign_at_zero`` reads with ``ZERO_TOL``, and a sum whose sign at 0
+    is undecided keeps the full bound.
     """
     if f.is_zero:
         return [()]
     s0, _ = f.sign_at_zero()
     s_inf = f.asymptotic_sign()
+    bound = f.sign_change_bound() - (s0 != 0 and f.derivative_sum(0) == 0.0)
     return [
         tuple("+-"[(start < 0) ^ (i % 2)] for i in range(changes + 1))
         for start in ((s0,) if s0 else (1, -1))
-        for changes in range(f.sign_change_bound() + 1)
+        for changes in range(bound + 1)
         if start * (-1) ** changes == s_inf
     ]
 

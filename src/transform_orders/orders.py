@@ -32,10 +32,11 @@ violation in probe order is still the one returned.
 ``convex_check`` prunes its non-majorized (a, b) grid before scanning: a
 probe whose gap admits no violating sign tuple among
 ``expsum.possible_signs`` (coefficient signs, their change bound and its
-parity) cannot yield a certified violation, so only the other probes are
-scanned and the first certified violation is the same probe as without
-the filter.  Every other scan runs unfiltered, since its scanned patterns
-are reported as evidence or attempts.
+parity, less the exact zero at 0 of each b = 0 gap) cannot yield a
+certified violation, so only the other probes are scanned and the first
+certified violation is the same probe as without the filter.  Every
+other scan runs unfiltered, since its scanned patterns are reported as
+evidence or attempts.
 
 Scans decide first and bisect only what a verdict reports.  Flip bisection
 places transitions and witnesses but never changes which pattern is a
@@ -494,9 +495,13 @@ def convex_check(
 
     The grid is pruned first: a probe whose gap has no violating sign
     tuple among ``possible_signs`` is not scanned, since no pattern the
-    scan could certify there violates.  The verdict and witness are those
-    of the full grid.  For ``allow_numerical_holds`` a pruned probe counts
-    as settled, like a probe whose pattern is complete.
+    scan could certify there violates.  At b = 0 both survivals are 1 at
+    x = 0, so the gap's coefficients sum to exactly 0 and
+    ``possible_signs`` allows one sign change fewer on (0, infinity); that
+    prunes most b = 0 probes.  The verdict and witness are those of the
+    full grid.  For ``allow_numerical_holds`` a pruned probe counts as
+    settled, like a probe whose pattern is complete: its coefficients
+    prove it has no violating tuple.
     """
     opts = opts or OrderOptions()
     if lam.n != 2 or theta.n != 2:

@@ -813,8 +813,27 @@ def test_possible_signs_on_fixed_sums(f, want):
     assert_certified_signs_possible(f)
 
 
+# y * (y - 1) * (y - 2) at y = exp(-x): the coefficients sum to exactly 0,
+# f'(0) = 1, and the other zero (y = 2) lies on the negative axis.
+ZERO_AT_ORIGIN_SUM = canonicalize([(1, 2.0), (2, -3.0), (3, 1.0)])
+# f(0) = 1e-13 is below ZERO_TOL, so sign_at_zero still reads (+1, 1).
+NEAR_ZERO_AT_ORIGIN_SUM = canonicalize([(1, 2.0), (2, -3.0), (3, 1.0 + 1e-13)])
+
+
+@pytest.mark.parametrize("f, want", [
+    (ZERO_AT_ORIGIN_SUM, [("+",)]),
+    (NEAR_ZERO_AT_ORIGIN_SUM, [("+",), ("+", "-", "+")]),
+], ids=["exact-zero", "zero-below-tolerance"])
+def test_possible_signs_count_only_an_exact_zero_at_origin(f, want):
+    assert f.sign_at_zero() == (1, 1)
+    assert possible_signs(f) == want
+    assert_certified_signs_possible(f)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(gap_sums(), expsum_strategy()))
+@example(ZERO_AT_ORIGIN_SUM)
+@example(NEAR_ZERO_AT_ORIGIN_SUM)
 def test_certified_signs_are_possible(f):
     assert_certified_signs_possible(f)
 
@@ -823,6 +842,31 @@ def test_certified_signs_of_random_sums_are_possible():
     rng = np.random.default_rng(23)
     for _ in range(150):
         assert_certified_signs_possible(random_expsum(rng))
+
+
+def separate_sums_sign_at_zero(f):
+    """ExpSum.sign_at_zero with the derivative sum and its scale read from
+    two product lists, c * (-r)**k and |c| * r**k."""
+    if f.is_zero:
+        return 0, 0
+    max_order = max(4, f.n_terms)
+    for k in range(max_order):
+        d = f.derivative_sum(k)
+        scale = math.fsum(abs(c) * r**k for r, c in f.terms())
+        if abs(d) > expsum.ZERO_TOL * max(scale, 1e-300):
+            return (1 if d > 0 else -1), k
+    return 0, max_order
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(gap_sums(), expsum_strategy()))
+@example(ZERO_AT_ORIGIN_SUM)
+@example(NEAR_ZERO_AT_ORIGIN_SUM)
+@example(DROPPED_REGION_GAP)
+@example(ExpSum((1.0, 1.0 + 1e-13), (1.0, -1.0)))
+@example(ExpSum((0.0, 1.0), (1.0, -1.0)))
+def test_sign_at_zero_matches_separate_sums(f):
+    assert f.sign_at_zero() == separate_sums_sign_at_zero(f)
 
 
 def test_scan_options_floor_scaling():

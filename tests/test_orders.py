@@ -386,6 +386,72 @@ class TestConvexGridPrefilter:
         assert 0 < calls[0] <= 400
 
 
+# The narrow-strip majorized pair with theta rescaled by 1.5: not majorized.
+RESCALED_NARROW = HazardVector((1.6702, 1.6707)), HazardVector((0.9237, 4.08765))
+
+
+def convex_grid_work(lam, theta, monkeypatch):
+    """convex_check's verdict, the patterns it scans and its outermost
+    evaluator calls."""
+    calls, patterns = [0], [0]
+    scan_patterns = orders.sign_patterns
+
+    def counting_patterns(fs, opts=None, **kw):
+        fs = list(fs)
+        patterns[0] += len(fs)
+        return scan_patterns(fs, opts, **kw)
+
+    monkeypatch.setattr(orders, "sign_patterns", counting_patterns)
+    monkeypatch.setattr(expsum, "scaled_rows", counted_outermost(expsum.scaled_rows, calls))
+    monkeypatch.setattr(
+        expsum.ExpSum, "_scaled_many", counted_outermost(expsum.ExpSum._scaled_many, calls)
+    )
+    return convex_check(lam, theta), patterns[0], calls[0]
+
+
+class TestExactZeroAtOrigin:
+    """possible_signs allows one change fewer when the gap's coefficients
+    sum to exactly 0, as at every b = 0 probe of the convex grid."""
+
+    @pytest.mark.parametrize("lam, theta", [
+        (THETA, LAM), (HazardVector((1, 4)), HazardVector((2, 2.5))),
+        (HazardVector((2, 3)), HazardVector((3, 7))), RESCALED_NARROW,
+    ], ids=["reversed-classic", "(1,4)-(2,2.5)", "(2,3)-(3,7)", "rescaled-narrow"])
+    def test_full_grid_certified_signs_are_possible(self, lam, theta):
+        gaps = orders._Gaps(lam, theta)
+        b_scale = 1.0 / (theta.rates[0] + theta.rates[-1])
+        probes = [(a, f * b_scale) for a in orders._a_grid(lam, theta) for f in orders.B_FACTORS]
+        _, scanned = orders._scan(gaps, probes, lambda p: False, ScanOptions())
+        assert len(scanned) == len(probes)
+        certified = 0
+        for (a, b), (_, p) in zip(probes, scanned):
+            if p.certified:
+                certified += 1
+                assert p.signs() in expsum.possible_signs(gaps(a, b)), (a, b, p.signs())
+        assert certified > len(probes) // 2
+
+    def test_b_zero_gaps_sum_to_zero_at_origin(self):
+        # Each survival is 1 at 0, so every b = 0 gap's coefficients sum to 0.
+        gaps = orders._Gaps(THETA, LAM)
+        for a in orders._a_grid(THETA, LAM):
+            assert gaps(a, 0.0).derivative_sum(0) == 0.0
+
+    @pytest.mark.parametrize("lam, theta, max_patterns, max_calls", [
+        (THETA, LAM, 180, 60),  # 225 patterns and 72 calls without the exact zero
+        (HazardVector((1, 4)), HazardVector((2, 2.5)), 188, 60),  # 227 and 72
+        (*RESCALED_NARROW, 40, 6),  # 99 and 37
+    ], ids=["reversed-classic", "(1,4)-(2,2.5)", "rescaled-narrow"])
+    def test_pruned_grid_counts_with_exact_zero(self, lam, theta, max_patterns, max_calls,
+                                                monkeypatch):
+        verdict, patterns, calls = convex_grid_work(lam, theta, monkeypatch)
+        assert verdict.status is Status.INCONCLUSIVE
+        assert 0 < patterns <= max_patterns
+        assert 0 < calls <= max_calls
+
+    def test_verdict_equals_full_grid_scan(self):
+        assert repr(convex_check(*RESCALED_NARROW)) == repr(full_grid_convex_verdict(*RESCALED_NARROW))
+
+
 def linspace_pair(n):
     return HazardVector(tuple(np.linspace(2, 3, n))), HazardVector(tuple(np.linspace(1.5, 3.5, n)))
 
