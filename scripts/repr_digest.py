@@ -20,12 +20,17 @@ Sections and their inputs (every input is seeded, so the set is fixed):
   and ``convex_check_at`` on 8 pairs, evidence included;
 - ``star_check_n``: linspace-rate pairs for n = 3..6, both ways round.
 
+With ``--check FILE`` the lines are compared with those stored in FILE
+(``scripts/repr_digest.txt`` holds the digests of this tree): the script
+exits 1 and names each section whose line differs or has no stored line.
+
 Usage:
-    PYTHONPATH=src python scripts/repr_digest.py
+    PYTHONPATH=src python scripts/repr_digest.py [--check scripts/repr_digest.txt]
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
 
@@ -126,11 +131,24 @@ def sections():
     yield "star_check_n", star_n()
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", metavar="FILE",
+                        help="exit 1 if a section's line differs from FILE's")
+    args = parser.parse_args(argv)
+    stored = {}
+    if args.check:
+        with open(args.check) as fh:
+            stored = {line.split()[0]: line.strip() for line in fh if line.strip()}
+    failed = False
     for name, items in sections():
         sha, count = digest(items)
-        print(f"{name} {sha} {count}", flush=True)
-    return 0
+        line = f"{name} {sha} {count}"
+        print(line, flush=True)
+        if args.check and stored.get(name) != line:
+            print(f"  {name}: stored {stored.get(name)!r}", file=sys.stderr)
+            failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Deterministic work counters of the verdict functions on fixed pairs.
+"""Deterministic work counters of the verdict functions on fixed pairs,
+and of one root scan.
 
 Wall times on a small shared machine spread too widely to compare two
 trees; these counts do not move between runs.  For each verdict the line
@@ -38,8 +39,10 @@ from transform_orders import (
     HazardVector,
     convex_check,
     convex_check_at,
+    count_roots,
     star_check,
     star_check_n,
+    survival,
     violation_search,
 )
 from transform_orders import expsum, orders
@@ -50,6 +53,8 @@ HOMOGENEOUS = HazardVector((2.5, 2.5)), HazardVector((1.5, 3.5))
 STAR_FAILS = HazardVector((1.0, 4.0)), HazardVector((2.0, 2.5))
 # A narrow-strip majorized pair with theta rescaled by 1.5, so not majorized.
 RESCALED_NARROW = HazardVector((1.6702, 1.6707)), HazardVector((0.9237, 4.08765))
+# The gap at the classic published violating point (a, b) = (0.749, 0.0125).
+CLASSIC_WITNESS_GAP = survival(CLASSIC[1]) - survival(CLASSIC[0]).shift_scale(0.749, 0.0125)
 
 
 def linspace_pair(n: int):
@@ -72,6 +77,8 @@ VERDICTS = (
      CLASSIC),
     ("star_check_n n=3", star_check_n, linspace_pair(3)),
     ("star_check_n n=6", star_check_n, linspace_pair(6)),
+    # The rounds of flip bisection, outside any verdict.
+    ("count_roots classic witness", lambda f: count_roots(f, -5.0, 10.0), (CLASSIC_WITNESS_GAP,)),
 )
 
 

@@ -37,6 +37,7 @@ DEFAULT_MERGE_TOL = 1e-12  # relative tolerance for duplicate-rate merging
 BASE_POINTS = 256  # initial grid points
 DIP_PASSES = 3  # passes that halve |f| valleys and uncertain gaps, outside the end bands
 MAX_REFINEMENTS = 80  # bisection steps per sign flip
+BISECT_LEVELS = 4  # bisection steps evaluated per evaluator call
 X_RTOL = 1e-10  # relative bracket width at which bisection stops
 ZERO_TOL = 1e-12  # relative threshold for a nonzero derivative sum at 0
 
@@ -485,9 +486,10 @@ def _lockstep(fs: Sequence[ExpSum], gens: list, opts: ScanOptions) -> list:
     A step generator yields each x-array it needs evaluated, is sent back
     those points as :class:`_Pts` in request order, and returns its result.
     Each round, the requests of all running generators go to one
-    :func:`scaled_rows` call.  The generators of sign scans and root scans
-    start from the points of :func:`_grid_phase`, which has already
-    evaluated the grids and dip passes of all the sums.
+    :func:`scaled_rows` call; a flip-bisection request holds BISECT_LEVELS
+    levels of each bracket (see :func:`_refine_flips`).  The generators of
+    sign scans and root scans start from the points of :func:`_grid_phase`,
+    which has already evaluated the grids and dip passes of all the sums.
     """
     results: list = [None] * len(gens)
     pending: dict[int, np.ndarray] = {}
@@ -513,40 +515,79 @@ def _lockstep(fs: Sequence[ExpSum], gens: list, opts: ScanOptions) -> list:
 
 
 def _mids(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The one bisection midpoint rule: geometric where lo > 0, else arithmetic."""
-    with np.errstate(invalid="ignore"):
-        return np.where(lo > 0, np.sqrt(lo * hi), 0.5 * (lo + hi))
+    """The one bisection midpoint rule: geometric where lo > 0, else
+    arithmetic, and lo + (hi - lo) / 2 where that leaves [lo, hi] (lo * hi
+    under- or overflows), so a midpoint never leaves its interval."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        mid = np.where(lo > 0, np.sqrt(lo * hi), 0.5 * (lo + hi))
+        return np.where((lo <= mid) & (mid <= hi), mid, lo + 0.5 * (hi - lo))
+
+
+def _mid(a: float, b: float) -> float:
+    """The rule of :func:`_mids` for one interval; a scan has a few flip
+    brackets, for which scalar arithmetic is cheaper."""
+    mid = math.sqrt(a * b) if a > 0 else 0.5 * (a + b)
+    return mid if a <= mid <= b else a + 0.5 * (b - a)
 
 
 def _refine_flips(lo: list, hi: list, left_sign: list):
     """Shrink certain-sign flip brackets [lo[k], hi[k]] in place and
-    together, one evaluation per step (a step generator; see _lockstep).
-    left_sign[k] is the sign at lo[k].  Returns lo, hi and every point
-    evaluated on the way.  Each certain one lies inside its bracket, on the
-    side of its own sign: left of every point of the other sign."""
+    together by bisection (a step generator; see _lockstep).  left_sign[k]
+    is the sign at lo[k].  Returns lo, hi and the points of the bisection
+    path, in the order sequential bisection evaluates them.  Each certain
+    one lies inside its bracket, on the side of its own sign: left of every
+    point of the other sign.
+
+    Each round evaluates BISECT_LEVELS levels at once: for every bracket
+    still shrinking, the tree of all midpoints its next steps can reach,
+    where a node that is not strictly inside its interval or whose interval
+    is narrower than X_RTOL gets no point and no children.  The returned
+    signs then pick each bracket's path, as one step at a time would: a
+    sign of 0 or a node with no point ends the bracket.  Every point's
+    value is independent of the others in its call, so lo, hi and the path
+    equal those of one level per round; the off-path points are dropped.
+    """
     seen = [_NO_PTS]
     active = list(range(len(lo)))
-    for _ in range(MAX_REFINEMENTS):
-        stepping, mids = [], []
-        for k in active:  # a scan has a few brackets: scalar arithmetic is cheaper
-            a, b = lo[k], hi[k]
-            mid = math.sqrt(a * b) if a > 0 else 0.5 * (a + b)  # the rule of _mids
-            if a < mid < b and b - a > X_RTOL * max(abs(a), abs(b), 1e-30):
-                stepping.append(k)
-                mids.append(mid)
+    steps = 0
+    while active and steps < MAX_REFINEMENTS:
+        depth = min(BISECT_LEVELS, MAX_REFINEMENTS - steps)
+        trees, mids = [], []
+        for k in active:
+            tree = {}  # node -> (midpoint, index in mids); node i has children 2i+1, 2i+2
+            todo = [(0, lo[k], hi[k])]
+            for node, a, b in todo:  # breadth first: todo grows while it is walked
+                mid = _mid(a, b)
+                if a < mid < b and b - a > X_RTOL * max(abs(a), abs(b), 1e-30):
+                    tree[node] = mid, len(mids)
+                    mids.append(mid)
+                    if 2 * node + 2 < 2**depth - 1:  # its children are within depth
+                        todo += [(2 * node + 1, a, mid), (2 * node + 2, mid, b)]
+            trees.append(tree)
         if not mids:
             break
         p = yield np.array(mids)
-        seen.append(p)
-        active = []
-        for k, mid, sign in zip(stepping, mids, p.sign.tolist()):
-            if sign == 0:
-                continue  # cannot place the flip more precisely than this gap
-            if sign == left_sign[k]:
-                lo[k] = mid
+        signs = p.sign.tolist()
+        path = [[] for _ in range(depth)]  # per level, the on-path point of each bracket
+        still = []
+        for k, tree in zip(active, trees):
+            node = 0
+            for level in range(depth):
+                if node not in tree:
+                    break
+                mid, i = tree[node]
+                path[level].append(i)
+                if signs[i] == 0:
+                    break  # cannot place the flip more precisely than this gap
+                if signs[i] == left_sign[k]:
+                    lo[k], node = mid, 2 * node + 2
+                else:
+                    hi[k], node = mid, 2 * node + 1
             else:
-                hi[k] = mid
-            active.append(k)
+                still.append(k)
+        seen.append(p.take(np.array([i for level in path for i in level], dtype=np.intp)))
+        active = still
+        steps += depth
     return lo, hi, _Pts(*(np.concatenate(col) for col in zip(*seen)))
 
 
@@ -652,8 +693,9 @@ def sign_patterns(
     grid, and the grid and each dip pass take one evaluator call over the
     points of all sums (see :func:`_grid_phase`).  Then each scan's step
     generator goes on from its own points in lock step: each 0+ walk,
-    bisection step and guessed end region evaluates the points that every
-    scan still running requests in one evaluator call.
+    flip-bisection round (BISECT_LEVELS levels; see :func:`_refine_flips`)
+    and guessed end region evaluates the points that every scan still
+    running requests in one evaluator call.
 
     ``refine=False`` skips flip bisection, for scans that only decide.
     Bisection places transitions and may move witnesses and values, but

@@ -539,19 +539,32 @@ def test_sign_patterns_match_one_at_a_time(fs):
         assert_same_pattern(p, sign_pattern(f))
 
 
-def recorded_pattern(f):
-    """sign_pattern(f) and every point it evaluated, sorted by x, as
-    (x, sign, logmag) arrays with the certainty rule restated: a sign
-    only where |f| clears both the rounding bound and the sign floor."""
-    evaluate, seen = expsum.scaled_rows, []
+def recording_evaluator(seen):
+    """scaled_rows, appending (x, s, m, err) of each call to seen."""
+    evaluate = expsum.scaled_rows
 
     def recording(fs, xss):
         s, m, err = evaluate(fs, xss)
         seen.append((np.concatenate(xss, dtype=float), s, m, err))
         return s, m, err
 
-    with mock.patch.object(expsum, "scaled_rows", recording):
-        p = sign_pattern(f)
+    return recording
+
+
+def recorded_pattern(f):
+    """sign_pattern(f) and every point it evaluated, sorted by x, as
+    (x, sign, logmag) arrays with the certainty rule restated: a sign
+    only where |f| clears both the rounding bound and the sign floor.
+
+    The scan is recorded with one bisection level per round, where every
+    bisection point it evaluates is on a flip's path; the default levels
+    also evaluate off-path points, which never enter the pattern, so the
+    pattern must be the same."""
+    seen = []
+    with mock.patch.object(expsum, "scaled_rows", recording_evaluator(seen)):
+        with mock.patch.object(expsum, "BISECT_LEVELS", 1):
+            p = sign_pattern(f)
+    assert_same_pattern(sign_pattern(f), p)
     x, s, m, err = (np.concatenate(col) for col in zip(*seen))
     order = np.argsort(x, kind="stable")
     x, s, m, err = x[order], s[order], m[order], err[order]
@@ -713,6 +726,119 @@ def test_block_takes_one_split_per_dip_pass(refine):
     for f, p in zip(fs, got):
         (q,) = sign_patterns([f], refine=refine)
         assert_same_pattern(p, q)
+
+
+# -- speculative bisection ----------------------------------------------------
+
+
+def test_default_levels_cut_the_rounds_of_the_classic_scan():
+    # 32 evaluator calls of 351 points at one level per round; the default
+    # levels also evaluate the off-path points of each round's trees.
+    seen = []
+    with mock.patch.object(expsum, "scaled_rows", recording_evaluator(seen)):
+        sign_pattern(CLASSIC_WITNESS_GAP)
+    assert len(seen) <= 12
+    assert sum(x.size for x, *_ in seen) <= 600
+
+
+def scan_results(f):
+    try:
+        roots = count_roots(f, -5.0, 10.0)
+    except expsum.RootScanInconclusive as exc:
+        roots = (str(exc), exc.brackets)
+    return sign_pattern(f), sign_patterns([f], refine=False)[0], roots
+
+
+@settings(max_examples=40, deadline=None)
+@given(gap_sums())
+@example(CLASSIC_WITNESS_GAP)
+def test_bisection_levels_keep_every_result(f):
+    got = scan_results(f)
+    with mock.patch.object(expsum, "BISECT_LEVELS", 1):
+        want = scan_results(f)
+    for p, q in zip(got[:2], want[:2]):
+        assert_same_pattern(p, q)
+    assert got[2] == want[2]
+
+
+def run_refine_flips(brackets, left_sign, sign_at):
+    """_refine_flips driven by hand: each requested x gets sign_at(x) and
+    mantissa x.  Returns lo, hi, the kept points and the evaluator calls."""
+    steps = expsum._refine_flips([a for a, _ in brackets], [b for _, b in brackets], left_sign)
+    calls, xs = 0, next(steps)
+    try:
+        while True:
+            calls += 1
+            sign = np.array([sign_at(x) for x in xs.tolist()], dtype=np.int8)
+            xs = steps.send(expsum._Pts(xs, xs.copy(), np.zeros_like(xs), np.zeros_like(xs), sign))
+    except StopIteration as done:
+        lo, hi, kept = done.value
+    return lo, hi, kept, calls
+
+
+@pytest.mark.parametrize("budget", [80, 10], ids=["full-budget", "truncated-budget"])
+def test_refine_flips_levels_keep_brackets_and_path(budget):
+    # Disjoint brackets, some across 0 (the arithmetic rule), each with one
+    # sign change at root[k] and a band of sign 0 around it; a budget not
+    # divisible by BISECT_LEVELS truncates the last round's trees.
+    rng = np.random.default_rng(15)
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        ends = np.sort(rng.uniform(-2.0, 10.0, 2 * n)).reshape(n, 2)
+        brackets = [tuple(e) for e in ends.tolist()]
+        root = [a + rng.uniform(0.1, 0.9) * (b - a) for a, b in brackets]
+        band = [w * (b - a) for w, (a, b) in zip(rng.choice([0.0, 1e-6, 0.05], n), brackets)]
+        left = rng.choice([-1, 1], n).tolist()
+
+        def sign_at(x):
+            k = next(k for k, (a, b) in enumerate(brackets) if a < x < b)
+            if abs(x - root[k]) < band[k]:
+                return 0
+            return left[k] if x < root[k] else -left[k]
+
+        with mock.patch.object(expsum, "MAX_REFINEMENTS", budget):
+            got = run_refine_flips(brackets, left, sign_at)
+            with mock.patch.object(expsum, "BISECT_LEVELS", 1):
+                want = run_refine_flips(brackets, left, sign_at)
+        assert got[:2] == want[:2]
+        for col_got, col_want in zip(got[2], want[2]):
+            assert np.array_equal(col_got, col_want)
+        assert got[3] <= -(-want[3] // expsum.BISECT_LEVELS)
+        assert want[2].x.size <= n * budget
+
+
+def test_refine_flips_stops_a_bracket_on_a_sign_of_zero():
+    # On [1, 2] the path is sqrt(2) (sign +), sqrt(2 sqrt 2) (sign -), then
+    # a point within 0.05 of the root 1.5: sign 0 ends the bracket there.
+    def sign_at(x):
+        return 0 if abs(x - 1.5) < 0.05 else (1 if x < 1.5 else -1)
+
+    (lo,), (hi,), kept, calls = run_refine_flips([(1.0, 2.0)], [1], sign_at)
+    assert (lo, hi) == (math.sqrt(2.0), math.sqrt(2.0 * math.sqrt(2.0)))
+    assert kept.sign.tolist() == [1, -1, 0] and calls == 1
+    assert kept.x[-1] == math.sqrt(lo * hi)
+
+
+def test_midpoints_stay_in_their_interval():
+    # lo * hi underflows near 1e-310 and overflows near 1e300; elsewhere
+    # the geometric (lo > 0) or arithmetic midpoint is kept unchanged.
+    lo = np.array([3.3e-310, 1e-200, 1e200, 1e300, 0.5, -3.0, 0.0])
+    hi = np.array([6.6e-310, 2e-200, 3e200, 1.5e300, 2.0, 1.0, 4.0])
+    mids = expsum._mids(lo, hi)
+    assert ((lo < mids) & (mids < hi)).all()
+    assert mids[4:].tolist() == [1.0, -1.0, 2.0]
+    assert mids.tolist() == [expsum._mid(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+
+
+def test_scan_of_huge_rates_stays_right_of_zero():
+    # Rates near 1e300 start the grid at a subnormal x, where a geometric
+    # midpoint underflows to 0.
+    f = canonicalize([(1e300, 1.0), (2e300, -1.0), (3e300, 0.5)])
+    seen = []
+    with mock.patch.object(expsum, "scaled_rows", recording_evaluator(seen)):
+        p = sign_pattern(f)
+    assert p.regions and all(r.x > 0.0 for r in p.regions)
+    assert all((x > 0.0).all() for x, *_ in seen)
 
 
 # -- two-phase scans ----------------------------------------------------------
