@@ -51,6 +51,8 @@ CLASSIC = HazardVector((2.0, 3.0)), HazardVector((1.5, 3.5))
 REVERSED = CLASSIC[::-1]
 HOMOGENEOUS = HazardVector((2.5, 2.5)), HazardVector((1.5, 3.5))
 STAR_FAILS = HazardVector((1.0, 4.0)), HazardVector((2.0, 2.5))
+# The classic pair with theta rescaled: not majorized, star_check INCONCLUSIVE.
+RESCALED = HazardVector((2.0, 3.0)), HazardVector((3.0, 7.0))
 # A narrow-strip majorized pair with theta rescaled by 1.5, so not majorized.
 RESCALED_NARROW = HazardVector((1.6702, 1.6707)), HazardVector((0.9237, 4.08765))
 # The gap at the classic published violating point (a, b) = (0.749, 0.0125).
@@ -67,6 +69,8 @@ def linspace_pair(n: int):
 VERDICTS = (
     ("star_check classic", star_check, CLASSIC),
     ("star_check reversed", star_check, REVERSED),
+    ("star_check (1,4)/(2,2.5)", star_check, STAR_FAILS),
+    ("star_check rescaled", star_check, RESCALED),
     ("violation_search classic", violation_search, CLASSIC),
     ("convex_check classic", convex_check, CLASSIC),
     ("convex_check reversed", convex_check, REVERSED),

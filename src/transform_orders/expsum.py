@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
@@ -134,13 +135,26 @@ class ExpSum:
 
         Term-wise (r, c) -> (r*a, c*exp(-r*b)).
         """
+        return canonicalize(self._shifted_terms(a, b))
+
+    def _shifted_terms(self, a: float, b: float) -> list[tuple[float, float]]:
+        """The terms of :meth:`shift_scale` before canonicalization."""
         if not (a > 0.0):
             raise ValueError(f"scale factor a must be positive, got {a}")
         if not (0.0 <= b < math.inf):
             raise ValueError(f"shift b must be finite and nonnegative, got {b}")
-        return canonicalize(
-            [(r * a, c * math.exp(-r * b)) for r, c in zip(self.rates, self.coeffs)]
-        )
+        return [(r * a, c * math.exp(-r * b)) for r, c in zip(self.rates, self.coeffs)]
+
+    def minus_shift_scale(self, other: "ExpSum", a: float, b: float = 0.0) -> "ExpSum":
+        """``self - other.shift_scale(a, b)``, bit for bit, from one
+        canonicalization of self's terms and the negated, shifted terms of
+        other, with shift_scale's drop rule applied to those first.  Where
+        two shifted terms of other would merge, both steps run as written."""
+        shifted = other._shifted_terms(a, b)
+        tol = DEFAULT_MERGE_TOL
+        if any(r1 - r0 <= tol * max(1.0, r1) for (r0, _), (r1, _) in zip(shifted, shifted[1:])):
+            return self - canonicalize(shifted)
+        return canonicalize([*self.terms(), *((r, -c) for r, c in shifted if abs(c) > tol)])
 
     def scaled_by(self, k: float) -> "ExpSum":
         if k == 0.0:
@@ -170,6 +184,28 @@ class ExpSum:
                 changes += 1
         return changes
 
+    def prefix_sign_changes(self) -> int:
+        """Sign changes of the exact prefix sums c_0, c_0 + c_1, ..., f(0)
+        by ascending rate, zeros skipped: a bound on the zeros in (0, inf)
+        (see :func:`possible_signs`).
+
+        A float running sum's sign is taken where it clears the bound
+        k * eps * sum|c_i| on the rounding of its k additions; elsewhere
+        the prefix is summed again with ``math.fsum``, whose correctly
+        rounded result has the sign of the exact sum.
+        """
+        changes, last = 0, 0
+        run = mags = 0.0
+        for k, c in enumerate(self.coeffs):
+            run += c
+            mags += abs(c)
+            total = run if abs(run) > k * _EPS * mags else math.fsum(self.coeffs[: k + 1])
+            sign = (total > 0.0) - (total < 0.0)
+            if sign:
+                changes += sign == -last
+                last = sign
+        return changes
+
     def asymptotic_sign(self) -> int:
         """Sign of f as x -> +infinity: the smallest-rate coefficient (0 if zero sum)."""
         if self.is_zero:
@@ -194,7 +230,12 @@ class ExpSum:
         canonical sum with n terms one of the first n is, by linear
         independence of the exponentials.  Returns (sign, k) where k is the
         first nonvanishing order, i.e. the multiplicity of the zero at 0.
+        Computed once per sum.
         """
+        return self._sign_at_zero
+
+    @cached_property
+    def _sign_at_zero(self) -> tuple[int, int]:
         if self.is_zero:
             return 0, 0
         max_order = max(4, self.n_terms)
@@ -273,9 +314,14 @@ def _scaled_block(exps, coeffs, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     mags = np.abs(terms)
     bounds *= mags
     bounds *= _EPS
-    # cumsum adds terms in order for any batch; sum goes pairwise for one x.
-    abs_sum = np.cumsum(mags, axis=0, out=mags)[-1]
-    err = np.cumsum(bounds, axis=0, out=bounds)[-1] + 2.0 * _EPS * abs_sum
+    # Both sums add the terms in order: a reduction over the outer axis
+    # adds whole rows for two or more points, but goes pairwise for one x,
+    # where the last row of a cumsum is the in-order sum.
+    if xs.size > 1:
+        abs_sum, err = np.add.reduce(mags, axis=0), np.add.reduce(bounds, axis=0)
+    else:
+        abs_sum, err = np.cumsum(mags, axis=0)[-1], np.cumsum(bounds, axis=0)[-1]
+    err += 2.0 * _EPS * abs_sum
     s, tot, comp = np.zeros(xs.shape), np.empty(xs.shape), np.zeros(xs.shape)
     for t in terms:  # Kahan summation over terms, all points at once
         t -= comp
@@ -736,33 +782,37 @@ def possible_signs(f: ExpSum) -> list[tuple[str, ...]]:
     read off the coefficients without evaluating f.
 
     Each tuple alternates from ``sign_at_zero()`` (either start when that
-    sign is 0) to ``asymptotic_sign()`` with at most
-    ``sign_change_bound()`` changes, so its parity fixes which change
-    counts occur; the zero sum gives ``[()]``.  The scan guarantees this by
-    construction, not by any further analysis: ``_pattern_steps`` puts an
-    uncertified region in front of (behind) the witnessed runs when the
-    first (last) one disagrees with those signs, drops regions beyond the
-    bound and then clears ``certified``, and ``SignPattern`` enforces
-    alternation.
+    sign is 0) to ``asymptotic_sign()`` with at most the zero bound below
+    of changes, so its parity fixes which change counts occur; the zero
+    sum gives ``[()]``.  The scan guarantees the ends by construction:
+    ``_pattern_steps`` puts an uncertified region in front of (behind) the
+    witnessed runs when the first (last) one disagrees with those signs,
+    drops regions beyond ``sign_change_bound()`` and then clears
+    ``certified``, and ``SignPattern`` enforces alternation.
 
-    One change fewer is allowed when that sign is decided and the
-    coefficients sum to exactly 0 (``derivative_sum(0)`` is an exactly
-    rounded ``fsum``), i.e. f(0) = 0.  By Laguerre's extension of
-    Descartes' rule (Polya and Szego, *Problems and Theorems in Analysis
-    II*, Part V) f has at most ``sign_change_bound()`` real zeros counted
-    with multiplicity, and one of them is at 0.  The regions of a
-    certified pattern are real sign regions of f, each witnessed by a point
-    whose sign clears the rounding bound, so each of its changes needs a
-    zero in (0, infinity): it has at most one change fewer than the bound.
-    The rule counts only the exact sum, never the multiplicity that
-    ``sign_at_zero`` reads with ``ZERO_TOL``, and a sum whose sign at 0
-    is undecided keeps the full bound.
+    The zero bound is ``prefix_sign_changes()``, the sign changes of the
+    exact prefix sums c_0, c_0 + c_1, ..., f(0) by ascending rate
+    (Laguerre's rule; Polya and Szego, *Problems and Theorems in Analysis
+    II*, Part V; Karlin, *Total Positivity*, 1968).  Proof: for x > 0,
+    f(x) = x * integral_0^inf P(s) exp(-s x) ds, where the step function P
+    takes the k-th prefix sum on [r_k, r_{k+1}) and f(0) from the last
+    rate on, and the Laplace kernel is variation-diminishing, so f has at
+    most as many zeros in (0, infinity) as P has sign changes.  The regions
+    of a certified pattern are real sign regions of f, each witnessed by a
+    point whose sign clears the rounding bound, so each of its changes
+    needs such a zero.
+
+    The count never exceeds ``sign_change_bound()``, nor that bound less
+    one when f(0) = 0: each change of the prefix sums needs a coefficient
+    of the new sign since the last nonzero prefix, and so does a final
+    prefix of 0.  So it covers the Descartes bound, with the exact zero at
+    0 counted against it, which the pre-filter used before.
     """
     if f.is_zero:
         return [()]
     s0, _ = f.sign_at_zero()
     s_inf = f.asymptotic_sign()
-    bound = f.sign_change_bound() - (s0 != 0 and f.derivative_sum(0) == 0.0)
+    bound = f.prefix_sign_changes()
     return [
         tuple("+-"[(start < 0) ^ (i % 2)] for i in range(changes + 1))
         for start in ((s0,) if s0 else (1, -1))

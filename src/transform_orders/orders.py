@@ -29,26 +29,32 @@ checks, goes whole), whose patterns are scanned together: each evaluator
 call carries the points of the whole block, and the first certified
 violation in probe order is still the one returned.
 
-``convex_check`` prunes its non-majorized (a, b) grid before scanning: a
-probe whose gap admits no violating sign tuple among
-``expsum.possible_signs`` (coefficient signs, their change bound and its
-parity, less the exact zero at 0 of each b = 0 gap) cannot yield a
+The non-majorized grids of ``star_check`` (the a-grid at b = 0) and
+``convex_check`` (the (a, b) grid) are pruned before scanning, through
+``_pruned_scan``: a probe whose gap admits no violating sign tuple among
+``expsum.possible_signs`` (the signs at 0+ and at infinity, and at most
+as many changes as the exact prefix sums of the coefficients have, which
+counts the exact zero at 0 of each b = 0 gap) cannot yield a
 certified violation, so only the other probes are scanned and the first
-certified violation is the same probe as without the filter.  Every
-other scan runs unfiltered, since its scanned patterns are reported as
-evidence or attempts.
+certified violation is the same probe as without the filter.  The other
+scans run unfiltered.  ``star_check_n`` and ``violation_search`` would
+gain nothing: the filter prunes none of the a-grid probes of linspace-rate
+pairs at n = 3-6, and on the classic pair only the last 6 of the 40
+b-halving probes, while the first one hits.  The spot checks and
+``convex_check_at`` report every scanned pattern.
 
 Scans decide first and bisect only what a verdict reports.  Flip bisection
 places transitions and witnesses but never changes which pattern is a
 certified violation, so the scans whose patterns are discarded
-(``violation_search``, the non-majorized ``convex_check`` grid and
-``star_check_n``) run without it.  A verdict that reports the witness
-scans only that probe again with bisection (``_bisected``); per-point
-results do not depend on the batch, so the witness is byte-identical to
-the one a fully bisected scan finds.  The b-halving of
-``violation_search`` keeps only the b of its hit, so it is not re-scanned.
-``star_check``, the homogeneous spot checks and ``convex_check_at`` return
-their scanned patterns as evidence and keep bisection throughout.
+(``violation_search``, the pruned grids and ``star_check_n``) run without
+it.  A verdict that reports the witness scans only that probe again with
+bisection (``_bisected``); per-point results do not depend on the batch,
+so the witness is byte-identical to the one a fully bisected scan finds.
+An INCONCLUSIVE or numerical HOLDS ``star_check`` scans again, with
+bisection, only the first ``EVIDENCE_PROBES`` grid probes it reports as
+evidence.  The b-halving of ``violation_search`` keeps only the b of its
+hit, so it is not re-scanned.  The spot checks and ``convex_check_at``
+return their scanned patterns as evidence and keep bisection throughout.
 """
 
 from __future__ import annotations
@@ -95,6 +101,7 @@ A_POINTS = 64  # log-spaced a-grid points, before the analytic breakpoints
 B_FACTORS = (0.0, 0.01, 0.05, 0.25, 1.0)  # convex-scan shifts, units of 1/(theta_1+theta_n)
 SEARCH_MAX_HALVINGS = 40  # b-halvings while certifying "+,-,+" at the strip top
 SEARCH_A_STEPS = 12  # geometric a-steps down from the strip top before the sweep
+EVIDENCE_PROBES = 8  # a-grid patterns an inconclusive star_check reports
 
 # Most probes whose sign patterns are computed together, from a memory
 # budget: every pattern in flight holds its evaluated points (33 bytes each,
@@ -186,13 +193,18 @@ class OrderOptions:
 
 
 class _Gaps:
-    """The gap V(.; a, b) for any (a, b), from survivals built once."""
+    """The gap V(.; a, b) for any (a, b), from survivals built once; each
+    gap is built once, so a scan that probes it again reuses it."""
 
     def __init__(self, lam: HazardVector, theta: HazardVector):
         self.surv_x, self.surv_y = survival(lam), survival(theta)
+        self._built: dict[tuple[float, float], ExpSum] = {}
 
     def __call__(self, a: float, b: float = 0.0) -> ExpSum:
-        return self.surv_y - self.surv_x.shift_scale(a, b)
+        gap = self._built.get((a, b))
+        if gap is None:
+            gap = self._built[a, b] = self.surv_y.minus_shift_scale(self.surv_x, a, b)
+        return gap
 
 
 def survival_gap(
@@ -257,6 +269,30 @@ def _bisected(
     return Witness(hit.a, hit.b, p)
 
 
+def _pruned_scan(
+    gaps: Callable[[float, float], ExpSum],
+    grid: list[tuple[float, float]],
+    violates: Callable[[SignPattern], bool],
+    violating: Callable[[tuple[str, ...]], bool],
+    opts: ScanOptions,
+) -> tuple[Witness | None, list[tuple[float, SignPattern]], list[tuple[float, float]]]:
+    """The first certified violation on ``grid``, scanned only where the
+    gap's :func:`possible_signs` include a sign tuple that ``violating``
+    accepts: a probe without one cannot yield a certified violation, so
+    the hit is the same probe as on the whole grid.
+
+    The kept probes are scanned without flip bisection and only the hit is
+    scanned again with it (:func:`_bisected`), so it is byte-identical to a
+    fully bisected scan's.  Returns the hit (or None), the scanned
+    (a, pattern) pairs and the pruned probes.
+    """
+    kept = {ab for ab in grid if any(map(violating, possible_signs(gaps(*ab))))}
+    hit, scanned = _scan(gaps, [ab for ab in grid if ab in kept], violates, opts, refine=False)
+    if hit is not None:
+        hit = _bisected(gaps, hit, violates, opts)
+    return hit, scanned, [ab for ab in grid if ab not in kept]
+
+
 def _unconfirmed_region(
     gap: ExpSum, pattern: SignPattern, opts: ScanOptions
 ) -> SignRegion | None:
@@ -271,9 +307,12 @@ def _unconfirmed_region(
 
 
 def _star_violation(p: SignPattern) -> bool:
+    return _star_signs(p.signs())
+
+
+def _star_signs(signs: tuple[str, ...]) -> bool:
     # Any "+" immediately followed by "-" breaks "at most one change, in
     # the order '-,+'"; alternation makes this equivalent to the criterion.
-    signs = p.signs()
     return any(s0 == "+" and s1 == "-" for s0, s1 in zip(signs, signs[1:]))
 
 
@@ -314,7 +353,9 @@ def star_check(
     still scanned and attached as evidence.  Otherwise a logarithmic
     a-grid is scanned for a certified pattern with a "+,-" change, which
     refutes the order; with nothing found the verdict stays numerical
-    (INCONCLUSIVE unless numerical holds are explicitly allowed).
+    (INCONCLUSIVE unless numerical holds are explicitly allowed).  Only
+    the probes whose ``possible_signs`` hold a "+,-" are scanned
+    (``_pruned_scan``); the verdict is that of the full grid.
     """
     opts = opts or OrderOptions()
     if lam.n != 2 or theta.n != 2:
@@ -337,23 +378,29 @@ def star_check(
             evidence=tuple(evidence),
         )
 
-    probes = [(a, 0.0) for a in _a_grid(lam, theta)]
-    hit, scanned = _scan(gaps, probes, _star_violation, opts.scan)
+    grid = [(a, 0.0) for a in _a_grid(lam, theta)]
+    hit, scanned, pruned = _pruned_scan(gaps, grid, _star_violation, _star_signs, opts.scan)
     if hit is not None:
         detail = f"gap pattern '{hit.pattern.text()}' at a={hit.a:.6g} has a '+,-' change"
         return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)
-    if opts.allow_numerical_holds and all(p.complete for _, p in scanned):
-        return OrderVerdict(
-            Status.HOLDS,
-            None,
-            detail="no violating pattern on the a-grid (numerical, not analytic)",
-            evidence=tuple(scanned[:8]),
-        )
+    # The evidence is the first probes' bisected patterns.  A pruned probe
+    # cannot violate, but the numerical HOLDS also asks for its pattern to
+    # be complete, which does not depend on bisection.
+    _, evidence = _scan(gaps, grid[:EVIDENCE_PROBES], _star_violation, opts.scan)
+    if opts.allow_numerical_holds:
+        _, rest = _scan(gaps, pruned, lambda p: False, opts.scan, refine=False)
+        if all(p.complete for _, p in scanned + rest):
+            return OrderVerdict(
+                Status.HOLDS,
+                None,
+                detail="no violating pattern on the a-grid (numerical, not analytic)",
+                evidence=tuple(evidence),
+            )
     return OrderVerdict(
         Status.INCONCLUSIVE,
         None,
         detail="no violating pattern on the a-grid; grids alone cannot certify HOLDS",
-        evidence=tuple(scanned[:8]),
+        evidence=tuple(evidence),
     )
 
 
@@ -493,14 +540,15 @@ def convex_check(
     FAILS, otherwise INCONCLUSIVE (grids cannot certify HOLDS unless
     explicitly allowed).
 
-    The grid is pruned first: a probe whose gap has no violating sign
-    tuple among ``possible_signs`` is not scanned, since no pattern the
-    scan could certify there violates.  At b = 0 both survivals are 1 at
-    x = 0, so the gap's coefficients sum to exactly 0 and
-    ``possible_signs`` allows one sign change fewer on (0, infinity); that
-    prunes most b = 0 probes.  The verdict and witness are those of the
-    full grid.  For ``allow_numerical_holds`` a pruned probe counts as
-    settled, like a probe whose pattern is complete: its coefficients
+    The grid is pruned first (``_pruned_scan``): a probe whose gap has no
+    violating sign tuple among ``possible_signs`` is not scanned, since no
+    pattern the scan could certify there violates.  At b = 0 both
+    survivals are 1 at x = 0, so the gap's coefficients sum to exactly 0,
+    the last prefix sum is 0 and ``possible_signs`` allows one sign change
+    fewer on (0, infinity) than the coefficient signs would; the prefix
+    sums prune more probes at every b.  The verdict and witness are those
+    of the full grid.  For ``allow_numerical_holds`` a pruned probe counts
+    as settled, like a probe whose pattern is complete: its coefficients
     prove it has no violating tuple.
     """
     opts = opts or OrderOptions()
@@ -554,18 +602,12 @@ def convex_check(
 
     # Not majorized: numerical (a, b) sweep with nonnegative shifts only,
     # over the probes whose coefficients leave room for a violation.
-    gaps = _Gaps(lam, theta)
     b_scale = 1.0 / (theta.rates[0] + theta.rates[-1])
     grid = [(a, f * b_scale) for a in _a_grid(lam, theta) for f in B_FACTORS]
-    built = {ab: gaps(*ab) for ab in grid}
-    probes = [ab for ab in grid if any(map(_convex_signs, possible_signs(built[ab])))]
-
-    def built_gap(a: float, b: float) -> ExpSum:
-        return built[a, b]
-
-    hit, scanned = _scan(built_gap, probes, _convex_violation, opts.scan, refine=False)
+    hit, scanned, _ = _pruned_scan(
+        _Gaps(lam, theta), grid, _convex_violation, _convex_signs, opts.scan
+    )
     if hit is not None:
-        hit = _bisected(built_gap, hit, _convex_violation, opts.scan)
         detail = f"pattern '{hit.pattern.text()}' violates the two-change criterion"
         return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)
     if opts.allow_numerical_holds and all(p.complete for _, p in scanned) and (

@@ -168,6 +168,26 @@ class TestEval:
         assert f.eval(-500.0) == math.inf
 
 
+def cumsum_scaled_block(exps, coeffs, xs):
+    """expsum._scaled_block with both in-order sums taken as the last row of
+    a cumsum over the terms: the reference for its reductions."""
+    m = np.where(xs >= 0.0, exps[0], exps[-1])
+    bounds = (2.0 * (np.abs(exps) + np.abs(m)) + 4.0)
+    terms = np.exp(exps - m) * coeffs
+    mags = np.abs(terms)
+    bounds *= mags
+    bounds *= expsum._EPS
+    abs_sum = np.cumsum(mags, axis=0)[-1]
+    err = np.cumsum(bounds, axis=0)[-1] + 2.0 * expsum._EPS * abs_sum
+    s, comp = np.zeros(xs.shape), np.zeros(xs.shape)
+    for t in terms:
+        y = t - comp
+        tot = s + y
+        comp = (tot - s) - y
+        s = tot
+    return s, m, err
+
+
 class TestScaledRows:
     """The multi-sum evaluator gives each row exactly what it gives alone."""
 
@@ -233,6 +253,23 @@ class TestScaledRows:
                 comp = (tot - total) - y
                 total = tot
             assert (s[i], m[i], err[i]) == (total, mx, bound + 2.0 * eps * abs_sum)
+
+    @pytest.mark.parametrize("points", [1, 2, 3, 300])
+    @pytest.mark.parametrize("n", [1, 6, 63])
+    def test_in_order_sums_match_cumsum(self, n, points):
+        # _scaled_block reduces over the terms for two or more points; the
+        # reference takes the last row of a cumsum, which adds in term order
+        # for any number of points.  Near x = 0 every term counts, so a sum
+        # in another order (pairwise, for 63 terms at one point) differs.
+        rng = np.random.default_rng(n * 1000 + points)
+        f = self.random_sum(rng, n)
+        xs = rng.uniform(-0.05, 0.05, points)
+        exps = -np.outer(f.rates, xs)
+        coeffs = np.repeat(np.array(f.coeffs)[:, None], points, axis=1)
+        got = expsum._scaled_block(exps.copy(), coeffs, xs)
+        want = cumsum_scaled_block(exps.copy(), coeffs, xs)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
     @staticmethod
     def counted_blocks(monkeypatch):
@@ -345,6 +382,42 @@ class TestShiftScale:
         lhs = f.shift_scale(a, b).eval(x)
         rhs = f.eval(a * x + b)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(0.2, 5.0), min_size=2, max_size=4),
+    st.lists(st.floats(0.2, 5.0), min_size=2, max_size=4),
+    st.floats(1e-3, 3.0),
+    st.floats(0.0, 40.0),
+)
+# Rates 0.2 and 0.2 + 2e-11 are kept apart, but at a = 0.01 they merge.
+@example([0.2, 0.2 + 2e-11], [1.5, 3.5], 0.01, 0.0)
+@example([2.0, 3.0], [1.5, 3.5], 1.0, 6.0)  # every shifted term with e^-30 or less
+def test_gap_from_one_canonicalize_is_bit_identical(lam, theta, a, b):
+    surv_x, surv_y = survival(HazardVector(tuple(lam))), survival(HazardVector(tuple(theta)))
+    want = surv_y - surv_x.shift_scale(a, b)
+    assert surv_y.minus_shift_scale(surv_x, a, b) == want
+
+
+def test_gap_from_one_canonicalize_when_shifted_terms_merge():
+    # At a = 0.05 the two terms of x merge and their sum, 1e-13, is dropped
+    # before y's term at the same rate is met; one canonicalization over
+    # all three terms would keep the 1e-13.
+    x = ExpSum((1.0, 1.0 + 1e-11), (1.0, -1.0 + 1e-13))
+    y = ExpSum((0.05,), (0.5,))
+    assert y.minus_shift_scale(x, 0.05) == y - x.shift_scale(0.05) == y
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 0.0), (-1.0, 0.0), (math.nan, 0.0), (1.0, -0.1),
+                                  (1.0, math.inf), (1.0, math.nan)])
+def test_gap_from_one_canonicalize_keeps_shift_scale_errors(a, b):
+    f = canonicalize([(2, 1), (3, 1), (5, -1)])
+    with pytest.raises(ValueError) as want:
+        f - f.shift_scale(a, b)
+    with pytest.raises(ValueError) as got:
+        f.minus_shift_scale(f, a, b)
+    assert str(got.value) == str(want.value)
 
 
 # -- sign change bound / asymptotics ---------------------------------------
@@ -924,6 +997,10 @@ def assert_certified_signs_possible(f):
         assert p.signs() in possible_signs(f), (f, p.signs())
 
 
+# e^-x - 0.5 e^-2x + 0.2 e^-3x - 0.1 e^-4x.
+SHARPER_PREFIX_SUM = ExpSum((1.0, 2.0, 3.0, 4.0), (1.0, -0.5, 0.2, -0.1))
+
+
 @pytest.mark.parametrize("f, want", [
     (ExpSum((), ()), [()]),
     (canonicalize([(2.0, -3.0)]), [("-",)]),
@@ -931,9 +1008,13 @@ def assert_certified_signs_possible(f):
     # coefficient sign changes, "+" at 0 and "-" at infinity, so 1 or 3.
     (survival(HazardVector((1.5, 3.5))) - survival(HazardVector((2, 3))).shift_scale(0.749, 0.0125),
      [("+", "-"), ("+", "-", "+", "-")]),
-    # Every derivative sum at 0 is below the ZERO_TOL threshold: both starts.
-    (ExpSum((1.0, 1.0 + 1e-13), (1.0, -1.0)), [("+",), ("-", "+")]),
-], ids=["zero-sum", "one-term", "classic-witness-gap", "zero-at-origin"])
+    # Every derivative sum at 0 is below the ZERO_TOL threshold, so both
+    # starts are open, but the prefix sums (1, 0) have no sign change: f > 0.
+    (ExpSum((1.0, 1.0 + 1e-13), (1.0, -1.0)), [("+",)]),
+    # Three coefficient sign changes, but the prefix sums 1, 0.5, 0.7, 0.6
+    # have none: f > 0 on (0, infinity).
+    (SHARPER_PREFIX_SUM, [("+",)]),
+], ids=["zero-sum", "one-term", "classic-witness-gap", "zero-at-origin", "prefix-sums"])
 def test_possible_signs_on_fixed_sums(f, want):
     assert possible_signs(f) == want
     assert_certified_signs_possible(f)
@@ -962,6 +1043,61 @@ def test_possible_signs_count_only_an_exact_zero_at_origin(f, want):
 @example(NEAR_ZERO_AT_ORIGIN_SUM)
 def test_certified_signs_are_possible(f):
     assert_certified_signs_possible(f)
+
+
+def exact_prefix_sign_changes(f):
+    """ExpSum.prefix_sign_changes from prefix sums in exact rationals."""
+    prefixes = [sum(map(Fraction, f.coeffs[: k + 1])) for k in range(f.n_terms)]
+    signs = [1 if p > 0 else -1 for p in prefixes if p]
+    return sum(s0 != s1 for s0, s1 in zip(signs, signs[1:]))
+
+
+def sign_changes_at_40_digits(f, points=150):
+    """Sign changes of f on a log grid, from 40-digit values; a value
+    within 1e-30 of the sum of its terms' magnitudes is skipped."""
+    changes, last = 0, 0
+    with mpmath.workdps(40):
+        terms = [(mpmath.mpf(r), mpmath.mpf(c)) for r, c in f.terms()]
+        for x in np.geomspace(1e-6 / f.rates[-1], 100.0 / max(f.rates[0], 0.01), points).tolist():
+            values = [c * mpmath.exp(-r * mpmath.mpf(x)) for r, c in terms]
+            v = mpmath.fsum(values)
+            if abs(v) > mpmath.mpf(1e-30) * mpmath.fsum(map(abs, values)):
+                sign = 1 if v > 0 else -1
+                changes += sign == -last
+                last = sign
+    return changes
+
+
+def assert_prefix_bound_holds(f):
+    bound = f.prefix_sign_changes()
+    assert bound == exact_prefix_sign_changes(f), f
+    # Never above the Descartes bound less the exact zero at 0.
+    assert bound <= f.sign_change_bound() - (f.derivative_sum(0) == 0.0), f
+    assert sign_changes_at_40_digits(f) <= bound, f
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(gap_sums(), expsum_strategy()))
+@example(SHARPER_PREFIX_SUM)
+@example(ZERO_AT_ORIGIN_SUM)
+@example(NARROW_SECOND_REGION_SUM)
+@example(ExpSum((1.0, 2.0, 3.0), (1.0, -1.0, 1e-300)))  # the float run reaches 0 exactly
+@example(ExpSum((1.0, 2.0, 3.0), (1e16, 1.0, -1e16)))  # the float run loses the 1
+# Exact prefixes 1, 2**53 + 1, -1, 1: two changes; the float run reads
+# 1, 2**53, -2, 0 and would count one.
+@example(ExpSum((1.0, 2.0, 3.0, 4.0), (1.0, 2.0**53, -(2.0**53) - 2.0, 2.0)))
+def test_prefix_sum_bound_holds_at_40_digits(f):
+    assert_prefix_bound_holds(f)
+
+
+def test_prefix_sum_bound_of_random_sums_holds_at_40_digits():
+    rng = np.random.default_rng(29)
+    sharper = 0
+    for _ in range(60):
+        f = random_expsum(rng)
+        assert_prefix_bound_holds(f)
+        sharper += f.prefix_sign_changes() < f.sign_change_bound()
+    assert sharper > 0
 
 
 def test_certified_signs_of_random_sums_are_possible():

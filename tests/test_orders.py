@@ -346,6 +346,68 @@ def full_grid_convex_verdict(lam, theta):
     return OrderVerdict(Status.INCONCLUSIVE, None, detail=detail)
 
 
+LAM_THETA_RESCALED = HazardVector((2, 3)), HazardVector((3, 7))
+
+
+def full_grid_star_verdict(lam, theta, opts):
+    """The non-majorized star_check verdict from one bisected _scan over
+    the whole a-grid, with no probe pruned."""
+    probes = [(a, 0.0) for a in orders._a_grid(lam, theta)]
+    hit, scanned = orders._scan(orders._Gaps(lam, theta), probes, orders._star_violation, opts.scan)
+    if hit is not None:
+        detail = f"gap pattern '{hit.pattern.text()}' at a={hit.a:.6g} has a '+,-' change"
+        return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)
+    if opts.allow_numerical_holds and all(p.complete for _, p in scanned):
+        detail = "no violating pattern on the a-grid (numerical, not analytic)"
+        return OrderVerdict(Status.HOLDS, None, detail=detail, evidence=tuple(scanned[:8]))
+    detail = "no violating pattern on the a-grid; grids alone cannot certify HOLDS"
+    return OrderVerdict(Status.INCONCLUSIVE, None, detail=detail, evidence=tuple(scanned[:8]))
+
+
+class TestStarGridPrefilter:
+    @pytest.mark.parametrize("numerical_holds", [False, True], ids=["default", "numerical-holds"])
+    @pytest.mark.parametrize("lam, theta, status", [
+        (THETA, LAM, Status.FAILS),
+        (HazardVector((1, 4)), HazardVector((2, 2.5)), Status.FAILS),
+        (*LAM_THETA_RESCALED, Status.INCONCLUSIVE),
+    ], ids=["reversed-classic", "(1,4)-(2,2.5)", "(2,3)-(3,7)"])
+    def test_verdict_equals_full_grid_scan(self, lam, theta, status, numerical_holds):
+        opts = OrderOptions(allow_numerical_holds=numerical_holds)
+        verdict = star_check(lam, theta, opts)
+        assert repr(verdict) == repr(full_grid_star_verdict(lam, theta, opts))
+        assert verdict.status is status
+
+    @pytest.mark.parametrize("one_incomplete", [False, True],
+                             ids=["all-complete", "one-pruned-incomplete"])
+    def test_numerical_holds_reads_every_probe(self, monkeypatch, one_incomplete):
+        # Every pattern is marked complete, except, in the second case, that
+        # of one probe the pre-filter prunes: the numerical HOLDS must see it.
+        lam, theta = LAM_THETA_RESCALED
+        gaps = orders._Gaps(lam, theta)
+        pruned = [a for a in orders._a_grid(lam, theta)
+                  if not any(map(orders._star_signs, expsum.possible_signs(gaps(a))))]
+        incomplete = {gaps(pruned[-1])} if one_incomplete else set()
+
+        def marked_complete(fs, opts=None, *, refine=True):
+            fs = list(fs)
+            ps = expsum.sign_patterns(fs, opts, refine=refine)
+            return [replace(p, complete=f not in incomplete) for f, p in zip(fs, ps)]
+
+        monkeypatch.setattr(orders, "sign_patterns", marked_complete)
+        opts = OrderOptions(allow_numerical_holds=True)
+        verdict = star_check(lam, theta, opts)
+        assert repr(verdict) == repr(full_grid_star_verdict(lam, theta, opts))
+        assert verdict.status is (Status.INCONCLUSIVE if one_incomplete else Status.HOLDS)
+
+    def test_inconclusive_scan_bisects_only_its_evidence(self, monkeypatch):
+        # The kept probes unbisected, then the 8 evidence probes bisected.
+        scans = recorded_scans(monkeypatch)
+        verdict = star_check(*LAM_THETA_RESCALED)
+        assert verdict.status is Status.INCONCLUSIVE and len(verdict.evidence) == 8
+        assert scans[-1] == (8, True) and all(not refine for _, refine in scans[:-1])
+        assert sum(size for size, _ in scans[:-1]) < len(orders._a_grid(*LAM_THETA_RESCALED))
+
+
 class TestConvexGridPrefilter:
     @pytest.mark.parametrize("lam, theta", [
         (THETA, LAM), (HazardVector((1, 4)), HazardVector((2, 2.5))),
@@ -545,11 +607,12 @@ class TestSpotChecksAndRescans:
         assert scans == [(probes, True)]
 
     def test_long_scans_start_with_one_probe(self, monkeypatch):
-        # Reversed classic pair: the "+,-" hit is the 46th of 67 a-grid probes.
+        # star_check_n scans the reversed classic a-grid unfiltered: the
+        # "+,-" hit is the 46th of 67 probes, and only the hit is bisected.
         scans = recorded_scans(monkeypatch)
-        verdict = star_check(THETA, LAM)
+        verdict = star_check_n(THETA, LAM)
         assert verdict.status is Status.FAILS
-        assert scans == [(n, True) for n in (1, 2, 4, 8, 16, 16)]
+        assert scans == [(n, False) for n in (1, 2, 4, 8, 16, 16)] + [(1, True)]
 
 
 class TestScaleFreeCertificates:
