@@ -6,14 +6,17 @@ Wall times on a small shared machine spread too widely to compare two
 trees; these counts do not move between runs.  For each verdict the line
 reads
 
-    name evaluator_calls=E sign_patterns_calls=C patterns=P dip_split=D geomspace=G
+    name evaluator_calls=E sign_patterns_calls=C patterns=P dip_split=D geomspace=G canonicalize=K
 
 - ``evaluator_calls``: calls of the certified evaluator (``scaled_rows``
   or ``ExpSum._scaled_many``) not made from inside another one;
 - ``sign_patterns_calls`` and ``patterns``: calls of ``sign_patterns``
   made by the verdict functions, and the sums they scanned in total;
 - ``dip_split``: calls of the dip-pass split rule ``expsum._dip_split``;
-- ``geomspace``: calls of ``numpy.geomspace`` (sign grids and a-grids).
+- ``geomspace``: calls of ``numpy.geomspace`` (sign grids and a-grids);
+- ``canonicalize``: calls of ``expsum.canonicalize`` through the module
+  attribute (one per gap built, two where shifted terms merge);
+  ``systems.survival`` holds its own reference and is not counted.
 
 With ``--check FILE`` the lines are compared with those stored in FILE
 (``scripts/work_counts.txt`` holds the counts of this tree): the script
@@ -126,11 +129,14 @@ def work(run, *args) -> Counter:
         patch(mock.patch.object(expsum, "_dip_split",
                                 counted(counts, "dip_split", expsum._dip_split)))
         patch(mock.patch.object(np, "geomspace", counted(counts, "geomspace", np.geomspace)))
+        patch(mock.patch.object(expsum, "canonicalize",
+                                counted(counts, "canonicalize", expsum.canonicalize)))
         run(*args)
     return counts
 
 
-KEYS = ("evaluator_calls", "sign_patterns_calls", "patterns", "dip_split", "geomspace")
+KEYS = ("evaluator_calls", "sign_patterns_calls", "patterns", "dip_split", "geomspace",
+        "canonicalize")
 
 
 def parse(line: str) -> tuple[str, dict[str, int]]:

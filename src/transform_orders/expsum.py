@@ -189,22 +189,9 @@ class ExpSum:
         by ascending rate, zeros skipped: a bound on the zeros in (0, inf)
         (see :func:`possible_signs`).
 
-        A float running sum's sign is taken where it clears the bound
-        k * eps * sum|c_i| on the rounding of its k additions; elsewhere
-        the prefix is summed again with ``math.fsum``, whose correctly
-        rounded result has the sign of the exact sum.
+        The one-row case of :func:`prefix_sign_changes_rows`.
         """
-        changes, last = 0, 0
-        run = mags = 0.0
-        for k, c in enumerate(self.coeffs):
-            run += c
-            mags += abs(c)
-            total = run if abs(run) > k * _EPS * mags else math.fsum(self.coeffs[: k + 1])
-            sign = (total > 0.0) - (total < 0.0)
-            if sign:
-                changes += sign == -last
-                last = sign
-        return changes
+        return int(prefix_sign_changes_rows(np.array([self.coeffs], dtype=float))[0])
 
     def asymptotic_sign(self) -> int:
         """Sign of f as x -> +infinity: the smallest-rate coefficient (0 if zero sum)."""
@@ -367,6 +354,45 @@ def canonicalize(
             out_r.append(r)
             out_c.append(c)
     return ExpSum(tuple(out_r), tuple(out_c))
+
+
+def canonical_rows(
+    rates: np.ndarray, coeffs: np.ndarray, tol: float = DEFAULT_MERGE_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients of each row of the (rows x terms) arrays, sorted by
+    rate, and a mask of the rows that :func:`canonicalize` keeps term for
+    term: finite nonnegative rates, none within ``tol * max(1, rate)`` of its
+    predecessor, and every ``|c| > tol``.  A masked row's sorted
+    coefficients are those of its canonical sum, bit for bit; any other
+    row would have terms merged or dropped (or raise)."""
+    order = np.argsort(rates, axis=1)
+    rates = np.take_along_axis(rates, order, axis=1)
+    coeffs = np.take_along_axis(coeffs, order, axis=1)
+    exact = (rates[:, 0] >= 0.0) & np.isfinite(rates[:, -1]) & (np.abs(coeffs) > tol).all(axis=1)
+    exact &= (np.diff(rates, axis=1) > tol * np.maximum(1.0, rates[:, 1:])).all(axis=1)
+    return coeffs, exact
+
+
+def prefix_sign_changes_rows(coeffs: np.ndarray) -> np.ndarray:
+    """:meth:`ExpSum.prefix_sign_changes` of each row of the (rows x
+    terms) array of coefficients, every row by ascending rate.
+
+    A float running sum's sign is taken where it clears the bound
+    k * eps * sum|c_i| on the rounding of its k additions; elsewhere the
+    prefix is summed again with ``math.fsum``, whose correctly rounded
+    result has the sign of the exact sum.  ``np.cumsum`` adds in order, so
+    each running sum is that of a scalar loop, bit for bit.  A zero prefix
+    takes the sign before it, so changes are counted between nonzero signs.
+    """
+    run = np.cumsum(coeffs, axis=1)
+    bound = np.arange(coeffs.shape[1]) * _EPS * np.cumsum(np.abs(coeffs), axis=1)
+    unsure = np.nonzero(np.abs(run) <= bound)
+    rows = coeffs.tolist()
+    run[unsure] = [math.fsum(rows[i][: k + 1]) for i, k in zip(*(u.tolist() for u in unsure))]
+    row, col = np.nonzero(run)
+    signs = run[row, col] > 0.0
+    changes = (signs[1:] != signs[:-1]) & (row[1:] == row[:-1])
+    return np.bincount(row[1:][changes], minlength=len(run))
 
 
 # -- sign scanning -------------------------------------------------------
@@ -779,16 +805,15 @@ def _sign_grids(fs: Sequence[ExpSum]) -> list[np.ndarray]:
 
 def possible_signs(f: ExpSum) -> list[tuple[str, ...]]:
     """Every sign tuple that a certified ``sign_pattern(f)`` can report,
-    read off the coefficients without evaluating f.
-
-    Each tuple alternates from ``sign_at_zero()`` (either start when that
-    sign is 0) to ``asymptotic_sign()`` with at most the zero bound below
-    of changes, so its parity fixes which change counts occur; the zero
-    sum gives ``[()]``.  The scan guarantees the ends by construction:
-    ``_pattern_steps`` puts an uncertified region in front of (behind) the
-    witnessed runs when the first (last) one disagrees with those signs,
-    drops regions beyond ``sign_change_bound()`` and then clears
-    ``certified``, and ``SignPattern`` enforces alternation.
+    read off the coefficients without evaluating f: the
+    :func:`sign_tuples` from ``sign_at_zero()`` (either start when that
+    sign is 0) to ``asymptotic_sign()`` with at most
+    ``prefix_sign_changes()`` changes; the zero sum gives ``[()]``.  The
+    scan guarantees the ends by construction: ``_pattern_steps`` puts an
+    uncertified region in front of (behind) the witnessed runs when the
+    first (last) one disagrees with those signs, drops regions beyond
+    ``sign_change_bound()`` and then clears ``certified``, and
+    ``SignPattern`` enforces alternation.
 
     The zero bound is ``prefix_sign_changes()``, the sign changes of the
     exact prefix sums c_0, c_0 + c_1, ..., f(0) by ascending rate
@@ -805,17 +830,25 @@ def possible_signs(f: ExpSum) -> list[tuple[str, ...]]:
     The count never exceeds ``sign_change_bound()``, nor that bound less
     one when f(0) = 0: each change of the prefix sums needs a coefficient
     of the new sign since the last nonzero prefix, and so does a final
-    prefix of 0.  So it covers the Descartes bound, with the exact zero at
-    0 counted against it, which the pre-filter used before.
+    prefix of 0.  So it covers the Descartes bound with the exact zero at
+    0 counted against it.  A grid of gaps reads the same tuples without
+    building each one (``orders._may_violate``).
     """
-    if f.is_zero:
-        return [()]
     s0, _ = f.sign_at_zero()
-    s_inf = f.asymptotic_sign()
-    bound = f.prefix_sign_changes()
+    starts = (s0,) if s0 else (1, -1)
+    return sign_tuples(starts, f.prefix_sign_changes(), f.asymptotic_sign())
+
+
+def sign_tuples(starts: Iterable[int], bound: int, s_inf: int) -> list[tuple[str, ...]]:
+    """The alternating sign tuples from each sign in ``starts`` to
+    ``s_inf`` with at most ``bound`` changes, by start, then by length:
+    the parity of the change count is fixed by its two ends.  A tail sign
+    of 0 (the zero sum) gives ``[()]``."""
+    if not s_inf:
+        return [()]
     return [
         tuple("+-"[(start < 0) ^ (i % 2)] for i in range(changes + 1))
-        for start in ((s0,) if s0 else (1, -1))
+        for start in starts
         for changes in range(bound + 1)
         if start * (-1) ** changes == s_inf
     ]

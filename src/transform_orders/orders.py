@@ -1,4 +1,6 @@
-"""Star and convex transform order decisions for two-component systems.
+"""Star and convex transform order decisions between parallel systems:
+exact for two components, an exploratory star scan (``star_check_n``) for
+any equal number.
 
 Everything here analyses the gap function
 
@@ -34,14 +36,18 @@ The non-majorized grids of ``star_check`` (the a-grid at b = 0) and
 ``_pruned_scan``: a probe whose gap admits no violating sign tuple among
 ``expsum.possible_signs`` (the signs at 0+ and at infinity, and at most
 as many changes as the exact prefix sums of the coefficients have, which
-counts the exact zero at 0 of each b = 0 gap) cannot yield a
-certified violation, so only the other probes are scanned and the first
-certified violation is the same probe as without the filter.  The other
-scans run unfiltered.  ``star_check_n`` and ``violation_search`` would
-gain nothing: the filter prunes none of the a-grid probes of linspace-rate
-pairs at n = 3-6, and on the classic pair only the last 6 of the 40
-b-halving probes, while the first one hits.  The spot checks and
-``convex_check_at`` report every scanned pattern.
+counts the exact zero at 0 of each b = 0 gap) cannot yield a certified
+violation, so only the other probes are scanned and the first certified
+violation is the same probe as without the filter.  ``_may_violate``
+decides the whole grid in one array pass over the gaps' coefficients:
+rows in rate order, prefix sums by ``np.cumsum``, ``math.fsum`` only
+where a running sum does not clear its rounding bound, and a gap built
+only where canonicalization changes the row's terms or the sign at 0+
+decides.  The other scans run unfiltered.  ``star_check_n`` and
+``violation_search`` would gain nothing: the filter prunes none of the
+a-grid probes of linspace-rate pairs at n = 3-6, and on the classic pair
+only the last 6 of the 40 b-halving probes, while the first one hits.
+The spot checks and ``convex_check_at`` report every scanned pattern.
 
 Scans decide first and bisect only what a verdict reports.  Flip bisection
 places transitions and witnesses but never changes which pattern is a
@@ -67,13 +73,16 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .expsum import (
+    _BLOCK,
     ExpSum,
     ScanOptions,
     SignPattern,
     SignRegion,
+    canonical_rows,
     certain_signs,
-    possible_signs,
+    prefix_sign_changes_rows,
     sign_patterns,
+    sign_tuples,
 )
 from .systems import HazardVector, density, inverse_survival, majorizes, survival
 
@@ -269,28 +278,84 @@ def _bisected(
     return Witness(hit.a, hit.b, p)
 
 
+def _may_violate(
+    gaps: _Gaps, grid: list[tuple[float, float]], violating: Callable[[tuple[str, ...]], bool]
+) -> list[tuple[float, float]]:
+    """The probes of ``grid`` whose gap's ``possible_signs`` include a
+    sign tuple that ``violating`` accepts, in grid order, from one array
+    pass over the gaps' coefficients instead of one gap per probe.
+
+    Each row holds Y's survival terms and X's negated, shifted terms
+    ``(a * r, -(c * exp(-r * b)))``, with the exponentials taken once per
+    distinct b as :meth:`ExpSum._shifted_terms` takes them.  A row that
+    :func:`canonical_rows` keeps term for term has its gap's coefficients;
+    any other row takes them from its gap, padded behind with zeros, which
+    add no prefix-sum sign change.  So each row's zero bound
+    (:func:`prefix_sign_changes_rows`) and tail sign are its gap's.  The
+    probe is kept when both starts admit a violating tuple and pruned when
+    neither does; otherwise its gap is built to read ``sign_at_zero()``,
+    and ``gaps`` keeps it for the scan.  Rows go in chunks of at most
+    ``_BLOCK`` entries.
+    """
+    x, y = gaps.surv_x, gaps.surv_y
+    shifted = {
+        b: [-(c * math.exp(-r * b)) for r, c in zip(x.rates, x.coeffs)]
+        for b in dict.fromkeys(b for _, b in grid)
+    }
+    n = y.n_terms + x.n_terms
+    step = max(1, _BLOCK // n)
+    starts: dict[tuple[int, int], tuple[bool, bool]] = {}
+    kept = []
+    for i in range(0, len(grid), step):
+        part = grid[i : i + step]
+        a = np.array([a for a, _ in part])
+        coeffs = np.array([y.coeffs + tuple(shifted[b]) for _, b in part])
+        # A rate that overflows leaves its row to its gap, which raises as
+        # it always has.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = np.hstack([np.broadcast_to(y.rates, (len(part), y.n_terms)),
+                               a[:, None] * np.array(x.rates)])
+            coeffs, exact = canonical_rows(rates, coeffs)
+        for j in np.flatnonzero(~exact).tolist():
+            gap = gaps(*part[j])
+            coeffs[j] = gap.coeffs + (0.0,) * (n - gap.n_terms)
+        bounds = prefix_sign_changes_rows(coeffs).tolist()
+        for ab, key in zip(part, zip(bounds, np.sign(coeffs[:, 0]).astype(int).tolist())):
+            if key not in starts:
+                starts[key] = tuple(any(map(violating, sign_tuples((s,), *key))) for s in (1, -1))
+            up, down = starts[key]
+            keep = up
+            if up != down:
+                s0, _ = gaps(*ab).sign_at_zero()
+                keep = s0 == 0 or (up if s0 > 0 else down)
+            if keep:
+                kept.append(ab)
+    return kept
+
+
 def _pruned_scan(
-    gaps: Callable[[float, float], ExpSum],
+    gaps: _Gaps,
     grid: list[tuple[float, float]],
     violates: Callable[[SignPattern], bool],
     violating: Callable[[tuple[str, ...]], bool],
     opts: ScanOptions,
 ) -> tuple[Witness | None, list[tuple[float, SignPattern]], list[tuple[float, float]]]:
     """The first certified violation on ``grid``, scanned only where the
-    gap's :func:`possible_signs` include a sign tuple that ``violating``
-    accepts: a probe without one cannot yield a certified violation, so
-    the hit is the same probe as on the whole grid.
+    gap's ``possible_signs`` include a sign tuple that ``violating``
+    accepts (:func:`_may_violate`): a probe without one cannot yield a
+    certified violation, so the hit is the same probe as on the whole grid.
 
     The kept probes are scanned without flip bisection and only the hit is
     scanned again with it (:func:`_bisected`), so it is byte-identical to a
     fully bisected scan's.  Returns the hit (or None), the scanned
     (a, pattern) pairs and the pruned probes.
     """
-    kept = {ab for ab in grid if any(map(violating, possible_signs(gaps(*ab))))}
-    hit, scanned = _scan(gaps, [ab for ab in grid if ab in kept], violates, opts, refine=False)
+    kept = _may_violate(gaps, grid, violating)
+    hit, scanned = _scan(gaps, kept, violates, opts, refine=False)
     if hit is not None:
         hit = _bisected(gaps, hit, violates, opts)
-    return hit, scanned, [ab for ab in grid if ab not in kept]
+    kept_set = set(kept)
+    return hit, scanned, [ab for ab in grid if ab not in kept_set]
 
 
 def _unconfirmed_region(
@@ -531,14 +596,16 @@ def convex_check(
 ) -> OrderVerdict:
     """Decide the convex transform order between two 2-component systems.
 
-    The star order is established first; when it holds only b >= 0 needs
-    scanning.  A homogeneous base system yields an analytic HOLDS (the
-    parameter strip is empty and every regime is favorable).  A majorized,
-    strictly heterogeneous pair admits a constructed violation, so the
-    verdict is FAILS with the search's witness.  Everything else stays
-    numerical: a certified violating pattern on the (a, b) grid gives
-    FAILS, otherwise INCONCLUSIVE (grids cannot certify HOLDS unless
-    explicitly allowed).
+    Identical rates give an analytic HOLDS (the composed transform is the
+    identity), and so does a homogeneous base system (the parameter strip
+    is empty and every regime is favorable).  A majorized, strictly
+    heterogeneous pair admits a constructed violation, so the verdict is
+    FAILS with the search's witness.  Everything else stays numerical: a
+    certified violating pattern on the (a, b) grid, b >= 0, gives FAILS,
+    otherwise INCONCLUSIVE.  Grids cannot certify HOLDS; with
+    ``allow_numerical_holds`` a complete grid gives a numerical HOLDS when
+    ``star_check`` also holds, since the convex order implies the star
+    order.
 
     The grid is pruned first (``_pruned_scan``): a probe whose gap has no
     violating sign tuple among ``possible_signs`` is not scanned, since no

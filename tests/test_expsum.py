@@ -1100,6 +1100,62 @@ def test_prefix_sum_bound_of_random_sums_holds_at_40_digits():
     assert sharper > 0
 
 
+def scalar_prefix_sign_changes(coeffs):
+    """The prefix-sum sign changes from one float running sum, term by
+    term: the scalar form of expsum.prefix_sign_changes_rows."""
+    changes, last = 0, 0
+    run = mags = 0.0
+    for k, c in enumerate(coeffs):
+        run += c
+        mags += abs(c)
+        total = run if abs(run) > k * expsum._EPS * mags else math.fsum(coeffs[: k + 1])
+        sign = (total > 0.0) - (total < 0.0)
+        if sign:
+            changes += sign == -last
+            last = sign
+    return changes
+
+
+def test_prefix_sign_changes_rows_equal_the_scalar_loop():
+    rng = np.random.default_rng(41)
+    sums = [random_expsum(rng) for _ in range(150)]
+    # Each survival is 1 at 0, so every b = 0 gap's last prefix is exactly 0.
+    zero_ends = []
+    for n in (2, 2, 3, 3, 4) * 8:
+        lam, theta = (HazardVector(tuple(rng.uniform(0.2, 8.0, n).tolist())) for _ in "xy")
+        zero_ends.append(survival(theta) - survival(lam).shift_scale(rng.uniform(0.1, 3.0)))
+    assert all(f.derivative_sum(0) == 0.0 for f in zero_ends)
+    fixed = [ExpSum((), ()), SHARPER_PREFIX_SUM, ZERO_AT_ORIGIN_SUM,
+             ExpSum((1.0, 2.0, 3.0), (1.0, -1.0, 1e-300)),
+             ExpSum((1.0, 2.0, 3.0), (1e16, 1.0, -1e16)),
+             ExpSum((1.0, 2.0, 3.0, 4.0), (1.0, 2.0**53, -(2.0**53) - 2.0, 2.0))]
+    fs = sums + zero_ends + fixed
+    want = [scalar_prefix_sign_changes(f.coeffs) for f in fs]
+    assert [f.prefix_sign_changes() for f in fs] == want
+    # All rows at once, each padded behind with zeros, which repeat its
+    # last prefix and so add no change.
+    width = max(f.n_terms for f in fs)
+    rows = np.array([f.coeffs + (0.0,) * (width - f.n_terms) for f in fs])
+    assert expsum.prefix_sign_changes_rows(rows).tolist() == want
+
+
+def test_canonical_rows_mark_the_rows_canonicalize_keeps():
+    rng = np.random.default_rng(43)
+    rates = rng.uniform(0.5, 3.0, (200, 4))
+    rates[::5, 1] = rates[::5, 0] * (1.0 + 1e-13)  # merged
+    rates[1::9, 3] = rates[1::9, 2]  # merged
+    coeffs = rng.uniform(-2.0, 2.0, (200, 4))
+    coeffs[::7, 2] = -1e-13  # dropped
+    sorted_coeffs, exact = expsum.canonical_rows(rates, coeffs)
+    assert 0 < exact.sum() < 150
+    for r, c, row, kept in zip(rates.tolist(), coeffs.tolist(), sorted_coeffs.tolist(),
+                               exact.tolist()):
+        f = canonicalize(zip(r, c))
+        assert kept == (f.n_terms == 4)
+        if kept:
+            assert f.coeffs == tuple(row)
+
+
 def test_certified_signs_of_random_sums_are_possible():
     rng = np.random.default_rng(23)
     for _ in range(150):

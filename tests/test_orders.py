@@ -471,6 +471,56 @@ def convex_grid_work(lam, theta, monkeypatch):
     return convex_check(lam, theta), patterns[0], calls[0]
 
 
+def convex_grid(lam, theta):
+    b_scale = 1.0 / (theta.rates[0] + theta.rates[-1])
+    return [(a, f * b_scale) for a in orders._a_grid(lam, theta) for f in orders.B_FACTORS]
+
+
+class TestArrayPrefilter:
+    """The array pass of the pruned grids keeps exactly the probes whose
+    possible_signs hold a violating tuple, for both orders' predicates."""
+
+    @staticmethod
+    def assert_keeps_possible_violations(lam, theta, grid):
+        gaps = orders._Gaps(lam, theta)
+        for violating in (orders._convex_signs, orders._star_signs):
+            want = [ab for ab in grid if any(map(violating, expsum.possible_signs(gaps(*ab))))]
+            assert orders._may_violate(orders._Gaps(lam, theta), grid, violating) == want
+
+    @pytest.mark.parametrize("lam, theta", [
+        (THETA, LAM),
+        (HazardVector((1, 4)), HazardVector((2, 2.5))),
+        (HazardVector((2, 3)), HazardVector((3, 7))),
+        RESCALED_NARROW,
+        (HazardVector((1, 1000)), HazardVector((0.5, 1000.5))),
+        (HazardVector((1, 1.000001)), HazardVector((0.9999995, 1.0000015))),
+        (HazardVector((1e-13, 2e-13)), HazardVector((1.5e-13, 2.5e-13))),
+    ], ids=["reversed-classic", "(1,4)-(2,2.5)", "(2,3)-(3,7)", "rescaled-narrow",
+            "rates-near-1000", "near-degenerate", "rates-near-1e-13"])
+    def test_named_pairs(self, lam, theta):
+        self.assert_keeps_possible_violations(lam, theta, convex_grid(lam, theta))
+
+    @pytest.mark.parametrize("lam, theta", [(THETA, LAM), RESCALED_NARROW],
+                             ids=["reversed-classic", "rescaled-narrow"])
+    def test_probes_whose_terms_canonicalize_changes(self, lam, theta):
+        # At b = 40 every shifted coefficient of X falls below 1e-12 and is
+        # dropped; at the strip ends a * lam_i meets theta_1 and two terms
+        # merge (exactly, on the reversed classic pair).
+        a_lo, a_hi = orders._strip(lam, theta)
+        grid = [(a, b) for a in (a_lo, 0.5 * (a_lo + a_hi), a_hi) for b in (0.0, 0.05, 40.0)]
+        gaps = orders._Gaps(lam, theta)
+        changed = [ab for ab in grid if gaps(*ab).n_terms < 6]
+        assert len(changed) == 7
+        self.assert_keeps_possible_violations(lam, theta, grid)
+
+    def test_random_pairs_of_any_size(self, monkeypatch):
+        monkeypatch.setattr(orders, "_BLOCK", 256)  # several chunks per grid
+        rng = np.random.default_rng(37)
+        for n in (2, 2, 3, 3, 4, 5):
+            lam, theta = (HazardVector(tuple(rng.uniform(0.2, 8.0, n).tolist())) for _ in "xy")
+            self.assert_keeps_possible_violations(lam, theta, convex_grid(lam, theta))
+
+
 class TestExactZeroAtOrigin:
     """possible_signs allows one change fewer when the gap's coefficients
     sum to exactly 0, as at every b = 0 probe of the convex grid."""
