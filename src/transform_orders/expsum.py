@@ -356,15 +356,15 @@ def canonicalize(
     return ExpSum(tuple(out_r), tuple(out_c))
 
 
-def canonical_rows(
-    rates: np.ndarray, coeffs: np.ndarray, tol: float = DEFAULT_MERGE_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def canonical_rows(rates: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients of each row of the (rows x terms) arrays, sorted by
     rate, and a mask of the rows that :func:`canonicalize` keeps term for
-    term: finite nonnegative rates, none within ``tol * max(1, rate)`` of its
+    term at ``DEFAULT_MERGE_TOL``, the tolerance every gap is built with:
+    finite nonnegative rates, none within ``tol * max(1, rate)`` of its
     predecessor, and every ``|c| > tol``.  A masked row's sorted
     coefficients are those of its canonical sum, bit for bit; any other
     row would have terms merged or dropped (or raise)."""
+    tol = DEFAULT_MERGE_TOL
     order = np.argsort(rates, axis=1)
     rates = np.take_along_axis(rates, order, axis=1)
     coeffs = np.take_along_axis(coeffs, order, axis=1)
