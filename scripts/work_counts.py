@@ -6,7 +6,7 @@ Wall times on a small shared machine spread too widely to compare two
 trees; these counts do not move between runs.  For each verdict the line
 reads
 
-    name evaluator_calls=E sign_patterns_calls=C patterns=P dip_split=D geomspace=G canonicalize=K
+    name evaluator_calls=E sign_patterns_calls=C patterns=P dip_split=D geomspace=G canonicalize=K eval_blocks=B
 
 - ``evaluator_calls``: calls of the certified evaluator (``scaled_rows``
   or ``ExpSum._scaled_many``) not made from inside another one;
@@ -16,7 +16,9 @@ reads
 - ``geomspace``: calls of ``numpy.geomspace`` (sign grids and a-grids);
 - ``canonicalize``: calls of ``expsum.canonicalize`` through the module
   attribute (one per gap built, two where shifted terms merge);
-  ``systems.survival`` holds its own reference and is not counted.
+  ``systems.survival`` holds its own reference and is not counted;
+- ``eval_blocks``: calls of the evaluator's block routine
+  ``expsum._scaled_block``, one per block of points of each evaluator call.
 
 With ``--check FILE`` the lines are compared with those stored in FILE
 (``scripts/work_counts.txt`` holds the counts of this tree): the script
@@ -131,12 +133,14 @@ def work(run, *args) -> Counter:
         patch(mock.patch.object(np, "geomspace", counted(counts, "geomspace", np.geomspace)))
         patch(mock.patch.object(expsum, "canonicalize",
                                 counted(counts, "canonicalize", expsum.canonicalize)))
+        patch(mock.patch.object(expsum, "_scaled_block",
+                                counted(counts, "eval_blocks", expsum._scaled_block)))
         run(*args)
     return counts
 
 
 KEYS = ("evaluator_calls", "sign_patterns_calls", "patterns", "dip_split", "geomspace",
-        "canonicalize")
+        "canonicalize", "eval_blocks")
 
 
 def parse(line: str) -> tuple[str, dict[str, int]]:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -109,8 +108,8 @@ class ExpSum:
         For x >= 0 no term exceeds |c_i|, so this unscaled form cannot
         overflow; x < 0 is outside its domain.  Bulk value paths (oracles,
         quantiles, Monte Carlo) use it because :func:`scaled_rows` costs
-        about 3.5 to 4.5 times as much per 2000-point call (sums of 3, 6
-        and 41 terms, on a 2-CPU machine).
+        about 2 to 3 times as much per 2000-point call (best of 40 repeats
+        on sums of 3, 6 and 41 terms, on a 2-CPU machine).
         """
         xs = np.asarray(xs, dtype=float)
         s = np.zeros_like(xs)
@@ -246,6 +245,41 @@ class ExpSum:
         return max(worst, 0.0)
 
 
+class _PaddedSums:
+    """A list of sums with the (terms x sums) arrays of their shared
+    padded layout, built once: minus the rates and the coefficients, each
+    sum padded in front, up to the largest term count, with zero
+    coefficients at its own first rate (see :func:`scaled_rows`).  A scan
+    block hands one to each of its evaluator calls, and a subset of the
+    sums (:meth:`take`) is a column take of the arrays."""
+
+    def __init__(self, fs: Iterable[ExpSum], neg_rates=None, coeffs=None):
+        self.fs = list(fs)
+        if neg_rates is None:
+            n = max([1] + [f.n_terms for f in self.fs])  # the zero sum gets one padding term
+            shape = len(self.fs), n
+            neg_rates = -np.array(
+                [(f.rates[:1] or (0.0,)) * (n - f.n_terms) + f.rates for f in self.fs], dtype=float
+            ).reshape(shape).T
+            coeffs = np.array(
+                [(0.0,) * (n - f.n_terms) + f.coeffs for f in self.fs], dtype=float
+            ).reshape(shape).T
+        self.neg_rates, self.coeffs = neg_rates, coeffs
+        self.zero = [k for k, f in enumerate(self.fs) if f.is_zero]
+
+    def __len__(self) -> int:
+        return len(self.fs)
+
+    def __iter__(self):
+        return iter(self.fs)
+
+    def take(self, ks: Sequence[int]) -> "_PaddedSums":
+        """The sums fs[k] for k in ks, in that order, in this layout."""
+        return _PaddedSums(
+            [self.fs[k] for k in ks], self.neg_rates[:, ks], self.coeffs[:, ks]
+        )
+
+
 def scaled_rows(fs: Sequence[ExpSum], xss) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate each sum fs[k] on its own 1-D array xss[k], as (s, m, err)
     with the rows concatenated in order: f = s * exp(m), |rounding| <= err.
@@ -262,61 +296,84 @@ def scaled_rows(fs: Sequence[ExpSum], xss) -> tuple[np.ndarray, np.ndarray, np.n
     front, up to the largest term count, with zero coefficients at its
     own first rate.  That changes no bit of any row: a padding term is
     exactly +0 (its exponent is <= 0 and its coefficient 0), so the Kahan
-    sum and compensation stay +0 until the first real term and the
-    cumsums of the bound and of |terms| only add exact zeros in front,
+    sum and compensation stay +0 until the first real term and the in-order
+    sums of the bound and of |terms| only add exact zeros in front,
     while m is still the first real rate's term for x >= 0 and the last
-    term's for x < 0.  The zero sum is (+0, +0, +0) everywhere.
+    term's for x < 0.  The zero sum is (+0, +0, +0) everywhere.  A
+    :class:`_PaddedSums` brings its layout along, which a scan block builds
+    once for all of its calls; any other sequence is laid out here.
+
+    The points go in blocks of max(_BLOCK // terms, min(points, 1024)),
+    and each block in chunks of terms that span all of its points, with
+    at most _BLOCK (term, point) pairs to a chunk (one chunk when all the
+    terms fit).  So a long sum is summed over rows of up to 1024 points
+    instead of _BLOCK // terms, and memory stays bounded; see
+    :func:`_scaled_block`.
     """
+    sums = fs if isinstance(fs, _PaddedSums) else _PaddedSums(fs)
     sizes = [len(x) for x in xss]
     xs = np.concatenate(xss, dtype=float) if xss else np.zeros(0)
     s, m, err = np.zeros((3, xs.size))
-    n = max([1] + [f.n_terms for f in fs])  # the zero sum gets one padding term
-    neg_rates = -np.array([(f.rates[:1] or (0.0,)) * (n - f.n_terms) + f.rates for f in fs]).T
-    coeffs = np.array([(0.0,) * (n - f.n_terms) + f.coeffs for f in fs]).T
-    owner = np.repeat(np.arange(len(fs)), sizes)  # the row of each point
-    step = max(1, _BLOCK // n)  # points are independent
+    owner = np.repeat(np.arange(len(sizes)), sizes)  # the column of each point
+    step = max(_BLOCK // sums.neg_rates.shape[0], min(xs.size, 1024))  # points are independent
     for i in range(0, xs.size, step):
         part = slice(i, i + step)
-        exps = np.take(neg_rates, owner[part], axis=1)
-        exps *= xs[part]
-        c = np.take(coeffs, owner[part], axis=1)
-        s[part], m[part], err[part] = _scaled_block(exps, c, xs[part])
-    for f, end, size in zip(fs, accumulate(sizes), sizes):
-        if f.is_zero:  # its padding term left m = -0.0 * x
-            m[end - size : end] = 0.0
+        s[part], m[part], err[part] = _scaled_block(sums.neg_rates, sums.coeffs, owner[part], xs[part])
+    if sums.zero:  # a zero sum's padding term left m = -0.0 * x
+        m[np.isin(owner, sums.zero)] = 0.0
     return s, m, err
 
 
-def _scaled_block(exps, coeffs, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(s, m, err) at xs from the (terms x points) array exps of -rate * x,
-    which it overwrites, and the matching coefficients."""
-    # Three (terms x points) arrays, reused in place to bound peak memory.
-    m = np.where(xs >= 0.0, exps[0], exps[-1])
-    bounds = np.abs(exps)
-    bounds += np.abs(m)
-    bounds *= 2.0
-    bounds += 4.0
-    terms = np.exp(np.subtract(exps, m, out=exps), out=exps)
-    terms *= coeffs
-    mags = np.abs(terms)
-    bounds *= mags
-    bounds *= _EPS
-    # Both sums add the terms in order: a reduction over the outer axis
-    # adds whole rows for two or more points, but goes pairwise for one x,
-    # where the last row of a cumsum is the in-order sum.
-    if xs.size > 1:
-        abs_sum, err = np.add.reduce(mags, axis=0), np.add.reduce(bounds, axis=0)
-    else:
-        abs_sum, err = np.cumsum(mags, axis=0)[-1], np.cumsum(bounds, axis=0)[-1]
-    err += 2.0 * _EPS * abs_sum
+def _scaled_block(neg_rates, coeffs, owner, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, m, err) at the points xs of the sums (columns) owner of the
+    padded (terms x sums) arrays neg_rates and coeffs.
+
+    The terms go in chunks of at most _BLOCK // points rows.  Each chunk
+    is laid out as a (terms x points) array and summed in term order; the
+    Kahan state carries over from chunk to chunk, and so do both in-order
+    sums: the running total is added into the chunk's first row before it
+    is reduced, so every bit is that of one pass over all the terms.
+    """
+    n, width = neg_rates.shape[0], max(1, _BLOCK // xs.size)
     s, tot, comp = np.zeros(xs.shape), np.empty(xs.shape), np.zeros(xs.shape)
-    for t in terms:  # Kahan summation over terms, all points at once
-        t -= comp
-        np.add(s, t, out=tot)
-        np.subtract(tot, s, out=comp)
-        comp -= t
-        s, tot = tot, s
+    for t0 in range(0, n, width):
+        # Three (chunk x points) arrays, reused in place to bound peak memory.
+        exps = np.take(neg_rates[t0 : t0 + width], owner, axis=1)
+        exps *= xs
+        if not t0:  # m from the first and the last term, in this chunk if it holds all
+            last = exps[-1] if n <= width else neg_rates[-1, owner] * xs
+            m = np.where(xs >= 0.0, exps[0], last)
+            abs_m = np.abs(m)
+        bounds = np.abs(exps)
+        bounds += abs_m
+        bounds *= 2.0
+        bounds += 4.0
+        terms = np.exp(np.subtract(exps, m, out=exps), out=exps)
+        terms *= np.take(coeffs[t0 : t0 + width], owner, axis=1)
+        mags = np.abs(terms)
+        bounds *= mags
+        bounds *= _EPS
+        if t0:
+            mags[0] += abs_sum
+            bounds[0] += err
+        abs_sum, err = _in_order_sum(mags), _in_order_sum(bounds)
+        for t in terms:  # Kahan summation over terms, all points at once
+            t -= comp
+            np.add(s, t, out=tot)
+            np.subtract(tot, s, out=comp)
+            comp -= t
+            s, tot = tot, s
+    err += 2.0 * _EPS * abs_sum
     return s, m, err
+
+
+def _in_order_sum(rows: np.ndarray) -> np.ndarray:
+    """The sum over the outer axis, adding the rows in order.  A reduction
+    over the outer axis adds whole rows for two or more points, but goes
+    pairwise for one, where the last row of a cumsum is the in-order sum."""
+    if rows.shape[1] > 1:
+        return np.add.reduce(rows, axis=0)
+    return np.cumsum(rows, axis=0)[-1]
 
 
 def canonicalize(
@@ -552,16 +609,17 @@ def _evaluated(fs: Sequence[ExpSum], xss, opts: ScanOptions) -> _Pts:
     return _Pts(np.concatenate(xss, dtype=float), s, m, logmag, sign)
 
 
-def _lockstep(fs: Sequence[ExpSum], gens: list, opts: ScanOptions) -> list:
+def _lockstep(fs: _PaddedSums, gens: list, opts: ScanOptions) -> list:
     """Run the step generators gens[k], one for each sum fs[k], together.
 
     A step generator yields each x-array it needs evaluated, is sent back
     those points as :class:`_Pts` in request order, and returns its result.
     Each round, the requests of all running generators go to one
-    :func:`scaled_rows` call; a flip-bisection request holds BISECT_LEVELS
-    levels of each bracket (see :func:`_refine_flips`).  The generators of
-    sign scans and root scans start from the points of :func:`_grid_phase`,
-    which has already evaluated the grids and dip passes of all the sums.
+    :func:`scaled_rows` call, with their sums taken from the block's
+    layout; a flip-bisection request holds BISECT_LEVELS levels of each
+    bracket (see :func:`_refine_flips`).  The generators of sign scans and
+    root scans start from the points of :func:`_grid_phase`, which has
+    already evaluated the grids and dip passes of all the sums.
     """
     results: list = [None] * len(gens)
     pending: dict[int, np.ndarray] = {}
@@ -577,7 +635,7 @@ def _lockstep(fs: Sequence[ExpSum], gens: list, opts: ScanOptions) -> list:
     while pending:
         ks, xss = list(pending), list(pending.values())
         pending.clear()
-        pts = _evaluated([fs[k] for k in ks], xss, opts)
+        pts = _evaluated(fs.take(ks), xss, opts)
         end = 0
         for k, xs in zip(ks, xss):
             advance(k, pts.take(slice(end, end + xs.size)))
@@ -701,33 +759,62 @@ def _dip_split(pts: _Pts, owner: np.ndarray | None = None) -> np.ndarray:
     return split
 
 
-def _grid_phase(fs: Sequence[ExpSum], grids, opts: ScanOptions) -> list[_Pts]:
+def _grid_phase(fs: _PaddedSums, grids, opts: ScanOptions) -> list[_Pts]:
     """Evaluate each sum fs[k] on its sorted grid grids[k], then run up to
     DIP_PASSES passes that halve the intervals :func:`_dip_split` picks, to
     expose narrow regions; returns each sum's points by x.
 
     The points of all sums are held in one array sorted by (owner, x), so
     the grid and every dip pass take one evaluator call and one split, one
-    midpoint and one sort for the whole block.  A sum whose split is empty
-    stays so, as its points no longer change.
+    midpoint and one merge for the whole block: each midpoint goes in
+    right behind its interval's left end (see :func:`_dip_slots`).  A sum
+    whose split is empty stays so, as its points no longer change.
     """
     owner = np.repeat(np.arange(len(fs)), [len(grid) for grid in grids])
     if not owner.size:
         return [_NO_PTS] * len(fs)
     pts = _evaluated(fs, grids, opts)
     for _ in range(DIP_PASSES):
-        split = _dip_split(pts, owner)
-        if not split.any():
+        left = np.flatnonzero(_dip_split(pts, owner))
+        if not left.size:
             break
-        new_owner = owner[:-1][split]
-        mids = _mids(pts.x[:-1][split], pts.x[1:][split])
+        new_owner = owner[left]
+        mids = _mids(pts.x[left], pts.x[left + 1])
         rows = np.split(mids, np.cumsum(np.bincount(new_owner, minlength=len(fs)))[:-1])
-        both = _Pts(*(np.concatenate(pair) for pair in zip(pts, _evaluated(fs, rows, opts))))
-        owner = np.concatenate((owner, new_owner))
-        order = np.lexsort((both.x, owner))  # stable: at equal keys the old point first
-        pts, owner = both.take(order), owner[order]
+        new = _evaluated(fs, rows, opts)
+        new_at = _dip_slots(pts.x, owner, left, mids) + np.arange(left.size)  # index once merged
+        fresh = np.zeros(owner.size + left.size, dtype=bool)
+        fresh[new_at] = True
+        old_at = np.flatnonzero(~fresh)
+        pts = _Pts(*(_spliced(old, old_at, add, new_at) for old, add in zip(pts, new)))
+        owner = _spliced(owner, old_at, new_owner, new_at)
     ends = np.searchsorted(owner, np.arange(len(fs) + 1)).tolist()
     return [pts.take(slice(a, b)) for a, b in zip(ends, ends[1:])]
+
+
+def _dip_slots(x: np.ndarray, owner: np.ndarray, left: np.ndarray, mids: np.ndarray) -> np.ndarray:
+    """For each midpoint mids[j] of the interval from point left[j] to the
+    next, the index of the old point it goes in front of, so that the
+    points stay sorted by (owner, x) with the old points first at equal
+    keys, in the order a stable ``np.lexsort((x, owner))`` of the old, then
+    the new points gives.  That is the interval's right end, as
+    :func:`_mids` never leaves [lo, hi]; where the midpoint equals that
+    end, it is the first point after it of a larger x or another sum."""
+    at = left + 1
+    for j in np.flatnonzero(mids == x[at]).tolist():
+        k = at[j]
+        while k < x.size and owner[k] == owner[left[j]] and x[k] == mids[j]:
+            k += 1
+        at[j] = k
+    return at
+
+
+def _spliced(old: np.ndarray, old_at: np.ndarray, new: np.ndarray, new_at: np.ndarray) -> np.ndarray:
+    """The entries of old and new, placed at the indices old_at and new_at."""
+    out = np.empty(old.size + new.size, dtype=old.dtype)
+    out[old_at] = old
+    out[new_at] = new
+    return out
 
 
 def _zero_walk(pts: _Pts, s0: int):
@@ -760,10 +847,12 @@ def sign_pattern(f: ExpSum, opts: ScanOptions | None = None) -> SignPattern:
 def sign_patterns(
     fs: Sequence[ExpSum], opts: ScanOptions | None = None, *, refine: bool = True
 ) -> list[SignPattern]:
-    """``[sign_pattern(f) for f in fs]``, computed together.  The grid
-    phase runs once for the whole block: one geomspace call builds every
-    grid, and the grid and each dip pass take one evaluator call over the
-    points of all sums (see :func:`_grid_phase`).  Then each scan's step
+    """``[sign_pattern(f) for f in fs]``, computed together.  The sums
+    are laid out once (:class:`_PaddedSums`) for every evaluator call of
+    the block.  The grid phase runs once for the whole block: one
+    geomspace call builds every grid, and the grid and each dip pass take
+    one evaluator call over the points of all sums (see
+    :func:`_grid_phase`).  Then each scan's step
     generator goes on from its own points in lock step: each 0+ walk,
     flip-bisection round (BISECT_LEVELS levels; see :func:`_refine_flips`)
     and guessed end region evaluates the points that every scan still
@@ -778,7 +867,7 @@ def sign_patterns(
     in its signs, since which region is dropped as the weakest depends on
     the witness values.
     """
-    fs, opts = list(fs), opts or ScanOptions()
+    fs, opts = _PaddedSums(fs), opts or ScanOptions()
     grids = _grid_phase(fs, _sign_grids(fs), opts)
     return _lockstep(fs, [_pattern_steps(f, pts, refine) for f, pts in zip(fs, grids)], opts)
 
@@ -963,8 +1052,9 @@ def count_roots(
     grid = list(np.linspace(lo, hi, BASE_POINTS))
     if lo < 0.0 < hi:
         grid.extend([0.0, -1e-12 * abs(lo), 1e-12 * hi])
-    (pts,) = _grid_phase([f], [np.array(sorted(set(grid)), dtype=float)], opts)
-    return _lockstep([f], [_root_steps(f, pts, lo, hi, opts)], opts)[0]
+    fs = _PaddedSums([f])
+    (pts,) = _grid_phase(fs, [np.array(sorted(set(grid)), dtype=float)], opts)
+    return _lockstep(fs, [_root_steps(f, pts, lo, hi, opts)], opts)[0]
 
 
 def _root_steps(f: ExpSum, pts: _Pts, lo: float, hi: float, opts: ScanOptions):

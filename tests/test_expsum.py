@@ -254,20 +254,51 @@ class TestScaledRows:
                 total = tot
             assert (s[i], m[i], err[i]) == (total, mx, bound + 2.0 * eps * abs_sum)
 
-    @pytest.mark.parametrize("points", [1, 2, 3, 300])
+    @staticmethod
+    def block_of_one_sum(f, xs):
+        """_scaled_block at xs on the layout of f alone, and the reference."""
+        sums = expsum._PaddedSums([f])
+        owner = np.zeros(xs.size, dtype=np.intp)
+        got = expsum._scaled_block(sums.neg_rates, sums.coeffs, owner, xs)
+        exps = -np.outer(f.rates, xs)
+        coeffs = np.repeat(np.array(f.coeffs)[:, None], xs.size, axis=1)
+        return got, cumsum_scaled_block(exps, coeffs, xs)
+
+    @pytest.mark.parametrize("points", [1, 2, 3, 300, 2000])
     @pytest.mark.parametrize("n", [1, 6, 63])
     def test_in_order_sums_match_cumsum(self, n, points):
         # _scaled_block reduces over the terms for two or more points; the
         # reference takes the last row of a cumsum, which adds in term order
         # for any number of points.  Near x = 0 every term counts, so a sum
         # in another order (pairwise, for 63 terms at one point) differs.
+        # 63 terms at 300 or 2000 points go in several term chunks.
         rng = np.random.default_rng(n * 1000 + points)
         f = self.random_sum(rng, n)
-        xs = rng.uniform(-0.05, 0.05, points)
-        exps = -np.outer(f.rates, xs)
-        coeffs = np.repeat(np.array(f.coeffs)[:, None], points, axis=1)
-        got = expsum._scaled_block(exps.copy(), coeffs, xs)
-        want = cumsum_scaled_block(exps.copy(), coeffs, xs)
+        got, want = self.block_of_one_sum(f, rng.uniform(-0.05, 0.05, points))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("points", [1, 2, 3, 300])
+    def test_in_order_sums_carry_across_chunks(self, monkeypatch, points):
+        # With a 16-entry block, 63 terms go in chunks of 16 terms at one
+        # point and of one term at 300: the Kahan state and both running
+        # sums must carry over from chunk to chunk, the one-point cumsum too.
+        monkeypatch.setattr(expsum, "_BLOCK", 16)
+        rng = np.random.default_rng(points)
+        got, want = self.block_of_one_sum(self.random_sum(rng, 63), rng.uniform(-0.05, 0.05, points))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_long_row_in_point_blocks_matches_cumsum(self, monkeypatch):
+        # One 63-term row on more than _BLOCK points: blocks of 1024 points,
+        # each in several term chunks, give the bytes of one pass over all.
+        rng = np.random.default_rng(17)
+        f = self.random_sum(rng, 63)
+        xs = rng.uniform(-0.05, 0.05, _BLOCK + 500)
+        calls = self.counted_blocks(monkeypatch)
+        got = scaled_rows([f], [xs])
+        assert calls[0] == -(-xs.size // 1024) and 63 * 1024 > _BLOCK
+        want = cumsum_scaled_block(-np.outer(f.rates, xs), np.array(f.coeffs)[:, None], xs)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
@@ -292,20 +323,43 @@ class TestScaledRows:
         scaled_rows(fs, [rng.uniform(0.0, 20.0, 4) for _ in fs])
         assert calls[0] == 1
 
-    def test_mixed_batch_passes_fewer_than_term_counts(self, monkeypatch):
-        # The batch of test_mixed_batch_matches_rows_alone: term counts 0..63.
+    @staticmethod
+    def mixed_batch():
+        """The batch of test_mixed_batch_matches_rows_alone: term counts 0..63."""
         rng = np.random.default_rng(3)
         fs = [ExpSum((), ())]
-        fs += [self.random_sum(rng, n) for n in list(range(1, 64)) + [2, 6, 6, 15, 15, 63]]
+        fs += [TestScaledRows.random_sum(rng, n) for n in list(range(1, 64)) + [2, 6, 6, 15, 15, 63]]
         order = rng.permutation(len(fs))
         fs = [fs[k] for k in order]
         xss = [rng.uniform(-20.0, 60.0, int(rng.integers(0, 41))) for _ in fs]
+        return fs, xss
+
+    def test_mixed_batch_passes_fewer_than_term_counts(self, monkeypatch):
+        fs, xss = self.mixed_batch()
         calls = self.counted_blocks(monkeypatch)
         scaled_rows(fs, xss)
-        # One pass per _BLOCK // 63 points, fewer than one per term count.
+        # One pass per block of max(_BLOCK // 63, min(points, 1024)) points,
+        # fewer than one per term count.
         points = sum(len(xs) for xs in xss)
         counts = {f.n_terms for f, xs in zip(fs, xss) if len(xs) and not f.is_zero}
-        assert calls[0] == -(-points // (_BLOCK // 63)) < len(counts)
+        assert calls[0] == -(-points // max(_BLOCK // 63, min(points, 1024))) < len(counts)
+
+    def test_cached_layout_and_its_columns_match_a_fresh_list(self):
+        # A scan block lays its sums out once and hands column takes of that
+        # layout to its later rounds; the 63-term sums pad every other row.
+        fs, xss = self.mixed_batch()
+        sums = expsum._PaddedSums(fs)
+        for got, want in zip(scaled_rows(sums, xss), scaled_rows(list(fs), xss)):
+            assert got.tobytes() == want.tobytes()
+        rng = np.random.default_rng(23)
+        for size in (1, 5, 40):
+            ks = np.sort(rng.choice(len(fs), size, replace=False)).tolist()
+            sub = sums.take(ks)
+            assert list(sub) == [fs[k] for k in ks]
+            got = scaled_rows(sub, [xss[k] for k in ks])
+            want = scaled_rows([fs[k] for k in ks], [xss[k] for k in ks])
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
 
 
 # -- derivative -----------------------------------------------------------
@@ -912,6 +966,68 @@ def test_scan_of_huge_rates_stays_right_of_zero():
         p = sign_pattern(f)
     assert p.regions and all(r.x > 0.0 for r in p.regions)
     assert all((x > 0.0).all() for x, *_ in seen)
+
+
+def assert_dip_slots_are_lexsort(x, owner, left, mids, slots=None):
+    """The merge of _grid_phase puts the old points and the midpoints in
+    the order of a stable lexsort by (owner, x) of old, then new points.
+    Returns how many midpoints equal their interval's right end."""
+    if slots is None:
+        slots = expsum._dip_slots(x, owner, left, mids)
+    merged = np.insert(np.arange(x.size), slots, np.arange(x.size, x.size + mids.size))
+    keys = np.concatenate((x, mids)), np.concatenate((owner, owner[left]))
+    assert merged.tolist() == np.lexsort(keys).tolist()
+    return int(np.count_nonzero(mids == x[left + 1]))
+
+
+def test_dip_slots_match_lexsort_on_random_blocks():
+    # Sorted points per sum with repeated values, some intervals of zero
+    # width, and both midpoint rules (points of both signs).
+    rng = np.random.default_rng(29)
+    at_end = 0
+    for _ in range(200):
+        sizes = rng.integers(1, 12, int(rng.integers(1, 6)))
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        x = np.concatenate([np.sort(rng.choice(rng.uniform(-2.0, 5.0, 6), k)) for k in sizes])
+        inside = np.flatnonzero(owner[1:] == owner[:-1])
+        left = np.sort(rng.choice(inside, rng.integers(0, inside.size + 1), replace=False))
+        at_end += assert_dip_slots_are_lexsort(x, owner, left, expsum._mids(x[left], x[left + 1]))
+    assert at_end > 0
+
+
+def test_dip_slots_at_adjacent_floats():
+    # The midpoint of two adjacent floats is one of them: the arithmetic
+    # rule rounds to even, and so does the fallback where lo * hi
+    # underflows, as at the subnormal grid start of a huge-rate sum.  Each
+    # midpoint of a repeated point equals both ends.
+    lo = np.array([-3.0, np.nextafter(-3.0, 0.0), -5e-324, 5e-324, 1e-323, 2.0**-1070, 1.0, 7.0])
+    x = np.sort(np.concatenate((lo, np.nextafter(lo, np.inf), [7.0 + 2.0**-50] * 2)))
+    left = np.flatnonzero(np.diff(x) <= np.spacing(np.abs(x[1:])))  # adjacent or equal ends
+    mids = expsum._mids(x[left], x[left + 1])
+    assert ((mids == x[left]) | (mids == x[left + 1])).all()
+    strict = x[left] < x[left + 1]
+    assert np.count_nonzero(strict & (mids == x[left])) >= 3
+    assert np.count_nonzero(strict & (mids == x[left + 1])) >= 3
+    assert assert_dip_slots_are_lexsort(x, np.zeros(x.size, dtype=np.intp), left, mids) >= 5
+
+
+def test_dip_slots_in_the_scan_of_huge_rates():
+    # Every dip pass of the scan of a 1e300-rate sum, whose grid starts at
+    # a subnormal x, in a block that also holds the classic witness gap.
+    f = canonicalize([(1e300, 1.0), (2e300, -1.0), (3e300, 0.5)])
+    slots, passes = expsum._dip_slots, [0]
+
+    def checked(x, owner, left, mids):
+        got = slots(x, owner, left, mids)
+        assert_dip_slots_are_lexsort(x, owner, left, mids, got)
+        passes[0] += 1
+        return got
+
+    with mock.patch.object(expsum, "_dip_slots", checked):
+        got = sign_patterns([f, CLASSIC_WITNESS_GAP, f])
+    assert passes[0] == expsum.DIP_PASSES
+    for p, g in zip(got, [f, CLASSIC_WITNESS_GAP, f]):
+        assert_same_pattern(p, sign_pattern(g))
 
 
 # -- two-phase scans ----------------------------------------------------------
