@@ -18,7 +18,8 @@ Sections and their inputs (every input is seeded, so the set is fixed):
   its brackets, for 300 of the random sums on [-5, 10] and [0, 10];
 - ``verdicts``: ``star_check``, ``convex_check``, ``violation_search``
   and ``convex_check_at`` on 8 pairs, evidence included;
-- ``star_check_n``: linspace-rate pairs for n = 3..6, both ways round.
+- ``star_check_higher_n``: ``star_check`` on linspace-rate pairs for
+  n = 3..6, both ways round.
 
 With ``--check FILE`` the lines are compared with those stored in FILE
 (``scripts/repr_digest.txt`` holds the digests of this tree): the script
@@ -45,7 +46,6 @@ from transform_orders import (
     sign_pattern,
     sign_patterns,
     star_check,
-    star_check_n,
     survival,
     violation_search,
 )
@@ -125,10 +125,10 @@ def sections():
         for n in range(3, 7):
             lam = HazardVector(tuple(np.linspace(2.0, 3.0, n).tolist()))
             theta = HazardVector(tuple(np.linspace(1.5, 3.5, n).tolist()))
-            yield star_check_n(lam, theta)
-            yield star_check_n(theta, lam)
+            yield star_check(lam, theta)
+            yield star_check(theta, lam)
 
-    yield "star_check_n", star_n()
+    yield "star_check_higher_n", star_n()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from transform_orders import HazardVector, Status, star_check_n
+from transform_orders import HazardVector, Status, star_check
 
 
 def random_majorized(rng, n, scale=2.0):
@@ -48,7 +48,7 @@ def main():
     fails = 0
     for i in range(args.pairs):
         lam, theta = random_majorized(rng, args.n)
-        verdict = star_check_n(lam, theta)
+        verdict = star_check(lam, theta)
         tag = verdict.status.value
         if verdict.status is Status.FAILS:
             fails += 1

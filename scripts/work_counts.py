@@ -15,7 +15,7 @@ reads
 - ``dip_split``: calls of the dip-pass split rule ``expsum._dip_split``;
 - ``geomspace``: calls of ``numpy.geomspace`` (sign grids and a-grids);
 - ``canonicalize``: calls of ``expsum.canonicalize`` through the module
-  attribute (one per gap built, two where shifted terms merge);
+  attribute (one per gap built);
   ``systems.survival`` holds its own reference and is not counted;
 - ``eval_blocks``: calls of the evaluator's block routine
   ``expsum._scaled_block``, one per block of points of each evaluator call.
@@ -46,7 +46,6 @@ from transform_orders import (
     convex_check_at,
     count_roots,
     star_check,
-    star_check_n,
     survival,
     violation_search,
 )
@@ -84,8 +83,8 @@ VERDICTS = (
     ("convex_check rescaled narrow", convex_check, RESCALED_NARROW),
     ("convex_check_at classic", lambda lam, theta: convex_check_at(lam, theta, 0.749, 0.0125),
      CLASSIC),
-    ("star_check_n n=3", star_check_n, linspace_pair(3)),
-    ("star_check_n n=6", star_check_n, linspace_pair(6)),
+    ("star_check linspace n=3", star_check, linspace_pair(3)),
+    ("star_check linspace n=6", star_check, linspace_pair(6)),
     # The rounds of flip bisection, outside any verdict.
     ("count_roots classic witness", lambda f: count_roots(f, -5.0, 10.0), (CLASSIC_WITNESS_GAP,)),
 )

@@ -33,7 +33,6 @@ from .orders import (
     convex_check_at,
     sign_map,
     star_check,
-    star_check_n,
     violation_search,
 )
 from .systems import MAX_COMPONENTS, HazardVector, failure_rate
@@ -276,11 +275,7 @@ def run(config: RunConfig) -> tuple[int, str]:
     if config.command == "check-star":
         _require(config, "lam", "theta")
         lam, theta = HazardVector(tuple(config.lam)), HazardVector(tuple(config.theta))
-        verdict = (
-            star_check(lam, theta, opts)
-            if lam.n == 2 == theta.n
-            else star_check_n(lam, theta, opts)
-        )
+        verdict = star_check(lam, theta, opts)
         payload = _verdict_payload(verdict)
         code = _verdict_exit(verdict.status)
 

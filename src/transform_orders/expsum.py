@@ -22,7 +22,7 @@ observing them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -145,15 +145,11 @@ class ExpSum:
         return [(r * a, c * math.exp(-r * b)) for r, c in zip(self.rates, self.coeffs)]
 
     def minus_shift_scale(self, other: "ExpSum", a: float, b: float = 0.0) -> "ExpSum":
-        """``self - other.shift_scale(a, b)``, bit for bit, from one
+        """The sum g with g(x) = self(x) - other(a*x + b), from one
         canonicalization of self's terms and the negated, shifted terms of
-        other, with shift_scale's drop rule applied to those first.  Where
-        two shifted terms of other would merge, both steps run as written."""
-        shifted = other._shifted_terms(a, b)
-        tol = DEFAULT_MERGE_TOL
-        if any(r1 - r0 <= tol * max(1.0, r1) for (r0, _), (r1, _) in zip(shifted, shifted[1:])):
-            return self - canonicalize(shifted)
-        return canonicalize([*self.terms(), *((r, -c) for r, c in shifted if abs(c) > tol)])
+        other, so no shifted term is merged or dropped before it meets a
+        term of self at the same rate."""
+        return canonicalize([*self.terms(), *((r, -c) for r, c in other._shifted_terms(a, b))])
 
     def scaled_by(self, k: float) -> "ExpSum":
         if k == 0.0:
@@ -468,9 +464,6 @@ class ScanOptions:
     """
 
     sign_floor: float = 1e-18
-
-    def scaled_floor(self, k: float) -> "ScanOptions":
-        return replace(self, sign_floor=self.sign_floor * k)
 
 
 @dataclass(frozen=True)

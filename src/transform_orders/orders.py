@@ -1,6 +1,6 @@
 """Star and convex transform order decisions between parallel systems:
-exact for two components, an exploratory star scan (``star_check_n``) for
-any equal number.
+exact for two components, and an exploratory star scan in ``star_check``
+for any equal number.
 
 Everything here analyses the gap function
 
@@ -43,23 +43,24 @@ decides the whole grid in one array pass over the gaps' coefficients:
 rows in rate order, prefix sums by ``np.cumsum``, ``math.fsum`` only
 where a running sum does not clear its rounding bound, and a gap built
 only where canonicalization changes the row's terms or the sign at 0+
-decides.  The other scans run unfiltered.  ``star_check_n`` and
-``violation_search`` would gain nothing: the filter prunes none of the
-a-grid probes of linspace-rate pairs at n = 3-6, and on the classic pair
-only the last 6 of the 40 b-halving probes, while the first one hits.
-The spot checks and ``convex_check_at`` report every scanned pattern.
+decides.  The filter prunes none of the a-grid probes of linspace-rate
+pairs at n = 3-6, but the n >= 3 star scan goes through it all the same,
+so that every star verdict has one scan path.  The other scans run
+unfiltered: ``violation_search`` would gain nothing, since on the classic
+pair the filter prunes only the last 6 of the 40 b-halving probes, while
+the first one hits.  The spot checks and ``convex_check_at`` report every
+scanned pattern.
 
 Scans decide first and bisect only what a verdict reports.  Flip bisection
 places transitions and witnesses but never changes which pattern is a
 certified violation, so the scans whose patterns are discarded
-(``violation_search``, the pruned grids and ``star_check_n``) run without
-it.  A verdict that reports the witness scans only that probe again with
-bisection (``_bisected``); per-point results do not depend on the batch,
-so the witness is byte-identical to the one a fully bisected scan finds.
-An INCONCLUSIVE or numerical HOLDS ``star_check`` scans again, with
-bisection, only the first ``EVIDENCE_PROBES`` grid probes it reports as
-evidence.  The b-halving of ``violation_search`` keeps only the b of its
-hit, so it is not re-scanned.  The spot checks and ``convex_check_at``
+(``violation_search`` and the pruned grids) run without it.  A verdict
+that reports the witness scans only that probe again with bisection
+(``_bisected``); per-point results do not depend on the batch, so the
+witness is byte-identical to the one a fully bisected scan finds.  The
+grid verdicts without a witness carry no evidence, so they bisect
+nothing, and the b-halving of ``violation_search`` keeps only the b of
+its hit, so it is not re-scanned.  The spot checks and ``convex_check_at``
 return their scanned patterns as evidence and keep bisection throughout.
 """
 
@@ -110,7 +111,6 @@ A_POINTS = 64  # log-spaced a-grid points, before the analytic breakpoints
 B_FACTORS = (0.0, 0.01, 0.05, 0.25, 1.0)  # convex-scan shifts, units of 1/(theta_1+theta_n)
 SEARCH_MAX_HALVINGS = 40  # b-halvings while certifying "+,-,+" at the strip top
 SEARCH_A_STEPS = 12  # geometric a-steps down from the strip top before the sweep
-EVIDENCE_PROBES = 8  # a-grid patterns an inconclusive star_check reports
 
 # Most probes whose sign patterns are computed together, from a memory
 # budget: every pattern in flight holds its evaluated points (33 bytes each,
@@ -411,23 +411,23 @@ def _a_grid(lam: HazardVector, theta: HazardVector) -> list[float]:
 def star_check(
     lam: HazardVector, theta: HazardVector, opts: OrderOptions | None = None
 ) -> OrderVerdict:
-    """Decide the star transform order between two 2-component systems.
+    """Decide the star transform order between two systems of equal n.
 
-    If lam majorizes-below theta the order holds with an analytic
-    certificate; representative gap patterns for each regime of a are
-    still scanned and attached as evidence.  Otherwise a logarithmic
-    a-grid is scanned for a certified pattern with a "+,-" change, which
-    refutes the order; with nothing found the verdict stays numerical
-    (INCONCLUSIVE unless numerical holds are explicitly allowed).  Only
-    the probes whose ``possible_signs`` hold a "+,-" are scanned
-    (``_pruned_scan``); the verdict is that of the full grid.
+    A 2-component pair whose hazards lam majorizes-below theta holds with
+    an analytic certificate; representative gap patterns for each regime
+    of a are still scanned and attached as evidence.  Every other pair
+    (and every pair for n >= 3, where no certificate is known) is scanned
+    on a logarithmic a-grid for a certified pattern with a "+,-" change,
+    which refutes the order; with nothing found the verdict stays
+    numerical (INCONCLUSIVE unless numerical holds are explicitly
+    allowed).  Only the probes whose ``possible_signs`` hold a "+,-" are
+    scanned (``_pruned_scan``); the verdict is that of the full grid.
     """
     opts = opts or OrderOptions()
-    if lam.n != 2 or theta.n != 2:
-        raise ValueError("star_check handles n=2 systems; use star_check_n otherwise")
-    gaps = _Gaps(lam, theta)
+    majorized = majorizes(lam, theta)  # raises on a length mismatch
+    gaps = _Gaps(lam, theta)  # survival() caps n at systems.MAX_COMPONENTS
 
-    if majorizes(lam, theta):
+    if majorized and lam.n == 2:
         a_hi = _strip(lam, theta)[1]
         probes = sorted({0.5 * a_hi, a_hi, 0.5 * (a_hi + 1.0), 1.0})
         hit, evidence = _scan(gaps, [(a, 0.0) for a in probes], _star_violation, opts.scan)
@@ -448,25 +448,24 @@ def star_check(
     if hit is not None:
         detail = f"gap pattern '{hit.pattern.text()}' at a={hit.a:.6g} has a '+,-' change"
         return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)
-    # The evidence is the first probes' bisected patterns.  A pruned probe
-    # cannot violate, but the numerical HOLDS also asks for its pattern to
-    # be complete, which does not depend on bisection.
-    _, evidence = _scan(gaps, grid[:EVIDENCE_PROBES], _star_violation, opts.scan)
     if opts.allow_numerical_holds:
+        # A pruned probe cannot violate, but the numerical HOLDS also asks
+        # for its pattern to be complete, which does not depend on bisection.
         _, rest = _scan(gaps, pruned, lambda p: False, opts.scan, refine=False)
         if all(p.complete for _, p in scanned + rest):
             return OrderVerdict(
                 Status.HOLDS,
                 None,
                 detail="no violating pattern on the a-grid (numerical, not analytic)",
-                evidence=tuple(evidence),
             )
-    return OrderVerdict(
-        Status.INCONCLUSIVE,
-        None,
-        detail="no violating pattern on the a-grid; grids alone cannot certify HOLDS",
-        evidence=tuple(evidence),
-    )
+    if majorized:  # n >= 3, where the star order is conjectured
+        detail = "no violating pattern found: consistent with the conjectured ordering"
+    else:
+        detail = "no violating pattern on the a-grid; grids alone cannot certify HOLDS"
+    return OrderVerdict(Status.INCONCLUSIVE, None, detail=detail)
+
+
+star_check_n = star_check  # the former name of the n >= 3 scan, still looked up by bench/
 
 
 def region_classify(
@@ -757,31 +756,3 @@ def sign_map(
         signs=tuple(tuple(row.tolist()) for row in rows),
         b=b,
     )
-
-
-def star_check_n(
-    lam: HazardVector, theta: HazardVector, opts: OrderOptions | None = None
-) -> OrderVerdict:
-    """Exploratory star-order scan for systems with any equal n >= 2.
-
-    No analytic certificate exists beyond n=2, so this never returns an
-    analytic HOLDS: either a certified violating pattern is found (FAILS)
-    or the scan is reported as consistent with the conjectured ordering
-    (INCONCLUSIVE).  A failed majorization precondition is noted but the
-    scan still runs.
-    """
-    opts = opts or OrderOptions()
-    if lam.n != theta.n:
-        raise ValueError(f"length mismatch: {lam.n} vs {theta.n}")
-    gaps = _Gaps(lam, theta)  # survival() caps n at systems.MAX_COMPONENTS
-    notes = []
-    if not majorizes(lam, theta):
-        notes.append("majorization precondition fails; scanning anyway")
-    probes = [(a, 0.0) for a in _a_grid(lam, theta)]
-    hit, _ = _scan(gaps, probes, _star_violation, opts.scan, refine=False)
-    if hit is not None:
-        hit = _bisected(gaps, hit, _star_violation, opts.scan)
-        found = f"violating pattern '{hit.pattern.text()}' at a={hit.a:.6g}"
-        return OrderVerdict(Status.FAILS, None, witness=hit, detail="; ".join([found] + notes))
-    notes.insert(0, "no violating pattern found: consistent with the conjectured ordering")
-    return OrderVerdict(Status.INCONCLUSIVE, None, detail="; ".join(notes))

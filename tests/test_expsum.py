@@ -449,18 +449,30 @@ class TestShiftScale:
 @example([0.2, 0.2 + 2e-11], [1.5, 3.5], 0.01, 0.0)
 @example([2.0, 3.0], [1.5, 3.5], 1.0, 6.0)  # every shifted term with e^-30 or less
 def test_gap_from_one_canonicalize_is_bit_identical(lam, theta, a, b):
+    # One canonicalization of Y's terms and X's negated, shifted terms: no
+    # shifted term is merged or dropped before it meets Y's terms.
     surv_x, surv_y = survival(HazardVector(tuple(lam))), survival(HazardVector(tuple(theta)))
-    want = surv_y - surv_x.shift_scale(a, b)
-    assert surv_y.minus_shift_scale(surv_x, a, b) == want
+    raw = [*surv_y.terms(), *((r * a, -(c * math.exp(-r * b))) for r, c in surv_x.terms())]
+    assert surv_y.minus_shift_scale(surv_x, a, b) == canonicalize(raw)
+
+
+def test_gap_keeps_a_shifted_term_below_the_merge_tolerance():
+    # X's term at rate 5 is shifted to e^-30, below the merge tolerance, but
+    # it meets Y's -1 at the same rate, so the true gap has -1 + e^-30 there.
+    surv_x, surv_y = survival(HazardVector((2, 3))), survival(HazardVector((1.5, 3.5)))
+    gap = surv_y.minus_shift_scale(surv_x, 1.0, 6.0)
+    assert gap.rates[-1] == 5.0
+    assert gap.coeffs[-1] == -1.0 + math.exp(-30.0) == -0.9999999999999064
 
 
 def test_gap_from_one_canonicalize_when_shifted_terms_merge():
-    # At a = 0.05 the two terms of x merge and their sum, 1e-13, is dropped
-    # before y's term at the same rate is met; one canonicalization over
-    # all three terms would keep the 1e-13.
+    # At a = 0.05 the two terms of x and y's term share one rate, so their
+    # sum keeps x's 1e-13, which x.shift_scale(0.05) alone would drop.
     x = ExpSum((1.0, 1.0 + 1e-11), (1.0, -1.0 + 1e-13))
     y = ExpSum((0.05,), (0.5,))
-    assert y.minus_shift_scale(x, 0.05) == y - x.shift_scale(0.05) == y
+    gap = y.minus_shift_scale(x, 0.05)
+    assert gap == ExpSum((0.05,), (math.fsum([0.5, -1.0, 1.0 - 1e-13]),))
+    assert gap.coeffs[0] != 0.5 and y - x.shift_scale(0.05) == y
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 0.0), (-1.0, 0.0), (math.nan, 0.0), (1.0, -0.1),
@@ -1301,8 +1313,3 @@ def separate_sums_sign_at_zero(f):
 @example(ExpSum((0.0, 1.0), (1.0, -1.0)))
 def test_sign_at_zero_matches_separate_sums(f):
     assert f.sign_at_zero() == separate_sums_sign_at_zero(f)
-
-
-def test_scan_options_floor_scaling():
-    opts = ScanOptions()
-    assert opts.scaled_floor(100.0).sign_floor == 100.0 * opts.sign_floor

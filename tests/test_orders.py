@@ -25,7 +25,6 @@ from transform_orders import (
     sign_map,
     sign_pattern,
     star_check,
-    star_check_n,
     star_ratio_oracle,
     survival_gap,
     violation_search,
@@ -95,10 +94,6 @@ class TestStarCheck:
         verdict = star_check(LAM, HazardVector((0.9, 3.6)), opts)
         assert verdict.status in (Status.HOLDS, Status.INCONCLUSIVE)
         assert verdict.certificate is None
-
-    def test_wrong_size_redirects(self):
-        with pytest.raises(ValueError, match="star_check_n"):
-            star_check(HazardVector((1, 2, 3)), HazardVector((1, 2, 3)))
 
 
 class TestConvexCheck:
@@ -349,9 +344,13 @@ def full_grid_convex_verdict(lam, theta):
 LAM_THETA_RESCALED = HazardVector((2, 3)), HazardVector((3, 7))
 
 
+def linspace_pair(n):
+    return HazardVector(tuple(np.linspace(2, 3, n))), HazardVector(tuple(np.linspace(1.5, 3.5, n)))
+
+
 def full_grid_star_verdict(lam, theta, opts):
-    """The non-majorized star_check verdict from one bisected _scan over
-    the whole a-grid, with no probe pruned."""
+    """The star_check verdict of a pair without an analytic certificate,
+    from one bisected _scan over the whole a-grid, with no probe pruned."""
     probes = [(a, 0.0) for a in orders._a_grid(lam, theta)]
     hit, scanned = orders._scan(orders._Gaps(lam, theta), probes, orders._star_violation, opts.scan)
     if hit is not None:
@@ -359,9 +358,12 @@ def full_grid_star_verdict(lam, theta, opts):
         return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)
     if opts.allow_numerical_holds and all(p.complete for _, p in scanned):
         detail = "no violating pattern on the a-grid (numerical, not analytic)"
-        return OrderVerdict(Status.HOLDS, None, detail=detail, evidence=tuple(scanned[:8]))
-    detail = "no violating pattern on the a-grid; grids alone cannot certify HOLDS"
-    return OrderVerdict(Status.INCONCLUSIVE, None, detail=detail, evidence=tuple(scanned[:8]))
+        return OrderVerdict(Status.HOLDS, None, detail=detail)
+    if systems.majorizes(lam, theta):
+        detail = "no violating pattern found: consistent with the conjectured ordering"
+    else:
+        detail = "no violating pattern on the a-grid; grids alone cannot certify HOLDS"
+    return OrderVerdict(Status.INCONCLUSIVE, None, detail=detail)
 
 
 class TestStarGridPrefilter:
@@ -370,7 +372,11 @@ class TestStarGridPrefilter:
         (THETA, LAM, Status.FAILS),
         (HazardVector((1, 4)), HazardVector((2, 2.5)), Status.FAILS),
         (*LAM_THETA_RESCALED, Status.INCONCLUSIVE),
-    ], ids=["reversed-classic", "(1,4)-(2,2.5)", "(2,3)-(3,7)"])
+        (*linspace_pair(3)[::-1], Status.FAILS),
+        (HazardVector((2, 3, 4)), HazardVector((1, 3, 6)), Status.INCONCLUSIVE),
+        (HazardVector((2, 3, 4)), HazardVector((1, 3, 5)), Status.INCONCLUSIVE),
+    ], ids=["reversed-classic", "(1,4)-(2,2.5)", "(2,3)-(3,7)", "reversed-linspace-n3",
+            "(2,3,4)-(1,3,6)", "(2,3,4)-(1,3,5)"])
     def test_verdict_equals_full_grid_scan(self, lam, theta, status, numerical_holds):
         opts = OrderOptions(allow_numerical_holds=numerical_holds)
         verdict = star_check(lam, theta, opts)
@@ -399,13 +405,13 @@ class TestStarGridPrefilter:
         assert repr(verdict) == repr(full_grid_star_verdict(lam, theta, opts))
         assert verdict.status is (Status.INCONCLUSIVE if one_incomplete else Status.HOLDS)
 
-    def test_inconclusive_scan_bisects_only_its_evidence(self, monkeypatch):
-        # The kept probes unbisected, then the 8 evidence probes bisected.
+    def test_inconclusive_scan_bisects_nothing(self, monkeypatch):
+        # Only the kept probes are scanned, unbisected; no evidence is kept.
         scans = recorded_scans(monkeypatch)
         verdict = star_check(*LAM_THETA_RESCALED)
-        assert verdict.status is Status.INCONCLUSIVE and len(verdict.evidence) == 8
-        assert scans[-1] == (8, True) and all(not refine for _, refine in scans[:-1])
-        assert sum(size for size, _ in scans[:-1]) < len(orders._a_grid(*LAM_THETA_RESCALED))
+        assert verdict.status is Status.INCONCLUSIVE and verdict.evidence == ()
+        assert scans and all(not refine for _, refine in scans)
+        assert sum(size for size, _ in scans) < len(orders._a_grid(*LAM_THETA_RESCALED))
 
 
 class TestConvexGridPrefilter:
@@ -564,10 +570,6 @@ class TestExactZeroAtOrigin:
         assert repr(convex_check(*RESCALED_NARROW)) == repr(full_grid_convex_verdict(*RESCALED_NARROW))
 
 
-def linspace_pair(n):
-    return HazardVector(tuple(np.linspace(2, 3, n))), HazardVector(tuple(np.linspace(1.5, 3.5, n)))
-
-
 def bisect_every_scan(fs, opts=None, **kw):
     """orders.sign_patterns with refine=False ignored: every scan bisects."""
     return expsum.sign_patterns(fs, opts)
@@ -577,7 +579,7 @@ class TestTwoPhaseScans:
     @pytest.mark.parametrize("run, budget", [
         (lambda: violation_search(LAM, THETA), 100),  # 141 when every scan bisects
         (lambda: convex_check(THETA, LAM), 100),  # 345
-        (lambda: star_check_n(*linspace_pair(6)), 40),  # 63
+        (lambda: star_check(*linspace_pair(6)), 40),  # 63
     ], ids=["violation-search-classic", "convex-check-reversed", "star-check-n6-linspace"])
     def test_outermost_evaluator_calls(self, monkeypatch, run, budget):
         calls = [0]
@@ -600,7 +602,7 @@ class TestTwoPhaseScans:
         if lam.n == 2:
             checks = [star_check, convex_check, violation_search]
         else:
-            checks = [star_check_n]
+            checks = [star_check]
 
         def verdicts():
             out = []
@@ -623,7 +625,7 @@ class TestTwoPhaseScans:
 
         monkeypatch.setattr(orders, "sign_patterns", uncertified_when_bisected)
         with pytest.raises(RuntimeError, match="numerical defect"):
-            star_check_n(*linspace_pair(3)[::-1])
+            star_check(*linspace_pair(3)[::-1])
 
 
 def recorded_scans(monkeypatch):
@@ -657,12 +659,14 @@ class TestSpotChecksAndRescans:
         assert scans == [(probes, True)]
 
     def test_long_scans_start_with_one_probe(self, monkeypatch):
-        # star_check_n scans the reversed classic a-grid unfiltered: the
-        # "+,-" hit is the 46th of 67 probes, and only the hit is bisected.
+        # The reversed classic a-grid, scanned unfiltered: the "+,-" hit is
+        # the 46th of 67 probes.
         scans = recorded_scans(monkeypatch)
-        verdict = star_check_n(THETA, LAM)
-        assert verdict.status is Status.FAILS
-        assert scans == [(n, False) for n in (1, 2, 4, 8, 16, 16)] + [(1, True)]
+        probes = [(a, 0.0) for a in orders._a_grid(THETA, LAM)]
+        hit, scanned = orders._scan(orders._Gaps(THETA, LAM), probes, orders._star_violation,
+                                    ScanOptions(), refine=False)
+        assert hit is not None and len(scanned) == 46 and len(probes) == 67
+        assert scans == [(n, False) for n in (1, 2, 4, 8, 16, 16)]
 
 
 class TestScaleFreeCertificates:
@@ -810,20 +814,22 @@ class TestSignMap:
 
 class TestStarCheckN:
     def test_three_component_scan_consistent(self):
-        verdict = star_check_n(HazardVector((2, 3, 4)), HazardVector((1, 3, 5)))
+        verdict = star_check(HazardVector((2, 3, 4)), HazardVector((1, 3, 5)))
         assert verdict.status is Status.INCONCLUSIVE
         assert "consistent" in verdict.detail
 
     def test_identical_systems_consistent(self):
         h = HazardVector((1, 2, 3))
-        verdict = star_check_n(h, h)
+        verdict = star_check(h, h)
         assert verdict.status is Status.INCONCLUSIVE
         assert "consistent" in verdict.detail
 
     def test_unequal_totals_noted_but_scanned(self):
-        verdict = star_check_n(HazardVector((2, 3, 4)), HazardVector((1, 3, 6)))
-        assert "majorization precondition fails" in verdict.detail
+        # Not majorized, so the scan may not call itself consistent with the
+        # conjecture, which is about majorized pairs.
+        verdict = star_check(HazardVector((2, 3, 4)), HazardVector((1, 3, 6)))
         assert verdict.status in (Status.FAILS, Status.INCONCLUSIVE)
+        assert "consistent" not in verdict.detail
 
     def test_never_analytic_holds(self):
         rng = np.random.default_rng(41)
@@ -832,12 +838,12 @@ class TestStarCheckN:
             d = rng.uniform(0.1, 0.9) * mid
             lam = HazardVector((mid - d / 2, mid, mid + d / 2))
             theta = HazardVector((mid - d, mid, mid + d))
-            verdict = star_check_n(lam, theta)
+            verdict = star_check(lam, theta)
             assert verdict.status is not Status.HOLDS
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            star_check_n(HazardVector((1, 2)), HazardVector((1, 2, 3)))
+            star_check(HazardVector((1, 2)), HazardVector((1, 2, 3)))
 
 
 class TestOrderVerdict:
