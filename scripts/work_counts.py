@@ -6,7 +6,7 @@ Wall times on a small shared machine spread too widely to compare two
 trees; these counts do not move between runs.  For each verdict the line
 reads
 
-    name evaluator_calls=E sign_patterns_calls=C patterns=P dip_split=D geomspace=G canonicalize=K eval_blocks=B
+    name evaluator_calls=E sign_patterns_calls=C patterns=P dip_split=D geomspace=G canonicalize=K eval_blocks=B sign_at_zero=Z
 
 - ``evaluator_calls``: calls of the certified evaluator (``scaled_rows``
   or ``ExpSum._scaled_many``) not made from inside another one;
@@ -18,7 +18,11 @@ reads
   attribute (one per gap built);
   ``systems.survival`` holds its own reference and is not counted;
 - ``eval_blocks``: calls of the evaluator's block routine
-  ``expsum._scaled_block``, one per block of points of each evaluator call.
+  ``expsum._scaled_block``, one per block of points of each evaluator call;
+- ``sign_at_zero``: scalar evaluations of ``ExpSum.sign_at_zero`` (the
+  cached ``ExpSum._sign_at_zero``), whether inside a verdict or as the
+  fallback of ``expsum.sign_at_zero_rows``; a sum whose sign at 0+ the
+  batch helper gave is not counted.
 
 With ``--check FILE`` the lines are compared with those stored in FILE
 (``scripts/work_counts.txt`` holds the counts of this tree): the script
@@ -36,6 +40,7 @@ import argparse
 import sys
 from collections import Counter
 from contextlib import ExitStack
+from functools import cached_property
 from unittest import mock
 
 import numpy as np
@@ -134,12 +139,16 @@ def work(run, *args) -> Counter:
                                 counted(counts, "canonicalize", expsum.canonicalize)))
         patch(mock.patch.object(expsum, "_scaled_block",
                                 counted(counts, "eval_blocks", expsum._scaled_block)))
+        at_zero = cached_property(counted(counts, "sign_at_zero",
+                                          expsum.ExpSum._sign_at_zero.func))
+        at_zero.__set_name__(expsum.ExpSum, "_sign_at_zero")
+        patch(mock.patch.object(expsum.ExpSum, "_sign_at_zero", at_zero))
         run(*args)
     return counts
 
 
 KEYS = ("evaluator_calls", "sign_patterns_calls", "patterns", "dip_split", "geomspace",
-        "canonicalize", "eval_blocks")
+        "canonicalize", "eval_blocks", "sign_at_zero")
 
 
 def parse(line: str) -> tuple[str, dict[str, int]]:

@@ -223,14 +223,29 @@ class ExpSum:
         max_order = max(4, self.n_terms)
         for k in range(max_order):
             # (-r)**k is exactly +/- r**k, so each |product| is |c| * r**k.
-            prods = [c * (-r) ** k for r, c in zip(self.rates, self.coeffs)]
-            d, scale = math.fsum(prods), math.fsum(map(abs, prods))
+            try:
+                prods = [c * (-r) ** k for r, c in zip(self.rates, self.coeffs)]
+                scale = math.fsum(map(abs, prods))
+            except OverflowError:
+                scale = math.inf
+            if scale == math.inf:
+                # The same sums over r / r_max: a positive common factor
+                # changes neither the sign of d nor the relative test.
+                top = self.rates[-1]
+                prods = [c * (-r / top) ** k for r, c in zip(self.rates, self.coeffs)]
+                scale = math.fsum(map(abs, prods))
+            d = math.fsum(prods)
             if abs(d) > ZERO_TOL * max(scale, 1e-300):
                 return (1 if d > 0 else -1), k
         return 0, max_order
 
     def dominance_point(self) -> float:
-        """x beyond which the smallest-rate term provably dominates the rest."""
+        """x beyond which the smallest-rate term provably dominates the
+        rest.  Computed once per sum."""
+        return self._dominance_point
+
+    @cached_property
+    def _dominance_point(self) -> float:
         if self.n_terms <= 1:
             return 1.0
         r0, c0 = self.rates[0], self.coeffs[0]
@@ -446,6 +461,95 @@ def prefix_sign_changes_rows(coeffs: np.ndarray) -> np.ndarray:
     signs = run[row, col] > 0.0
     changes = (signs[1:] != signs[:-1]) & (row[1:] == row[:-1])
     return np.bincount(row[1:][changes], minlength=len(run))
+
+
+def sign_at_zero_rows(rates: np.ndarray, coeffs: np.ndarray) -> list[tuple[int, int]]:
+    """:meth:`ExpSum.sign_at_zero` of each row of the (rows x terms)
+    arrays of rates and coefficients, each row a canonical sum with every
+    term kept.
+
+    Order by order, the derivative sum d and its scale S of every row still
+    open come from running products of the rates, summed by numpy.  Each
+    differs from the scalar method's correctly rounded ``fsum`` by at most
+    err = 2 (terms + k + 8) eps S + (k + 2) 2^-1074 max(1, sum|c_i|): k
+    roundings of the running product against ``pow``'s one, the product
+    with c_i, the summation and subnormal results.  A row is decided at
+    order k where |d| - err clears ZERO_TOL (S + err), with the sign of d,
+    and goes on to the next order where |d| + err stays under
+    ZERO_TOL (S - err).  Any other row goes to the scalar method, and so
+    does a row whose S lies outside (1e-280, 1e280) or whose largest
+    power reaches 1e300: there the scalar method's floor of 1e-300 or its
+    overflow path could decide.  So every result is the scalar one.
+    """
+    rows, n = coeffs.shape
+    max_order = max(4, n)
+    out = [(0, max_order)] * rows
+    scalar = []
+    idx, neg, c, power = np.arange(rows), -rates, coeffs, np.ones(rates.shape)
+    tiny = 2.0**-1074 * np.maximum(1.0, np.abs(coeffs).sum(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max_order):
+            if not idx.size:
+                break
+            if k:
+                power *= neg
+            prods = c * power
+            d, scale = prods.sum(axis=1), np.abs(prods).sum(axis=1)
+            err = 2.0 * (n + k + 8) * _EPS * scale + (k + 2) * tiny
+            fits = (scale > 1e-280) & (scale < 1e280) & (np.abs(power[:, -1]) < 1e300)
+            nonzero = fits & (np.abs(d) - err > ZERO_TOL * (scale + err))
+            zero = fits & (np.abs(d) + err < ZERO_TOL * (scale - err))
+            for i, s in zip(idx[nonzero].tolist(), (d[nonzero] > 0.0).tolist()):
+                out[i] = (1 if s else -1), k
+            scalar += idx[~(nonzero | zero)].tolist()
+            idx, neg, c, power, tiny = (v[zero] for v in (idx, neg, c, power, tiny))
+    for i in scalar:
+        out[i] = ExpSum(tuple(rates[i].tolist()), tuple(coeffs[i].tolist())).sign_at_zero()
+    return out
+
+
+def dominance_point_rows(rates: np.ndarray, coeffs: np.ndarray) -> list[float]:
+    """:meth:`ExpSum.dominance_point` of each row of the (rows x terms)
+    arrays of rates and coefficients, each row a canonical sum with every
+    term kept.
+
+    The ratios (n - 1) |c_i| / |c_0| and rate gaps r_i - r_0 are the
+    scalar method's bit for bit; only ``np.log`` may differ from
+    ``math.log``, by less than 16 eps of its value.  Where one term's
+    log(ratio) / gap exceeds every other by more than both margins, it is
+    the scalar maximum, taken again with ``math.log``.  A row with a
+    closer runner-up or a value that is not finite goes to the scalar
+    method.
+    """
+    rows, n = coeffs.shape
+    if n <= 1:
+        return [1.0] * rows
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = (n - 1) * np.abs(coeffs[:, 1:]) / np.abs(coeffs[:, :1])
+        gap = rates[:, 1:] - rates[:, :1]
+        value = np.log(ratio) / gap
+        margin = 16.0 * _EPS * np.abs(value) + 2.0**-1000
+        top = np.arange(rows), np.argmax(value, axis=1)
+        rest = value + margin
+        rest[top] = -np.inf
+        clear = np.isfinite(value).all(axis=1) & (
+            np.max(rest, axis=1, initial=-np.inf) < value[top] - margin[top]
+        )
+    return [
+        max(0.0, math.log(q) / g) if ok
+        else ExpSum(tuple(rates[i].tolist()), tuple(coeffs[i].tolist())).dominance_point()
+        for i, (q, g, ok) in enumerate(zip(ratio[top].tolist(), gap[top].tolist(), clear.tolist()))
+    ]
+
+
+def known_sum(rates, coeffs, sign_at_zero: tuple[int, int], dominance_point: float) -> ExpSum:
+    """``ExpSum(rates, coeffs)`` with the results of its
+    :meth:`~ExpSum.sign_at_zero` and :meth:`~ExpSum.dominance_point`
+    given (from :func:`sign_at_zero_rows` and :func:`dominance_point_rows`),
+    so neither is computed again."""
+    f = ExpSum(tuple(rates), tuple(coeffs))
+    f.__dict__.update(_sign_at_zero=sign_at_zero, _dominance_point=dominance_point)
+    return f
 
 
 # -- sign scanning -------------------------------------------------------

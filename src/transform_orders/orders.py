@@ -41,15 +41,19 @@ violation, so only the other probes are scanned and the first certified
 violation is the same probe as without the filter.  ``_may_violate``
 decides the whole grid in one array pass over the gaps' coefficients:
 rows in rate order, prefix sums by ``np.cumsum``, ``math.fsum`` only
-where a running sum does not clear its rounding bound, and a gap built
-only where canonicalization changes the row's terms or the sign at 0+
-decides.  The filter prunes none of the a-grid probes of linspace-rate
-pairs at n = 3-6, but the n >= 3 star scan goes through it all the same,
-so that every star verdict has one scan path.  The other scans run
-unfiltered: ``violation_search`` would gain nothing, since on the classic
-pair the filter prunes only the last 6 of the 40 b-halving probes, while
-the first one hits.  The spot checks and ``convex_check_at`` report every
-scanned pattern.
+where a running sum does not clear its rounding bound, and the sign at
+0+ of every row that may be kept from one batch of derivative sums.  The
+gap of each kept row is built straight from its sorted row, with its sign
+at 0+ and dominance point already known, so the scan computes neither
+again; ``canonicalize`` runs only where it would change a row's terms.
+Pruned rows build nothing.  The filter prunes none of the a-grid probes
+of linspace-rate pairs at n = 3-6, but the n >= 3 star scan goes through
+it all the same, so that every star verdict has one scan path.  The other
+scans run unfiltered and build their gaps one at a time:
+``violation_search`` would gain nothing, since on the classic pair the
+filter prunes only the last 6 of the 40 b-halving probes, while the first
+one hits.  The spot checks and ``convex_check_at`` report every scanned
+pattern.
 
 Scans decide first and bisect only what a verdict reports.  Flip bisection
 places transitions and witnesses but never changes which pattern is a
@@ -81,7 +85,10 @@ from .expsum import (
     SignRegion,
     canonical_rows,
     certain_signs,
+    dominance_point_rows,
+    known_sum,
     prefix_sign_changes_rows,
+    sign_at_zero_rows,
     sign_patterns,
     sign_tuples,
 )
@@ -215,6 +222,11 @@ class _Gaps:
             gap = self._built[a, b] = self.surv_y.minus_shift_scale(self.surv_x, a, b)
         return gap
 
+    def keep(self, a: float, b: float, gap: ExpSum) -> None:
+        """Take ``gap`` as the gap at (a, b), built elsewhere bit for bit
+        as :meth:`ExpSum.minus_shift_scale` builds it."""
+        self._built.setdefault((a, b), gap)
+
 
 def survival_gap(
     lam: HazardVector, theta: HazardVector, a: float, b: float = 0.0
@@ -288,14 +300,17 @@ def _may_violate(
     Each row holds Y's survival terms and X's negated, shifted terms
     ``(a * r, -(c * exp(-r * b)))``, with the exponentials taken once per
     distinct b as :meth:`ExpSum._shifted_terms` takes them.  A row that
-    :func:`canonical_rows` keeps term for term has its gap's coefficients;
-    any other row takes them from its gap, padded behind with zeros, which
-    add no prefix-sum sign change.  So each row's zero bound
-    (:func:`prefix_sign_changes_rows`) and tail sign are its gap's.  The
-    probe is kept when both starts admit a violating tuple and pruned when
-    neither does; otherwise its gap is built to read ``sign_at_zero()``,
-    and ``gaps`` keeps it for the scan.  Rows go in chunks of at most
-    ``_BLOCK`` entries.
+    :func:`canonical_rows` keeps term for term is its gap, sorted by rate;
+    any other row takes its coefficients from its gap, built by
+    ``canonicalize`` and padded behind with zeros, which add no prefix-sum
+    sign change.  So each row's zero bound (:func:`prefix_sign_changes_rows`)
+    and tail sign are its gap's.  The probe is kept when both starts admit
+    a violating tuple and pruned when neither does; otherwise the sign at
+    0+ decides.  The exact rows that may be kept get their sign at 0+
+    (:func:`sign_at_zero_rows`), and the kept ones their dominance point
+    (:func:`dominance_point_rows`), all at once; each kept one goes into
+    ``gaps`` as a sum built from its row, with both already known.  Pruned
+    rows build nothing.  Rows go in chunks of at most ``_BLOCK`` entries.
     """
     x, y = gaps.surv_x, gaps.surv_y
     shifted = {
@@ -316,20 +331,30 @@ def _may_violate(
             rates = np.hstack([np.broadcast_to(y.rates, (len(part), y.n_terms)),
                                a[:, None] * np.array(x.rates)])
             coeffs, exact = canonical_rows(rates, coeffs)
+        rates = np.sort(rates, axis=1)  # in the order of each row's sorted coefficients
         for j in np.flatnonzero(~exact).tolist():
             gap = gaps(*part[j])
             coeffs[j] = gap.coeffs + (0.0,) * (n - gap.n_terms)
         bounds = prefix_sign_changes_rows(coeffs).tolist()
-        for ab, key in zip(part, zip(bounds, np.sign(coeffs[:, 0]).astype(int).tolist())):
+        ends = []
+        for key in zip(bounds, np.sign(coeffs[:, 0]).astype(int).tolist()):
             if key not in starts:
                 starts[key] = tuple(any(map(violating, sign_tuples((s,), *key))) for s in (1, -1))
-            up, down = starts[key]
+            ends.append(starts[key])
+        rows = [j for j in np.flatnonzero(exact).tolist() if any(ends[j])]
+        at_zero = dict(zip(rows, sign_at_zero_rows(rates[rows], coeffs[rows])))
+        built = []
+        for j, (ab, (up, down)) in enumerate(zip(part, ends)):
             keep = up
             if up != down:
-                s0, _ = gaps(*ab).sign_at_zero()
+                s0, _ = at_zero[j] if j in at_zero else gaps(*ab).sign_at_zero()
                 keep = s0 == 0 or (up if s0 > 0 else down)
             if keep:
                 kept.append(ab)
+                if j in at_zero:
+                    built.append(j)
+        for j, dom in zip(built, dominance_point_rows(rates[built], coeffs[built])):
+            gaps.keep(*part[j], known_sum(rates[j].tolist(), coeffs[j].tolist(), at_zero[j], dom))
     return kept
 
 

@@ -84,6 +84,24 @@ class TestVerdictCommands:
         assert "consistent" in json.loads(text)["detail"]
 
 
+class TestExtremeRates:
+    """Rates near 1e200 (1e155 at n = 3) overflow r**k in the derivative
+    sums of the sign at 0+; the verdicts still come out, never exit 3."""
+
+    @pytest.mark.parametrize("command, lam, theta, want", [
+        ("check-star", "1e200,2e200", "0.5e200,2.5e200", EXIT_HOLDS),
+        ("check-star", "0.5e200,2.5e200", "1e200,2e200", EXIT_FAILS),
+        ("check-convex", "2e200,3e200", "1.5e200,3.5e200", EXIT_INCONCLUSIVE),
+        ("check-convex", "1.5e200,3.5e200", "2e200,3e200", EXIT_INCONCLUSIVE),
+        ("check-star", "1e155,2e155,3e155", "0.5e155,2.5e155,3e155", EXIT_INCONCLUSIVE),
+    ], ids=["star-majorized", "star-reversed", "convex-majorized", "convex-reversed",
+            "star-n3"])
+    def test_verdict_exit_codes(self, tmp_path, command, lam, theta, want):
+        code, text = run_cli([command, "--lambda", lam, "--theta", theta], tmp_path)
+        assert code == want
+        assert json.loads(text)["verdict"] in ("HOLDS", "FAILS", "INCONCLUSIVE")
+
+
 class TestFindCounterexample:
     def test_report_carries_witness_and_strip(self, tmp_path):
         code, text = run_cli(

@@ -1313,3 +1313,109 @@ def separate_sums_sign_at_zero(f):
 @example(ExpSum((0.0, 1.0), (1.0, -1.0)))
 def test_sign_at_zero_matches_separate_sums(f):
     assert f.sign_at_zero() == separate_sums_sign_at_zero(f)
+
+
+# -- batch sign at 0+ and dominance point ------------------------------------
+
+
+@st.composite
+def a_grid_gaps(draw):
+    """The b = 0 gaps of random n = 2..6 systems at up to eight a, each
+    with a zero of multiplicity n at 0."""
+    n = draw(st.integers(2, 6))
+    rates = st.lists(st.floats(0.2, 5.0), min_size=n, max_size=n).map(tuple)
+    lam, theta = HazardVector(draw(rates)), HazardVector(draw(rates))
+    scales = draw(st.lists(st.floats(0.1, 3.0), min_size=1, max_size=8))
+    return [survival(theta).minus_shift_scale(survival(lam), a) for a in scales]
+
+
+def as_rows(fs):
+    """The rates and coefficients of equal-length sums as (rows x terms) arrays."""
+    return np.array([f.rates for f in fs]), np.array([f.coeffs for f in fs])
+
+
+def assert_rows_match_the_scalar_methods(fs):
+    groups = {}
+    for f in fs:
+        if not f.is_zero:
+            groups.setdefault(f.n_terms, []).append(f)
+    for group in groups.values():
+        rates, coeffs = as_rows(group)
+        assert expsum.sign_at_zero_rows(rates, coeffs) == [f.sign_at_zero() for f in group]
+        assert expsum.dominance_point_rows(rates, coeffs) == [f.dominance_point() for f in group]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(gap_sums().map(lambda f: [f]), a_grid_gaps()))
+@example([ZERO_AT_ORIGIN_SUM, NEAR_ZERO_AT_ORIGIN_SUM, SHARPER_PREFIX_SUM])
+@example([DROPPED_REGION_GAP, ExpSum((1.0, 1.0 + 1e-13), (1.0, -1.0)), ExpSum((0.0, 1.0), (1.0, -1.0))])
+@example([N6_GAP, CLASSIC_WITNESS_GAP])
+def test_batch_sign_at_zero_and_dominance_point_equal_the_scalar_ones(fs):
+    assert_rows_match_the_scalar_methods(fs)
+
+
+def test_batch_helpers_on_random_sums():
+    rng = np.random.default_rng(47)
+    assert_rows_match_the_scalar_methods([random_expsum(rng) for _ in range(300)])
+
+
+def scalar_calls(method, run):
+    """run()'s result and how often it called the scalar ExpSum.method."""
+    with mock.patch.object(ExpSum, method, autospec=True,
+                           side_effect=getattr(ExpSum, method)) as spy:
+        return run(), spy.call_count
+
+
+# Each row leaves the array pass to the scalar method: f(0) lies at
+# ZERO_TOL times its scale within rounding; r**2 overflows (b = 0 gap of
+# the 1e200-rate pair at a = 1, with a zero of multiplicity 2 at 0); the
+# scale of f(0) is below 1e-280.
+SIGN_FALLBACK_SUMS = [
+    ExpSum((1.0, 2.0), (1.0, -(1.0 - 2e-12))),
+    survival(HazardVector((0.5e200, 2.5e200))).minus_shift_scale(
+        survival(HazardVector((1e200, 2e200))), 1.0),
+    ExpSum((1.0, 2.0), (1e-290, -2e-290)),
+]
+# A tie of log((n - 1) |c_i| / |c_0|) / (r_i - r_0) between two terms, and
+# a ratio that overflows.
+DOMINANCE_FALLBACK_SUMS = [
+    ExpSum((0.0, 1.0, 2.0), (1.0, 1.0, 2.0)),
+    ExpSum((1.0, 2.0), (1e-300, 1e300)),
+]
+
+
+@pytest.mark.parametrize("f", SIGN_FALLBACK_SUMS, ids=["at-zero-tol", "power-overflows",
+                                                       "scale-below-1e-280"])
+def test_sign_at_zero_rows_fall_back_to_the_scalar_method(f):
+    want = ExpSum(f.rates, f.coeffs).sign_at_zero()
+    got, calls = scalar_calls("sign_at_zero", lambda: expsum.sign_at_zero_rows(*as_rows([f])))
+    assert got == [want] and calls == 1
+
+
+@pytest.mark.parametrize("f", DOMINANCE_FALLBACK_SUMS, ids=["tie", "ratio-overflows"])
+def test_dominance_point_rows_fall_back_to_the_scalar_method(f):
+    want = ExpSum(f.rates, f.coeffs).dominance_point()
+    got, calls = scalar_calls("dominance_point",
+                              lambda: expsum.dominance_point_rows(*as_rows([f])))
+    assert got == [want] and calls == 1
+
+
+def test_a_grid_rows_need_no_scalar_method():
+    x, y = survival(HazardVector((2.0, 2.5, 3.0))), survival(HazardVector((1.5, 2.6, 3.5)))
+    fs = [y.minus_shift_scale(x, a) for a in np.geomspace(0.2, 2.0, 40).tolist()]
+    rates, coeffs = as_rows([f for f in fs if f.n_terms == 14])
+    assert len(rates) > 30
+    for method, rows in (("sign_at_zero", expsum.sign_at_zero_rows),
+                         ("dominance_point", expsum.dominance_point_rows)):
+        _, calls = scalar_calls(method, lambda: rows(rates, coeffs))
+        assert calls == 0, method
+
+
+def test_sign_at_zero_survives_overflowing_powers():
+    # (1e200)**2 overflows; the sums over r / r_max keep sign and order.
+    unit_x, unit_y = survival(HazardVector((1.0, 2.0))), survival(HazardVector((0.5, 2.5)))
+    big_x, big_y = survival(HazardVector((1e200, 2e200))), survival(HazardVector((0.5e200, 2.5e200)))
+    for a in (0.3, 0.9, 1.5):
+        want = unit_y.minus_shift_scale(unit_x, a).sign_at_zero()
+        assert want[1] == 2
+        assert big_y.minus_shift_scale(big_x, a).sign_at_zero() == want

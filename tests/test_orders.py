@@ -519,6 +519,26 @@ class TestArrayPrefilter:
         assert len(changed) == 7
         self.assert_keeps_possible_violations(lam, theta, grid)
 
+    @pytest.mark.parametrize("lam, theta, convex", [
+        (THETA, LAM, False),
+        (THETA, LAM, True),
+        *((*linspace_pair(n), False) for n in (3, 4, 5, 6)),
+    ], ids=["reversed-classic-star", "reversed-classic-convex", "linspace-n3", "linspace-n4",
+            "linspace-n5", "linspace-n6"])
+    def test_gaps_left_for_the_scan_equal_the_built_ones(self, lam, theta, convex):
+        if convex:
+            grid, violating = convex_grid(lam, theta), orders._convex_signs
+        else:
+            grid, violating = [(a, 0.0) for a in orders._a_grid(lam, theta)], orders._star_signs
+        gaps = orders._Gaps(lam, theta)
+        kept = orders._may_violate(gaps, grid, violating)
+        assert kept and set(kept) <= set(gaps._built)
+        for (a, b), gap in gaps._built.items():
+            built = gaps.surv_y.minus_shift_scale(gaps.surv_x, a, b)
+            assert gap == built
+            assert gap.sign_at_zero() == built.sign_at_zero()
+            assert gap.dominance_point() == built.dominance_point()
+
     def test_random_pairs_of_any_size(self, monkeypatch):
         monkeypatch.setattr(orders, "_BLOCK", 256)  # several chunks per grid
         rng = np.random.default_rng(37)
