@@ -56,6 +56,8 @@ CONFIGS: tuple[tuple[str, tuple[str, ...], dict[str, str]], ...] = (
     ("identical-convex", ("check-convex", *IDENTICAL), {}),
     ("n3-star", ("check-star", "--lambda", "2,3,4", "--theta", "1,3,5"), {}),
     ("n3-reversed-star", ("check-star", "--lambda", "1,3,5", "--theta", "2,3,4"), {}),
+    ("n3-convex", ("check-convex", "--lambda", "2,3,4", "--theta", "1,3,5"), {}),
+    ("n3-counterexample", ("find-counterexample", "--lambda", "2,3,4", "--theta", "1,3,5"), {}),
     ("n4-star", ("check-star", "--lambda", "2,2.5,3,3.5", "--theta", "1.5,2.5,3,4"), {}),
     ("n6-star", ("check-star", "--lambda", "2,2.2,2.4,2.6,2.8,3",
                  "--theta", "1.5,2,2.4,2.6,3,3.5"), {}),

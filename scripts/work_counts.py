@@ -86,6 +86,8 @@ VERDICTS = (
     ("convex_check homogeneous", convex_check, HOMOGENEOUS),
     ("convex_check (1,4)/(2,2.5)", convex_check, STAR_FAILS),
     ("convex_check rescaled narrow", convex_check, RESCALED_NARROW),
+    ("convex_check (2,3,4)/(1,3,5)", convex_check,
+     (HazardVector((2.0, 3.0, 4.0)), HazardVector((1.0, 3.0, 5.0)))),
     ("convex_check_at classic", lambda lam, theta: convex_check_at(lam, theta, 0.749, 0.0125),
      CLASSIC),
     ("star_check linspace n=3", star_check, linspace_pair(3)),

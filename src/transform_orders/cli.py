@@ -111,10 +111,6 @@ class RunConfig:
             raise UsageError("--b must be nonnegative")
         if None not in (self.lam, self.theta) and len(self.lam) != len(self.theta):
             raise UsageError("--lambda and --theta need the same number of rates")
-        if self.command in ("check-convex", "find-counterexample") and any(
-            rates is not None and len(rates) != 2 for rates in (self.lam, self.theta)
-        ):
-            raise UsageError(f"{self.command} compares systems of 2 components")
         for name, kind in (("resolution", int), ("seed", int), ("samples", int),
                            ("allow_numerical_holds", bool)):
             if type(getattr(self, name)) is not kind:

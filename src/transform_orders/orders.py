@@ -1,6 +1,6 @@
-"""Star and convex transform order decisions between parallel systems:
-exact for two components, and an exploratory star scan in ``star_check``
-for any equal number.
+"""Star and convex transform order decisions between parallel systems of
+any equal number of components: analytic certificates where one is known
+(at two components), certified numerical scans everywhere else.
 
 Everything here analyses the gap function
 
@@ -19,7 +19,8 @@ majorization there is an analytic certificate for the star order, while
 the convex order genuinely fails when both systems are strictly
 heterogeneous: inside the parameter strip theta_1/lam_2 < a <
 theta_1/lam_1 a shift b close to 0 produces the forbidden "+,-,+,-"
-variation.  ``violation_search`` constructs such a witness; since
+variation.  ``violation_search`` seeks such a witness for any n, inside
+theta_1/lam_n < a < theta_1/lam_1; since
 dV/da = x * density_X(a*x + b) > 0, the gap is increasing in a and the
 search can walk a downward from the top of the strip.
 
@@ -290,6 +291,25 @@ def _bisected(
     return Witness(hit.a, hit.b, p)
 
 
+def _spot_checked(
+    gaps: Callable[[float, float], ExpSum],
+    probes: list[tuple[float, float]],
+    violates: Callable[[SignPattern], bool],
+    opts: ScanOptions,
+    certificate: str,
+    detail: str,
+) -> OrderVerdict:
+    """HOLDS on ``certificate``, with the spot checks' patterns as evidence;
+    a certified violation among them is a numerical defect."""
+    hit, evidence = _scan(gaps, probes, violates, opts)
+    if hit is not None:
+        raise RuntimeError(
+            f"spot check at a={hit.a}, b={hit.b} contradicts the {certificate} "
+            "certificate; this is a numerical defect"
+        )
+    return OrderVerdict(Status.HOLDS, certificate, detail=detail, evidence=tuple(evidence))
+
+
 def _may_violate(
     gaps: _Gaps, grid: list[tuple[float, float]], violating: Callable[[tuple[str, ...]], bool]
 ) -> list[tuple[float, float]]:
@@ -298,8 +318,8 @@ def _may_violate(
     pass over the gaps' coefficients instead of one gap per probe.
 
     Each row holds Y's survival terms and X's negated, shifted terms
-    ``(a * r, -(c * exp(-r * b)))``, with the exponentials taken once per
-    distinct b as :meth:`ExpSum._shifted_terms` takes them.  A row that
+    ``(a * r, -(c * exp(-r * b)))``, with the coefficients taken once per
+    distinct b from :meth:`ExpSum._shifted_terms`.  A row that
     :func:`canonical_rows` keeps term for term is its gap, sorted by rate;
     any other row takes its coefficients from its gap, built by
     ``canonicalize`` and padded behind with zeros, which add no prefix-sum
@@ -313,10 +333,7 @@ def _may_violate(
     rows build nothing.  Rows go in chunks of at most ``_BLOCK`` entries.
     """
     x, y = gaps.surv_x, gaps.surv_y
-    shifted = {
-        b: [-(c * math.exp(-r * b)) for r, c in zip(x.rates, x.coeffs)]
-        for b in dict.fromkeys(b for _, b in grid)
-    }
+    shifted = {b: [-c for _, c in x._shifted_terms(1.0, b)] for b in {b for _, b in grid}}
     n = y.n_terms + x.n_terms
     step = max(1, _BLOCK // n)
     starts: dict[tuple[int, int], tuple[bool, bool]] = {}
@@ -455,17 +472,9 @@ def star_check(
     if majorized and lam.n == 2:
         a_hi = _strip(lam, theta)[1]
         probes = sorted({0.5 * a_hi, a_hi, 0.5 * (a_hi + 1.0), 1.0})
-        hit, evidence = _scan(gaps, [(a, 0.0) for a in probes], _star_violation, opts.scan)
-        if hit is not None:
-            raise RuntimeError(
-                f"spot check at a={hit.a} contradicts the analytic certificate; "
-                "this is a numerical defect"
-            )
-        return OrderVerdict(
-            Status.HOLDS,
-            CERT_MAJORIZATION,
-            detail="majorized hazard vectors; gap patterns spot-checked",
-            evidence=tuple(evidence),
+        return _spot_checked(
+            gaps, [(a, 0.0) for a in probes], _star_violation, opts.scan, CERT_MAJORIZATION,
+            "majorized hazard vectors; gap patterns spot-checked",
         )
 
     grid = [(a, 0.0) for a in _a_grid(lam, theta)]
@@ -542,7 +551,7 @@ def violation_search(
 ) -> CounterexampleReport:
     """Construct a certified convex-order violation inside the strip.
 
-    Strategy: (i) seed x0 = 1/(theta1+theta2) and derive the shift budget
+    Strategy: (i) seed x0 = 1/(theta_1+theta_n) and derive the shift budget
     from the strict gap survival_X^{-1}(survival_Y(x0)) - a_hi*x0 > 0,
     halving b until the gap at the top of the strip certifies "+,-,+";
     (ii) with that b0 fixed, walk a downward from a_hi through
@@ -551,13 +560,10 @@ def violation_search(
     (iii) re-verify every region witness by direct evaluation.
     """
     opts = opts or OrderOptions()
-    if lam.n != 2 or theta.n != 2:
-        raise ValueError("violation_search handles n=2 systems only")
     if not majorizes(lam, theta):
         raise ValueError("violation_search requires majorized hazard vectors")
     if lam.close_to(theta):
         raise ValueError("identical rate vectors: nothing to violate")
-    t1, t2 = theta.rates
     a_lo, a_hi = _strip(lam, theta)
     if not a_lo < a_hi:
         raise ValueError(
@@ -566,7 +572,7 @@ def violation_search(
         )
 
     gaps = _Gaps(lam, theta)
-    x0 = 1.0 / (t1 + t2)
+    x0 = 1.0 / (theta.rates[0] + theta.rates[-1])
     slack = inverse_survival(gaps.surv_x, gaps.surv_y.eval(x0)) - a_hi * x0
     if slack <= 0.0:
         raise ViolationSearchError(
@@ -618,13 +624,14 @@ def violation_search(
 def convex_check(
     lam: HazardVector, theta: HazardVector, opts: OrderOptions | None = None
 ) -> OrderVerdict:
-    """Decide the convex transform order between two 2-component systems.
+    """Decide the convex transform order between two systems of equal n.
 
     Identical rates give an analytic HOLDS (the composed transform is the
-    identity), and so does a homogeneous base system (the parameter strip
-    is empty and every regime is favorable).  A majorized, strictly
-    heterogeneous pair admits a constructed violation, so the verdict is
-    FAILS with the search's witness.  Everything else stays numerical: a
+    identity), and so does a homogeneous base system at n = 2 (the
+    parameter strip is empty and every regime is favorable).  A majorized,
+    strictly heterogeneous pair goes to ``violation_search``: FAILS with
+    its witness, INCONCLUSIVE when it certifies none (at n >= 3, where
+    the order is open).  Everything else stays numerical: a
     certified violating pattern on the (a, b) grid, b >= 0, gives FAILS,
     otherwise INCONCLUSIVE.  Grids cannot certify HOLDS; with
     ``allow_numerical_holds`` a complete grid gives a numerical HOLDS when
@@ -643,9 +650,6 @@ def convex_check(
     prove it has no violating tuple.
     """
     opts = opts or OrderOptions()
-    if lam.n != 2 or theta.n != 2:
-        raise ValueError("convex_check supports n=2 systems only")
-
     if lam.close_to(theta):
         return OrderVerdict(
             Status.HOLDS,
@@ -653,23 +657,16 @@ def convex_check(
             detail="identical rate vectors: the composed transform is the identity",
         )
 
-    if majorizes(lam, theta):
-        a_lo, a_hi = _strip(lam, theta)
-        if not a_lo < a_hi:  # homogeneous base: strip is empty
-            b_ref = 0.1 / (theta.rates[0] + theta.rates[-1])
-            probes = [(a, b_ref) for a in (1.25, 0.5 * (a_hi + 1.0), 0.5 * a_lo)]
-            hit, evidence = _scan(_Gaps(lam, theta), probes, _convex_violation, opts.scan)
-            if hit is not None:
-                raise RuntimeError(
-                    f"favorable-case spot check at a={hit.a} found a violation; "
-                    "this is a numerical defect"
-                )
-            return OrderVerdict(
-                Status.HOLDS,
-                CERT_HOMOGENEOUS,
-                detail="empty violating strip: every shift/scale regime is favorable",
-                evidence=tuple(evidence),
-            )
+    majorized = majorizes(lam, theta)  # raises on a length mismatch
+    a_lo, a_hi = _strip(lam, theta)
+    if majorized and a_lo == a_hi and lam.n == 2:  # homogeneous base: strip is empty
+        b_ref = 0.1 / (theta.rates[0] + theta.rates[-1])
+        probes = [(a, b_ref) for a in (1.25, 0.5 * (a_hi + 1.0), 0.5 * a_lo)]
+        return _spot_checked(
+            _Gaps(lam, theta), probes, _convex_violation, opts.scan, CERT_HOMOGENEOUS,
+            "empty violating strip: every shift/scale regime is favorable",
+        )
+    if majorized and a_lo < a_hi:
         try:
             report = violation_search(lam, theta, opts)
         except ViolationSearchError as exc:
@@ -691,8 +688,9 @@ def convex_check(
             ),
         )
 
-    # Not majorized: numerical (a, b) sweep with nonnegative shifts only,
-    # over the probes whose coefficients leave room for a violation.
+    # Not majorized, or a homogeneous base at n >= 3: numerical (a, b)
+    # sweep with nonnegative shifts only, over the probes whose
+    # coefficients leave room for a violation.
     b_scale = 1.0 / (theta.rates[0] + theta.rates[-1])
     grid = [(a, f * b_scale) for a in _a_grid(lam, theta) for f in B_FACTORS]
     hit, scanned, _ = _pruned_scan(
@@ -730,8 +728,6 @@ def convex_check_at(
     with the pattern attached.
     """
     opts = opts or OrderOptions()
-    if lam.n != 2 or theta.n != 2:
-        raise ValueError("convex_check_at supports n=2 systems only")
     hit, scanned = _scan(_Gaps(lam, theta), [(a, b)], _convex_violation, opts.scan)
     if hit is not None:
         detail = f"certified pattern '{hit.pattern.text()}' at (a={a:.6g}, b={b:.6g})"
@@ -755,7 +751,7 @@ def sign_map(
 ) -> SignMap:
     """Matrix of gap signs over (x, a) at fixed b, for CSV emission.
 
-    The rows a = theta1/lam2 and a = theta1/lam1 (the strip boundaries)
+    The rows a = theta1/lam_n and a = theta1/lam_1 (the strip boundaries)
     are always included exactly.  A cell's sign is certain by the rule of
     ``sign_pattern``: cells whose |gap| does not clear both the sign floor
     and the rounding bound carry sign 0 (uncertain).

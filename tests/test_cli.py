@@ -83,6 +83,22 @@ class TestVerdictCommands:
         assert code == EXIT_INCONCLUSIVE
         assert "consistent" in json.loads(text)["detail"]
 
+    def test_three_component_convex_fails(self, tmp_path):
+        code, text = run_cli(
+            ["check-convex", "--lambda", "2,3,4", "--theta", "1,3,5"], tmp_path
+        )
+        assert code == EXIT_FAILS
+        witness = json.loads(text)["witness"]
+        assert 0.25 < witness["a"] < 0.5  # the strip (theta_1/lam_3, theta_1/lam_1)
+        assert [r["sign"] for r in witness["pattern"]] == ["+", "-", "+", "-"]
+
+    def test_three_component_counterexample(self, tmp_path):
+        code, text = run_cli(
+            ["find-counterexample", "--lambda", "2,3,4", "--theta", "1,3,5"], tmp_path
+        )
+        assert code == EXIT_FAILS
+        assert json.loads(text)["strip"] == [0.25, 0.5]
+
 
 class TestExtremeRates:
     """Rates near 1e200 (1e155 at n = 3) overflow r**k in the derivative
@@ -281,8 +297,6 @@ class TestUsageErrors:
         ["failure-rate", "--lambda", "2,3", "--x", "-1"],
         ["check-star", "--lambda", "2,3", "--theta", "1.5,3.5,4"],
         ["sign-map", "--lambda", "2,3", "--theta", "1.5,3.5,4", "--b", "0"],
-        ["check-convex", "--lambda", "2,3,4", "--theta", "1,3,5"],
-        ["find-counterexample", "--lambda", "2,3,4", "--theta", "1,3,5"],
     ])
     def test_out_of_range_numbers(self, argv):
         assert main(argv) == EXIT_USAGE

@@ -678,6 +678,18 @@ class TestSpotChecksAndRescans:
         assert verdict.status is Status.HOLDS and len(verdict.evidence) == probes
         assert scans == [(probes, True)]
 
+    @pytest.mark.parametrize("check, lam, violation", [
+        (star_check, LAM, "_star_violation"),
+        (convex_check, HazardVector((2.5, 2.5)), "_convex_violation"),
+    ], ids=["star-majorized", "convex-homogeneous"])
+    def test_contradicted_certificate_is_a_numerical_defect(
+        self, monkeypatch, check, lam, violation
+    ):
+        # Every certified spot-check pattern taken as a violation.
+        monkeypatch.setattr(orders, violation, lambda p: True)
+        with pytest.raises(RuntimeError, match="contradicts the .* numerical defect"):
+            check(lam, THETA)
+
     def test_long_scans_start_with_one_probe(self, monkeypatch):
         # The reversed classic a-grid, scanned unfiltered: the "+,-" hit is
         # the 46th of 67 probes.
