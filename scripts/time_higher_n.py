@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""In-process wall times of star checks with three or more components.
+
+Two sets of calls, each timed as the median and the best of ``--repeats``
+runs after one untimed call:
+
+- every op of the benchmark's ``higher-n`` workload at ``--seed``
+  (``bench/workloads.py``: ``star_check`` on majorized pairs of n = 3..6
+  and reversed pairs of n = 3, 4);
+- ``star_check`` on generic pairs of n = 8, 10 and 12 (``--generic``): n
+  sorted rates drawn uniformly from (1, 3) with ``default_rng(5)``, theta
+  drawn the same way and rescaled to lam's total, so that every gap has
+  2^(n+1) - 2 terms.
+
+``--packages`` names one or more importable copies of the package.  Their
+calls alternate repeat by repeat, first one package first, then the next,
+so that two trees compared in one process see the same swings of a shared
+host.  To compare with another tree, copy its ``src/transform_orders`` to
+``DIR/transform_orders_base``.  Prints one JSON object.
+
+Usage:
+    PYTHONPATH=src python scripts/time_higher_n.py [--seed 7] [--repeats 5] [--generic 8,10,12]
+    PYTHONPATH=src:DIR python scripts/time_higher_n.py \
+        --packages transform_orders_base,transform_orders
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
+
+
+def generic_rates(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    rng = np.random.default_rng(5)
+    lam = np.sort(rng.uniform(1.0, 3.0, n))
+    theta = np.sort(rng.uniform(1.0, 3.0, n))
+    theta *= lam.sum() / theta.sum()
+    return tuple(lam.tolist()), tuple(theta.tolist())
+
+
+def timed(calls: dict, repeats: int) -> dict:
+    """Per package: the status of its call and the median and best time."""
+    names = list(calls)
+    status = {name: calls[name]().status.value for name in names}
+    times = {name: [] for name in names}
+    for r in range(repeats):
+        for name in names[r % len(names):] + names[: r % len(names)]:
+            start = perf_counter()
+            calls[name]()
+            times[name].append(perf_counter() - start)
+    return {name: {"status": status[name],
+                   "median_ms": round(1e3 * statistics.median(times[name]), 2),
+                   "best_ms": round(1e3 * min(times[name]), 2)} for name in names}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--generic", default="8,10,12",
+                        help="comma-separated n of the generic pairs ('' for none)")
+    parser.add_argument("--packages", default="transform_orders",
+                        help="comma-separated importable copies of the package")
+    args = parser.parse_args(argv)
+    libs = {name: importlib.import_module(name) for name in args.packages.split(",")}
+    ops = []
+    for op in workloads.generate("higher-n", args.seed):
+        calls = {name: (lambda lib=lib: workloads.run_op(lib, op)) for name, lib in libs.items()}
+        ops.append({"group": op.group, "n": len(op.lam), "by_package": timed(calls, args.repeats)})
+    generic = {}
+    for n in filter(None, args.generic.split(",")):
+        lam, theta = generic_rates(int(n))
+        calls = {
+            name: (lambda lib=lib: lib.star_check(lib.HazardVector(lam), lib.HazardVector(theta)))
+            for name, lib in libs.items()
+        }
+        generic[n] = timed(calls, args.repeats)
+    passes = {name: round(sum(op["by_package"][name]["median_ms"] for op in ops), 2)
+              for name in libs}
+    print(json.dumps({"seed": args.seed, "repeats": args.repeats, "higher_n_ops": ops,
+                      "higher_n_pass_median_ms": passes, "generic_star_check": generic}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

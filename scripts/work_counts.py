@@ -8,8 +8,9 @@ reads
 
     name evaluator_calls=E sign_patterns_calls=C patterns=P dip_split=D geomspace=G canonicalize=K eval_blocks=B sign_at_zero=Z
 
-- ``evaluator_calls``: calls of the certified evaluator (``scaled_rows``
-  or ``ExpSum._scaled_many``) not made from inside another one;
+- ``evaluator_calls``: calls of a certified evaluator (``scaled_rows``,
+  ``ExpSum._scaled_many``, or ``product.ProductGaps.evaluate`` for the
+  gaps of n >= 3 systems) not made from inside another one;
 - ``sign_patterns_calls`` and ``patterns``: calls of ``sign_patterns``
   made by the verdict functions, and the sums they scanned in total;
 - ``dip_split``: calls of the dip-pass split rule ``expsum._dip_split``;
@@ -17,8 +18,9 @@ reads
 - ``canonicalize``: calls of ``expsum.canonicalize`` through the module
   attribute (one per gap built);
   ``systems.survival`` holds its own reference and is not counted;
-- ``eval_blocks``: calls of the evaluator's block routine
-  ``expsum._scaled_block``, one per block of points of each evaluator call;
+- ``eval_blocks``: calls of the evaluators' block routines
+  ``expsum._scaled_block`` and ``product.product_block``, one per block of
+  points of each evaluator call;
 - ``sign_at_zero``: scalar evaluations of ``ExpSum.sign_at_zero`` (the
   cached ``ExpSum._sign_at_zero``), whether inside a verdict or as the
   fallback of ``expsum.sign_at_zero_rows``; a sum whose sign at 0+ the
@@ -54,7 +56,7 @@ from transform_orders import (
     survival,
     violation_search,
 )
-from transform_orders import expsum, orders
+from transform_orders import expsum, orders, product
 
 CLASSIC = HazardVector((2.0, 3.0)), HazardVector((1.5, 3.5))
 REVERSED = CLASSIC[::-1]
@@ -133,6 +135,9 @@ def work(run, *args) -> Counter:
         patch(mock.patch.object(expsum.ExpSum, "_scaled_many",
                                 counted(counts, "evaluator_calls", expsum.ExpSum._scaled_many,
                                         depth)))
+        patch(mock.patch.object(product.ProductGaps, "evaluate",
+                                counted(counts, "evaluator_calls", product.ProductGaps.evaluate,
+                                        depth)))
         patch(mock.patch.object(orders, "sign_patterns", scanning))
         patch(mock.patch.object(expsum, "_dip_split",
                                 counted(counts, "dip_split", expsum._dip_split)))
@@ -141,6 +146,8 @@ def work(run, *args) -> Counter:
                                 counted(counts, "canonicalize", expsum.canonicalize)))
         patch(mock.patch.object(expsum, "_scaled_block",
                                 counted(counts, "eval_blocks", expsum._scaled_block)))
+        patch(mock.patch.object(product, "product_block",
+                                counted(counts, "eval_blocks", product.product_block)))
         at_zero = cached_property(counted(counts, "sign_at_zero",
                                           expsum.ExpSum._sign_at_zero.func))
         at_zero.__set_name__(expsum.ExpSum, "_sign_at_zero")

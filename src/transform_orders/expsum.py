@@ -256,7 +256,38 @@ class ExpSum:
         return max(worst, 0.0)
 
 
-class _PaddedSums:
+class SumBlock:
+    """A list of sums that a scan evaluates together, with the certified
+    evaluator that serves them: :meth:`evaluate` gives (s, m, err) as
+    :func:`scaled_rows` does, and :meth:`take` a subset in the same form.
+    A plain sequence of sums is laid out as :class:`_PaddedSums`; the
+    gaps of one pair of systems with three or more components come as
+    ``product.ProductGaps``."""
+
+    def __init__(self, fs: Iterable[ExpSum]):
+        self.fs = list(fs)
+
+    def __len__(self) -> int:
+        return len(self.fs)
+
+    def __iter__(self):
+        return iter(self.fs)
+
+    def take(self, ks: Sequence[int]) -> "SumBlock":
+        """The sums fs[k] for k in ks, in that order, in this form."""
+        raise NotImplementedError
+
+    def evaluate(self, xss) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(s, m, err) of each sum fs[k] at its own points xss[k], the
+        rows concatenated in order."""
+        raise NotImplementedError
+
+
+def _block(fs: Sequence[ExpSum] | SumBlock) -> SumBlock:
+    return fs if isinstance(fs, SumBlock) else _PaddedSums(fs)
+
+
+class _PaddedSums(SumBlock):
     """A list of sums with the (terms x sums) arrays of their shared
     padded layout, built once: minus the rates and the coefficients, each
     sum padded in front, up to the largest term count, with zero
@@ -265,7 +296,7 @@ class _PaddedSums:
     sums (:meth:`take`) is a column take of the arrays."""
 
     def __init__(self, fs: Iterable[ExpSum], neg_rates=None, coeffs=None):
-        self.fs = list(fs)
+        super().__init__(fs)
         if neg_rates is None:
             n = max([1] + [f.n_terms for f in self.fs])  # the zero sum gets one padding term
             shape = len(self.fs), n
@@ -278,24 +309,22 @@ class _PaddedSums:
         self.neg_rates, self.coeffs = neg_rates, coeffs
         self.zero = [k for k, f in enumerate(self.fs) if f.is_zero]
 
-    def __len__(self) -> int:
-        return len(self.fs)
-
-    def __iter__(self):
-        return iter(self.fs)
-
     def take(self, ks: Sequence[int]) -> "_PaddedSums":
-        """The sums fs[k] for k in ks, in that order, in this layout."""
         return _PaddedSums(
             [self.fs[k] for k in ks], self.neg_rates[:, ks], self.coeffs[:, ks]
         )
+
+    def evaluate(self, xss) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return scaled_rows(self, xss)
 
 
 def scaled_rows(fs: Sequence[ExpSum], xss) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate each sum fs[k] on its own 1-D array xss[k], as (s, m, err)
     with the rows concatenated in order: f = s * exp(m), |rounding| <= err.
 
-    The one certified evaluator: every sign decision rests on ``err``.
+    The certified evaluator of the coefficient form: every sign decision
+    rests on ``err``, here or in ``product.ProductGaps``, which evaluates
+    the gaps that the verdicts scan for three or more components.
     The shared exponent m = max_i(-r_i * x) (the first rate's term for
     x >= 0, the last one's for x < 0) keeps the computation free of
     overflow for any real x, so the *sign* of f stays decidable far
@@ -546,9 +575,12 @@ def known_sum(rates, coeffs, sign_at_zero: tuple[int, int], dominance_point: flo
     """``ExpSum(rates, coeffs)`` with the results of its
     :meth:`~ExpSum.sign_at_zero` and :meth:`~ExpSum.dominance_point`
     given (from :func:`sign_at_zero_rows` and :func:`dominance_point_rows`),
-    so neither is computed again."""
-    f = ExpSum(tuple(rates), tuple(coeffs))
-    f.__dict__.update(_sign_at_zero=sign_at_zero, _dominance_point=dominance_point)
+    so neither is computed again.  The rows are those of a row that
+    :func:`canonical_rows` keeps, which has checked every invariant, so
+    ``ExpSum.__post_init__`` does not check them again."""
+    f = ExpSum.__new__(ExpSum)
+    f.__dict__.update(rates=tuple(rates), coeffs=tuple(coeffs),
+                      _sign_at_zero=sign_at_zero, _dominance_point=dominance_point)
     return f
 
 
@@ -690,31 +722,31 @@ def _certify(s, m, err, opts: ScanOptions) -> tuple[np.ndarray, np.ndarray]:
     return sign, logmag
 
 
-def certain_signs(fs: Sequence[ExpSum], xss, opts: ScanOptions) -> list[np.ndarray]:
+def certain_signs(fs: Sequence[ExpSum] | SumBlock, xss, opts: ScanOptions) -> list[np.ndarray]:
     """Signs of each fs[k] at its own points xss[k], one array per row, from
-    one :func:`scaled_rows` call: +1 or -1 only where |f| clears both the
-    rounding bound and the sign floor; elsewhere 0."""
-    sign = _certify(*scaled_rows(fs, xss), opts)[0]
+    one evaluator call (:class:`SumBlock`): +1 or -1 only where |f| clears
+    both the rounding bound and the sign floor; elsewhere 0."""
+    sign = _certify(*_block(fs).evaluate(xss), opts)[0]
     return np.split(sign, np.cumsum([len(xs) for xs in xss])[:-1])
 
 
-def _evaluated(fs: Sequence[ExpSum], xss, opts: ScanOptions) -> _Pts:
-    """The points xss[k] of each fs[k] from one :func:`scaled_rows` call,
+def _evaluated(fs: SumBlock, xss, opts: ScanOptions) -> _Pts:
+    """The points xss[k] of each fs[k] from one evaluator call,
     concatenated in row order."""
-    s, m, err = scaled_rows(fs, xss)
+    s, m, err = fs.evaluate(xss)
     sign, logmag = _certify(s, m, err, opts)
     return _Pts(np.concatenate(xss, dtype=float), s, m, logmag, sign)
 
 
-def _lockstep(fs: _PaddedSums, gens: list, opts: ScanOptions) -> list:
+def _lockstep(fs: SumBlock, gens: list, opts: ScanOptions) -> list:
     """Run the step generators gens[k], one for each sum fs[k], together.
 
     A step generator yields each x-array it needs evaluated, is sent back
     those points as :class:`_Pts` in request order, and returns its result.
     Each round, the requests of all running generators go to one
-    :func:`scaled_rows` call, with their sums taken from the block's
-    layout; a flip-bisection request holds BISECT_LEVELS levels of each
-    bracket (see :func:`_refine_flips`).  The generators of sign scans and
+    evaluator call, with their sums taken from the block; a flip-bisection
+    request holds BISECT_LEVELS levels of each bracket (see
+    :func:`_refine_flips`).  The generators of sign scans and
     root scans start from the points of :func:`_grid_phase`, which has
     already evaluated the grids and dip passes of all the sums.
     """
@@ -856,7 +888,7 @@ def _dip_split(pts: _Pts, owner: np.ndarray | None = None) -> np.ndarray:
     return split
 
 
-def _grid_phase(fs: _PaddedSums, grids, opts: ScanOptions) -> list[_Pts]:
+def _grid_phase(fs: SumBlock, grids, opts: ScanOptions) -> list[_Pts]:
     """Evaluate each sum fs[k] on its sorted grid grids[k], then run up to
     DIP_PASSES passes that halve the intervals :func:`_dip_split` picks, to
     expose narrow regions; returns each sum's points by x.
@@ -942,12 +974,13 @@ def sign_pattern(f: ExpSum, opts: ScanOptions | None = None) -> SignPattern:
 
 
 def sign_patterns(
-    fs: Sequence[ExpSum], opts: ScanOptions | None = None, *, refine: bool = True
+    fs: Sequence[ExpSum] | SumBlock, opts: ScanOptions | None = None, *, refine: bool = True
 ) -> list[SignPattern]:
-    """``[sign_pattern(f) for f in fs]``, computed together.  The sums
-    are laid out once (:class:`_PaddedSums`) for every evaluator call of
-    the block.  The grid phase runs once for the whole block: one
-    geomspace call builds every grid, and the grid and each dip pass take
+    """``[sign_pattern(f) for f in fs]``, computed together.  A sequence
+    of sums is laid out once (:class:`_PaddedSums`) for every evaluator
+    call of the block; a :class:`SumBlock` brings its own evaluator.  The
+    grid phase runs once for the whole block: one geomspace call builds
+    every grid, and the grid and each dip pass take
     one evaluator call over the points of all sums (see
     :func:`_grid_phase`).  Then each scan's step
     generator goes on from its own points in lock step: each 0+ walk,
@@ -964,7 +997,7 @@ def sign_patterns(
     in its signs, since which region is dropped as the weakest depends on
     the witness values.
     """
-    fs, opts = _PaddedSums(fs), opts or ScanOptions()
+    fs, opts = _block(fs), opts or ScanOptions()
     grids = _grid_phase(fs, _sign_grids(fs), opts)
     return _lockstep(fs, [_pattern_steps(f, pts, refine) for f, pts in zip(fs, grids)], opts)
 

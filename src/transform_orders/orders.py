@@ -26,6 +26,10 @@ search can walk a downward from the top of the strip.
 
 ``_scan`` is the one place where sign patterns are scanned: every verdict
 probes a list of (a, b) through it, with both survivals built once per call.
+Each gap's structure (sign at 0+, tail sign, zero bound, grid ends) comes
+from its coefficients; for three or more components its points are
+evaluated in product form (``product``, from the rates and (a, b) at 2n
+exponentials a point), for two from the coefficients (``_Gaps.block``).
 It hands the probes to ``expsum.sign_patterns`` in blocks of 1, 2, 4, ...
 up to ``MAX_BLOCK`` (a list that fits in one block, such as a list of spot
 checks, goes whole), whose patterns are scanned together: each evaluator
@@ -93,6 +97,7 @@ from .expsum import (
     sign_patterns,
     sign_tuples,
 )
+from .product import ProductGaps
 from .systems import HazardVector, density, inverse_survival, majorizes, survival
 
 
@@ -214,8 +219,21 @@ class _Gaps:
     gap is built once, so a scan that probes it again reuses it."""
 
     def __init__(self, lam: HazardVector, theta: HazardVector):
+        self.lam, self.theta = lam, theta
         self.surv_x, self.surv_y = survival(lam), survival(theta)
         self._built: dict[tuple[float, float], ExpSum] = {}
+
+    def block(self, probes: list[tuple[float, float]]) -> list[ExpSum] | ProductGaps:
+        """The gaps at the (a, b) probes as one scan block: evaluated in
+        product form when both systems have the same three or more
+        components (``product``), where a gap has up to 2^(n+1) - 2
+        terms, and from their coefficients otherwise: at two, where the
+        coefficient form is the faster one, and for systems of different
+        sizes, which the product form does not take."""
+        fs = [self(a, b) for a, b in probes]
+        if not self.lam.n == self.theta.n >= 3:
+            return fs
+        return ProductGaps(fs, self.lam.rates, self.theta.rates, probes)
 
     def __call__(self, a: float, b: float = 0.0) -> ExpSum:
         gap = self._built.get((a, b))
@@ -237,7 +255,7 @@ def survival_gap(
 
 
 def _scan(
-    gaps: Callable[[float, float], ExpSum],
+    gaps: _Gaps,
     probes: Iterable[tuple[float, float]],
     violates: Callable[[SignPattern], bool],
     opts: ScanOptions,
@@ -262,8 +280,7 @@ def _scan(
     start, size = 0, len(probes) if len(probes) <= MAX_BLOCK else 1
     while start < len(probes):
         block = probes[start : start + size]
-        fs = [gaps(a, b) for a, b in block]
-        for (a, b), p in zip(block, sign_patterns(fs, opts, refine=refine)):
+        for (a, b), p in zip(block, sign_patterns(gaps.block(block), opts, refine=refine)):
             scanned.append((a, p))
             if p.certified and violates(p):
                 return Witness(a, b, p), scanned
@@ -272,7 +289,7 @@ def _scan(
 
 
 def _bisected(
-    gaps: Callable[[float, float], ExpSum],
+    gaps: _Gaps,
     hit: Witness,
     violates: Callable[[SignPattern], bool],
     opts: ScanOptions,
@@ -282,7 +299,7 @@ def _bisected(
     scan of the whole block finds, since no per-point result depends on
     the batch; a re-scan that does not certify the violation is a
     numerical defect."""
-    (p,) = sign_patterns([gaps(hit.a, hit.b)], opts)
+    (p,) = sign_patterns(gaps.block([(hit.a, hit.b)]), opts)
     if not (p.certified and violates(p)):
         raise RuntimeError(
             f"bisected re-scan at a={hit.a}, b={hit.b} does not certify the "
@@ -292,7 +309,7 @@ def _bisected(
 
 
 def _spot_checked(
-    gaps: Callable[[float, float], ExpSum],
+    gaps: _Gaps,
     probes: list[tuple[float, float]],
     violates: Callable[[SignPattern], bool],
     opts: ScanOptions,
@@ -401,12 +418,14 @@ def _pruned_scan(
 
 
 def _unconfirmed_region(
-    gap: ExpSum, pattern: SignPattern, opts: ScanOptions
+    gap: list[ExpSum] | ProductGaps, pattern: SignPattern, opts: ScanOptions
 ) -> SignRegion | None:
     """The first region of pattern whose sign is not certain at its
-    witness abscissa by a fresh evaluation of gap (clearing both the
-    rounding bound and the sign floor), or None when every one is."""
-    (signs,) = certain_signs([gap], [[r.x for r in pattern.regions]], opts)
+    witness abscissa by a fresh evaluation of the one-gap block ``gap``
+    (clearing both the rounding bound and the sign floor), or None when
+    every one is.  The block from ``_Gaps.block`` brings the evaluator of
+    the scan that found the pattern, so a region fails only on its sign."""
+    (signs,) = certain_signs(gap, [[r.x for r in pattern.regions]], opts)
     for sign, region in zip(signs.tolist(), pattern.regions):
         if sign != (1 if region.sign == "+" else -1):
             return region
@@ -611,7 +630,7 @@ def violation_search(
         )
     hit = _bisected(gaps, hit, four_regions, opts.scan)
 
-    bad = _unconfirmed_region(gaps(hit.a, b0), hit.pattern, opts.scan)
+    bad = _unconfirmed_region(gaps.block([(hit.a, b0)]), hit.pattern, opts.scan)
     if bad is not None:
         raise ViolationSearchError(
             f"witness re-verification failed at x={bad.x}", tuple(attempts)

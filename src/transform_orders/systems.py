@@ -19,6 +19,8 @@ from .expsum import ExpSum, canonicalize
 
 MAX_COMPONENTS = 20  # inclusion-exclusion yields 2^n - 1 terms
 RATE_RTOL = 1e-12  # relative tolerance at which two rates, or two rate totals, agree
+BISECT_STEPS = 120  # most bisection steps of a quantile
+BISECT_POINTS = 128  # points one bisection call may evaluate, over all pending quantiles
 
 
 class SurvivalUnderflow(ArithmeticError):
@@ -124,6 +126,12 @@ def inverse_survival_many(f: ExpSum, u: np.ndarray) -> np.ndarray:
 
     Bracketing by doubling followed by bisection to machine width, so the
     residual |f(x) - u| is far below 1e-13 for any u in (0, 1].
+
+    Each bisection call evaluates as many levels of the pending
+    quantiles' midpoint trees as fit in BISECT_POINTS points, at least
+    one: seven for one quantile, one for a 2000-point oracle (see
+    :func:`_bisect_levels`).  Every value of ``eval_many`` depends on its
+    own point only, so lo and hi are those of one level per call.
     """
     _check_survival_form(f)
     u = np.asarray(u, dtype=float)
@@ -138,15 +146,54 @@ def inverse_survival_many(f: ExpSum, u: np.ndarray) -> np.ndarray:
         hi[too_high] *= 2.0
     else:
         raise ValueError("failed to bracket all quantiles by doubling")
-    for _ in range(120):
+    steps = 0
+    while steps < BISECT_STEPS:
         mid = 0.5 * (lo + hi)
         step = (lo < mid) & (mid < hi)  # brackets still wider than one ulp
-        if not step.any():
+        pending = np.count_nonzero(step)
+        if not pending:
             break
-        above = f.eval_many(mid) > u
-        lo = np.where(step & above, mid, lo)
-        hi = np.where(step & ~above, mid, hi)
+        depth = min(BISECT_STEPS - steps, max(1, int(math.log2(BISECT_POINTS // pending + 1))))
+        if depth > 1:
+            at = np.flatnonzero(step)
+            lo[at], hi[at] = _bisect_levels(f, u[at], lo[at], hi[at], depth)
+        else:
+            above = f.eval_many(mid) > u
+            lo = np.where(step & above, mid, lo)
+            hi = np.where(step & ~above, mid, hi)
+        steps += depth
     return 0.5 * (lo + hi)
+
+
+def _bisect_levels(f: ExpSum, u, lo, hi, depth: int):
+    """``depth`` bisection steps of the brackets [lo, hi] of f = u from one
+    ``eval_many`` call over every midpoint those steps can reach: level k
+    of a bracket's tree holds the 2^k midpoints of the intervals its first
+    k steps can leave, node i's children being 2i (left) and 2i + 1.  The
+    values then pick each bracket's path, as one step at a time would; a
+    midpoint not strictly inside its interval ends the bracket's steps, as
+    it would leave the bracket there for good."""
+    u, lo, hi = u.tolist(), lo.tolist(), hi.tolist()
+    mids, starts = [], []  # every midpoint; per bracket, the index of each level's first
+    for a, b in zip(lo, hi):
+        level, first = [(a, b)], []
+        for _ in range(depth):
+            first.append(len(mids))
+            mids += [0.5 * (a + b) for a, b in level]
+            level = [iv for (a, b), m in zip(level, mids[first[-1]:]) for iv in ((a, m), (m, b))]
+        starts.append(first)
+    values = f.eval_many(np.array(mids)).tolist()
+    for k, first in enumerate(starts):
+        node = 0
+        for start in first:
+            m = mids[start + node]
+            if not lo[k] < m < hi[k]:
+                break
+            if values[start + node] > u[k]:
+                lo[k], node = m, 2 * node + 1
+            else:
+                hi[k], node = m, 2 * node
+    return lo, hi
 
 
 def majorizes(lam: HazardVector, theta: HazardVector) -> bool:

@@ -1,6 +1,8 @@
 """CLI dispatch, exit codes, report artifacts, and determinism."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +118,34 @@ class TestExtremeRates:
         code, text = run_cli([command, "--lambda", lam, "--theta", theta], tmp_path)
         assert code == want
         assert json.loads(text)["verdict"] in ("HOLDS", "FAILS", "INCONCLUSIVE")
+
+
+def load_bench_verify():
+    """bench/verify.py, the benchmark's 50-digit check of witness regions."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "verify.py"
+    spec = importlib.util.spec_from_file_location("bench_verify", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRateScale:
+    def test_tiny_rates_n3_star_is_not_a_wrong_fails(self, tmp_path):
+        # Rates near 1e-11 merged terms of the coefficient form, and a scan
+        # that evaluated it certified a '+' at x = 4.96e9 where the true gap
+        # is -0.00146 (ROADMAP item 10).  The product form evaluates the
+        # true gap; every certified region must have the 50-digit sign.
+        lam, theta = (2e-11, 3e-11, 4e-11), (1e-11, 3e-11, 5e-11)
+        code, text = run_cli(["check-star", "--lambda", ",".join(map(str, lam)),
+                              "--theta", ",".join(map(str, theta))], tmp_path)
+        report = json.loads(text)
+        assert code != EXIT_FAILS and report["verdict"] != "FAILS"
+        verify = load_bench_verify()
+        witness = report["witness"]
+        for region in witness["pattern"] if witness else []:
+            if region["certain"]:
+                value = verify.gap(lam, theta, witness["a"], witness["b"], region["x"])
+                assert (value > 0) == (region["sign"] == "+")
 
 
 class TestFindCounterexample:

@@ -29,7 +29,7 @@ from transform_orders import (
     survival_gap,
     violation_search,
 )
-from transform_orders import expsum, orders, systems
+from transform_orders import expsum, orders, product, systems
 
 from _samplers import random_majorized_pair
 
@@ -242,8 +242,8 @@ class TestViolationSearch:
         regions[k] = SignRegion(regions[k].sign, x, value, True)
         fabricated = replace(report.pattern, regions=tuple(regions))
         opts = ScanOptions()
-        assert orders._unconfirmed_region(gap, fabricated, opts) == regions[k]
-        assert orders._unconfirmed_region(gap, report.pattern, opts) is None
+        assert orders._unconfirmed_region([gap], fabricated, opts) == regions[k]
+        assert orders._unconfirmed_region([gap], report.pattern, opts) is None
 
 
 def scan_one_at_a_time(gaps, probes, violates, opts):
@@ -607,6 +607,9 @@ class TestTwoPhaseScans:
         monkeypatch.setattr(
             expsum.ExpSum, "_scaled_many", counted_outermost(expsum.ExpSum._scaled_many, calls)
         )
+        monkeypatch.setattr(  # the evaluator of n >= 3 gaps
+            product.ProductGaps, "evaluate", counted_outermost(product.ProductGaps.evaluate, calls)
+        )
         run()
         assert 0 < calls[0] <= budget
 
@@ -876,6 +879,55 @@ class TestStarCheckN:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             star_check(HazardVector((1, 2)), HazardVector((1, 2, 3)))
+
+
+def assert_rate_scale_equivariant(lam, theta, j):
+    """star_check of both systems scaled by 2^j gives the verdict at
+    scale 1: (2^j r)(2^-j x) == r x in floats, so the status and a are
+    the same, and b and each region's x scale by 2^-j exactly."""
+    k = 2.0**j
+    base = star_check(HazardVector(lam), HazardVector(theta))
+    moved = star_check(HazardVector(lam).scaled(k), HazardVector(theta).scaled(k))
+    assert moved.status is base.status
+    if base.witness is not None:
+        w, v = base.witness, moved.witness
+        assert (v.a, v.b) == (w.a, w.b / k)
+        assert [(r.sign, r.x) for r in v.pattern.regions] == [
+            (r.sign, r.x / k) for r in w.pattern.regions
+        ]
+
+
+N3_STAR_PAIRS = {
+    "n3": ((2, 3, 4), (1, 3, 5)),
+    "n4": ((2, 2.5, 3, 3.5), (1.5, 2.5, 3, 4)),
+    "n6": ((2, 2.2, 2.4, 2.6, 2.8, 3), (1.5, 2, 2.4, 2.6, 3, 3.5)),
+}
+
+
+class TestRateScaleEquivariance:
+    """Power-of-two rescaling of both systems at n >= 3 (ROADMAP item 12).
+    The product form evaluates the true gap, so no scale-dependent rounding
+    of the gap's coefficients can certify a wrong sign: the majorized n = 3
+    pair FAILED at j = -30 and -40 while the scans read the coefficient form."""
+
+    @pytest.mark.parametrize("j", [-40, -30, 30])
+    @pytest.mark.parametrize("name", list(N3_STAR_PAIRS))
+    def test_majorized_verdicts(self, name, j):
+        assert_rate_scale_equivariant(*N3_STAR_PAIRS[name], j)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the scan's structure still comes from the canonical form, whose merge "
+        "tolerance is absolute below rate 1 and whose sign grids end 1e-6 past their "
+        "last point, so witness abscissae move and the j = -40 FAILS is lost "
+        "(ROADMAP item 10)",
+    )
+    @pytest.mark.parametrize("j", [-40, -30, 30])
+    @pytest.mark.parametrize("name", list(N3_STAR_PAIRS))
+    def test_reversed_verdicts(self, name, j):
+        lam, theta = N3_STAR_PAIRS[name]
+        assert_rate_scale_equivariant(theta, lam, j)
 
 
 class TestOrderVerdict:

@@ -190,6 +190,45 @@ class TestInverseSurvival:
         expected = [inverse_survival(f, float(ui)) for ui in u]
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-300)
 
+    @staticmethod
+    def sequential_quantiles(f, u):
+        """inverse_survival_many as one bisection level per eval_many call:
+        the reference for the evaluation of several levels per call."""
+        u = np.asarray(u, dtype=float)
+        lo = np.zeros_like(u)
+        hi = np.where(u < 1.0, 1.0 / f.rates[0], 0.0)
+        for _ in range(200):
+            too_high = (f.eval_many(hi) >= u) & (hi > 0.0)
+            if not too_high.any():
+                break
+            hi[too_high] *= 2.0
+        for _ in range(120):
+            mid = 0.5 * (lo + hi)
+            step = (lo < mid) & (mid < hi)
+            if not step.any():
+                break
+            above = f.eval_many(mid) > u
+            lo = np.where(step & above, mid, lo)
+            hi = np.where(step & ~above, mid, hi)
+        return 0.5 * (lo + hi)
+
+    def test_levels_per_call_match_the_sequential_loop(self):
+        # The levels violation_search asks for: S_Y(1 / (theta_1 + theta_n))
+        # of strictly heterogeneous majorized pairs, inverted on S_X, one
+        # at a time (several bisection levels per call) and all together.
+        rng = np.random.default_rng(7)
+        for scale in (1.0, 1.0, 1e-3, 1e3):
+            for _ in range(10):
+                lam, theta = random_majorized_pair(rng, scale=scale, strict=True)
+                f, g = survival(lam), survival(theta)
+                u = g.eval(1.0 / (theta.rates[0] + theta.rates[-1]))
+                assert inverse_survival(f, u) == self.sequential_quantiles(f, [u])[0]
+        f = survival(HazardVector((1.3, 2.7, 4.0)))
+        u = np.concatenate([[1.0, 1e-300, 1e-12], rng.uniform(0.0, 1.0, 37) ** 4])
+        assert np.array_equal(inverse_survival_many(f, u), self.sequential_quantiles(f, u))
+        for ui in u.tolist():
+            assert inverse_survival(f, ui) == self.sequential_quantiles(f, [ui])[0]
+
     def test_rejects_out_of_range(self):
         f = survival(HazardVector((1,)))
         for u in (0.0, -0.5, 1.5):
