@@ -72,6 +72,7 @@ CONFIGS: tuple[tuple[str, tuple[str, ...], dict[str, str]], ...] = (
     ("sign-map-large-b-csv", ("sign-map", *CLASSIC, "--b", "5"), {}),
     ("sign-map-tiny-b-json", ("sign-map", *CLASSIC, "--b", "1e-9", "--format", "json"), {}),
     ("sign-map-large-b-json", ("sign-map", *CLASSIC, "--b", "5", "--format", "json"), {}),
+    ("n3-sign-map-csv", ("sign-map", "--lambda", "2,3,4", "--theta", "1,3,5", "--b", "0.05"), {}),
     ("failure-rate", ("failure-rate", "--lambda", "2,3", "--x", "1.0"), {}),
     ("failure-rate-underflow", ("failure-rate", "--lambda", "2,3", "--x", "1000"), {}),
     ("simulate", ("simulate", "--lambda", "1,2,3", "--samples", "1000", "--seed", "7"), {}),

@@ -123,7 +123,7 @@ def work(run, *args) -> Counter:
     scan = orders.sign_patterns
 
     def scanning(fs, *rest, **kwargs):
-        fs = list(fs)
+        # fs is a list or a SumBlock, which keeps its own evaluator.
         counts["sign_patterns_calls"] += 1
         counts["patterns"] += len(fs)
         return scan(fs, *rest, **kwargs)

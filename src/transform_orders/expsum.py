@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -324,7 +324,7 @@ def scaled_rows(fs: Sequence[ExpSum], xss) -> tuple[np.ndarray, np.ndarray, np.n
 
     The certified evaluator of the coefficient form: every sign decision
     rests on ``err``, here or in ``product.ProductGaps``, which evaluates
-    the gaps that the verdicts scan for three or more components.
+    the gaps of the verdicts and sign maps for three or more components.
     The shared exponent m = max_i(-r_i * x) (the first rate's term for
     x >= 0, the last one's for x < 0) keeps the computation free of
     overflow for any real x, so the *sign* of f stays decidable far
@@ -343,67 +343,65 @@ def scaled_rows(fs: Sequence[ExpSum], xss) -> tuple[np.ndarray, np.ndarray, np.n
     :class:`_PaddedSums` brings its layout along, which a scan block builds
     once for all of its calls; any other sequence is laid out here.
 
-    The points go in blocks of max(_BLOCK // terms, min(points, 1024)),
-    and each block in chunks of terms that span all of its points, with
-    at most _BLOCK (term, point) pairs to a chunk (one chunk when all the
-    terms fit).  So a long sum is summed over rows of up to 1024 points
-    instead of _BLOCK // terms, and memory stays bounded; see
-    :func:`_scaled_block`.
+    The points go in blocks of max(1, _BLOCK // terms) (:func:`in_blocks`),
+    each one (terms x points) array; see :func:`_scaled_block`.
     """
     sums = fs if isinstance(fs, _PaddedSums) else _PaddedSums(fs)
+    block = partial(_scaled_block, sums.neg_rates, sums.coeffs)
+    s, m, err = in_blocks(block, sums.neg_rates.shape[0], xss)
+    if sums.zero:  # a zero sum's padding term left m = -0.0 * x
+        m[np.isin(np.repeat(np.arange(len(xss)), [len(x) for x in xss]), sums.zero)] = 0.0
+    return s, m, err
+
+
+def in_blocks(block, width: int, xss) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, m, err) of each row k at its own points xss[k], the rows
+    concatenated in order.  ``block(owner, xs)`` gives them at the points
+    xs, point i of row owner[i], and holds ``width`` (term, point) pairs
+    a point.  The points go in blocks of max(1, _BLOCK // width); every
+    point's result is independent of the others, so the blocks change no
+    bit.  The one blocking loop of both certified evaluators,
+    :func:`scaled_rows` and ``product.ProductGaps``."""
     sizes = [len(x) for x in xss]
     xs = np.concatenate(xss, dtype=float) if xss else np.zeros(0)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    step = max(1, _BLOCK // width)
+    if 0 < xs.size <= step:
+        return block(owner, xs)
     s, m, err = np.zeros((3, xs.size))
-    owner = np.repeat(np.arange(len(sizes)), sizes)  # the column of each point
-    step = max(_BLOCK // sums.neg_rates.shape[0], min(xs.size, 1024))  # points are independent
     for i in range(0, xs.size, step):
         part = slice(i, i + step)
-        s[part], m[part], err[part] = _scaled_block(sums.neg_rates, sums.coeffs, owner[part], xs[part])
-    if sums.zero:  # a zero sum's padding term left m = -0.0 * x
-        m[np.isin(owner, sums.zero)] = 0.0
+        s[part], m[part], err[part] = block(owner[part], xs[part])
     return s, m, err
 
 
 def _scaled_block(neg_rates, coeffs, owner, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(s, m, err) at the points xs of the sums (columns) owner of the
-    padded (terms x sums) arrays neg_rates and coeffs.
-
-    The terms go in chunks of at most _BLOCK // points rows.  Each chunk
-    is laid out as a (terms x points) array and summed in term order; the
-    Kahan state carries over from chunk to chunk, and so do both in-order
-    sums: the running total is added into the chunk's first row before it
-    is reduced, so every bit is that of one pass over all the terms.
-    """
-    n, width = neg_rates.shape[0], max(1, _BLOCK // xs.size)
+    padded (terms x sums) arrays neg_rates and coeffs, from one (terms x
+    points) array summed in term order: Kahan summation for s, and
+    in-order sums for the bound."""
+    # Three (terms x points) arrays, reused in place to bound peak memory.
+    exps = np.take(neg_rates, owner, axis=1)
+    exps *= xs
+    m = np.where(xs >= 0.0, exps[0], exps[-1])
+    bounds = np.abs(exps)
+    bounds += np.abs(m)
+    bounds *= 2.0
+    bounds += 4.0
+    terms = np.exp(np.subtract(exps, m, out=exps), out=exps)
+    terms *= np.take(coeffs, owner, axis=1)
+    mags = np.abs(terms)
+    bounds *= mags
+    bounds *= _EPS
+    err = _in_order_sum(bounds)
+    err += 2.0 * _EPS * _in_order_sum(mags)
     s, tot, comp = np.zeros(xs.shape), np.empty(xs.shape), np.zeros(xs.shape)
-    for t0 in range(0, n, width):
-        # Three (chunk x points) arrays, reused in place to bound peak memory.
-        exps = np.take(neg_rates[t0 : t0 + width], owner, axis=1)
-        exps *= xs
-        if not t0:  # m from the first and the last term, in this chunk if it holds all
-            last = exps[-1] if n <= width else neg_rates[-1, owner] * xs
-            m = np.where(xs >= 0.0, exps[0], last)
-            abs_m = np.abs(m)
-        bounds = np.abs(exps)
-        bounds += abs_m
-        bounds *= 2.0
-        bounds += 4.0
-        terms = np.exp(np.subtract(exps, m, out=exps), out=exps)
-        terms *= np.take(coeffs[t0 : t0 + width], owner, axis=1)
-        mags = np.abs(terms)
-        bounds *= mags
-        bounds *= _EPS
-        if t0:
-            mags[0] += abs_sum
-            bounds[0] += err
-        abs_sum, err = _in_order_sum(mags), _in_order_sum(bounds)
-        for t in terms:  # Kahan summation over terms, all points at once
-            t -= comp
-            np.add(s, t, out=tot)
-            np.subtract(tot, s, out=comp)
-            comp -= t
-            s, tot = tot, s
-    err += 2.0 * _EPS * abs_sum
+    for t in terms:  # Kahan summation over terms, all points at once
+        t -= comp
+        np.add(s, t, out=tot)
+        np.subtract(tot, s, out=comp)
+        comp -= t
+        s, tot = tot, s
     return s, m, err
 
 

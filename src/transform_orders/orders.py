@@ -29,7 +29,8 @@ probes a list of (a, b) through it, with both survivals built once per call.
 Each gap's structure (sign at 0+, tail sign, zero bound, grid ends) comes
 from its coefficients; for three or more components its points are
 evaluated in product form (``product``, from the rates and (a, b) at 2n
-exponentials a point), for two from the coefficients (``_Gaps.block``).
+exponentials a point), for two from the coefficients: ``_Gaps.block``
+picks the form, for the scans and ``sign_map`` alike.
 It hands the probes to ``expsum.sign_patterns`` in blocks of 1, 2, 4, ...
 up to ``MAX_BLOCK`` (a list that fits in one block, such as a list of spot
 checks, goes whole), whose patterns are scanned together: each evaluator
@@ -257,14 +258,14 @@ def survival_gap(
 def _scan(
     gaps: _Gaps,
     probes: Iterable[tuple[float, float]],
-    violates: Callable[[SignPattern], bool],
+    violating: Callable[[tuple[str, ...]], bool],
     opts: ScanOptions,
     *,
     refine: bool = True,
 ) -> tuple[Witness | None, list[tuple[float, SignPattern]]]:
     """Sign patterns of the gap ``gaps(a, b)`` at each (a, b) probe, in
-    order, up to the first certified one that ``violates``: returns it as a
-    witness (or None) and every scanned (a, pattern).
+    order, up to the first certified one whose sign tuple is ``violating``:
+    returns it as a witness (or None) and every scanned (a, pattern).
 
     Probes go to :func:`sign_patterns` in blocks of 1, 2, 4, ... up to
     MAX_BLOCK, so an early violation costs little extra work and a long
@@ -282,7 +283,7 @@ def _scan(
         block = probes[start : start + size]
         for (a, b), p in zip(block, sign_patterns(gaps.block(block), opts, refine=refine)):
             scanned.append((a, p))
-            if p.certified and violates(p):
+            if p.certified and violating(p.signs()):
                 return Witness(a, b, p), scanned
         start, size = start + size, min(2 * size, MAX_BLOCK)
     return None, scanned
@@ -291,7 +292,7 @@ def _scan(
 def _bisected(
     gaps: _Gaps,
     hit: Witness,
-    violates: Callable[[SignPattern], bool],
+    violating: Callable[[tuple[str, ...]], bool],
     opts: ScanOptions,
 ) -> Witness:
     """The witness of a ``_scan(..., refine=False)``, scanned again with
@@ -300,7 +301,7 @@ def _bisected(
     the batch; a re-scan that does not certify the violation is a
     numerical defect."""
     (p,) = sign_patterns(gaps.block([(hit.a, hit.b)]), opts)
-    if not (p.certified and violates(p)):
+    if not (p.certified and violating(p.signs())):
         raise RuntimeError(
             f"bisected re-scan at a={hit.a}, b={hit.b} does not certify the "
             "violation; this is a numerical defect"
@@ -311,14 +312,14 @@ def _bisected(
 def _spot_checked(
     gaps: _Gaps,
     probes: list[tuple[float, float]],
-    violates: Callable[[SignPattern], bool],
+    violating: Callable[[tuple[str, ...]], bool],
     opts: ScanOptions,
     certificate: str,
     detail: str,
 ) -> OrderVerdict:
     """HOLDS on ``certificate``, with the spot checks' patterns as evidence;
     a certified violation among them is a numerical defect."""
-    hit, evidence = _scan(gaps, probes, violates, opts)
+    hit, evidence = _scan(gaps, probes, violating, opts)
     if hit is not None:
         raise RuntimeError(
             f"spot check at a={hit.a}, b={hit.b} contradicts the {certificate} "
@@ -395,7 +396,6 @@ def _may_violate(
 def _pruned_scan(
     gaps: _Gaps,
     grid: list[tuple[float, float]],
-    violates: Callable[[SignPattern], bool],
     violating: Callable[[tuple[str, ...]], bool],
     opts: ScanOptions,
 ) -> tuple[Witness | None, list[tuple[float, SignPattern]], list[tuple[float, float]]]:
@@ -410,9 +410,9 @@ def _pruned_scan(
     (a, pattern) pairs and the pruned probes.
     """
     kept = _may_violate(gaps, grid, violating)
-    hit, scanned = _scan(gaps, kept, violates, opts, refine=False)
+    hit, scanned = _scan(gaps, kept, violating, opts, refine=False)
     if hit is not None:
-        hit = _bisected(gaps, hit, violates, opts)
+        hit = _bisected(gaps, hit, violating, opts)
     kept_set = set(kept)
     return hit, scanned, [ab for ab in grid if ab not in kept_set]
 
@@ -432,18 +432,10 @@ def _unconfirmed_region(
     return None
 
 
-def _star_violation(p: SignPattern) -> bool:
-    return _star_signs(p.signs())
-
-
 def _star_signs(signs: tuple[str, ...]) -> bool:
     # Any "+" immediately followed by "-" breaks "at most one change, in
     # the order '-,+'"; alternation makes this equivalent to the criterion.
     return any(s0 == "+" and s1 == "-" for s0, s1 in zip(signs, signs[1:]))
-
-
-def _convex_violation(p: SignPattern) -> bool:
-    return _convex_signs(p.signs())
 
 
 def _convex_signs(signs: tuple[str, ...]) -> bool:
@@ -492,19 +484,19 @@ def star_check(
         a_hi = _strip(lam, theta)[1]
         probes = sorted({0.5 * a_hi, a_hi, 0.5 * (a_hi + 1.0), 1.0})
         return _spot_checked(
-            gaps, [(a, 0.0) for a in probes], _star_violation, opts.scan, CERT_MAJORIZATION,
+            gaps, [(a, 0.0) for a in probes], _star_signs, opts.scan, CERT_MAJORIZATION,
             "majorized hazard vectors; gap patterns spot-checked",
         )
 
     grid = [(a, 0.0) for a in _a_grid(lam, theta)]
-    hit, scanned, pruned = _pruned_scan(gaps, grid, _star_violation, _star_signs, opts.scan)
+    hit, scanned, pruned = _pruned_scan(gaps, grid, _star_signs, opts.scan)
     if hit is not None:
         detail = f"gap pattern '{hit.pattern.text()}' at a={hit.a:.6g} has a '+,-' change"
         return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)
     if opts.allow_numerical_holds:
         # A pruned probe cannot violate, but the numerical HOLDS also asks
         # for its pattern to be complete, which does not depend on bisection.
-        _, rest = _scan(gaps, pruned, lambda p: False, opts.scan, refine=False)
+        _, rest = _scan(gaps, pruned, lambda s: False, opts.scan, refine=False)
         if all(p.complete for _, p in scanned + rest):
             return OrderVerdict(
                 Status.HOLDS,
@@ -599,9 +591,7 @@ def violation_search(
         )
 
     probes = [(a_hi, 0.5 * slack * 0.5**k) for k in range(SEARCH_MAX_HALVINGS)]
-    top, scanned = _scan(
-        gaps, probes, lambda p: p.signs() == ("+", "-", "+"), opts.scan, refine=False
-    )
+    top, scanned = _scan(gaps, probes, lambda s: s == ("+", "-", "+"), opts.scan, refine=False)
     attempts = [(x0, b) for _, b in probes[: len(scanned)]]
     if top is None:
         raise ViolationSearchError(
@@ -618,8 +608,8 @@ def violation_search(
     sweep = np.linspace(a_hi - width / 2.0**SEARCH_A_STEPS, a_lo, 64)[1:].tolist()
     probes = [(a, b0) for a in walk + sweep]
 
-    def four_regions(p: SignPattern) -> bool:
-        return p.signs() == ("+", "-", "+", "-")
+    def four_regions(signs: tuple[str, ...]) -> bool:
+        return signs == ("+", "-", "+", "-")
 
     hit, _ = _scan(gaps, probes, four_regions, opts.scan, refine=False)
     if hit is None:
@@ -682,7 +672,7 @@ def convex_check(
         b_ref = 0.1 / (theta.rates[0] + theta.rates[-1])
         probes = [(a, b_ref) for a in (1.25, 0.5 * (a_hi + 1.0), 0.5 * a_lo)]
         return _spot_checked(
-            _Gaps(lam, theta), probes, _convex_violation, opts.scan, CERT_HOMOGENEOUS,
+            _Gaps(lam, theta), probes, _convex_signs, opts.scan, CERT_HOMOGENEOUS,
             "empty violating strip: every shift/scale regime is favorable",
         )
     if majorized and a_lo < a_hi:
@@ -712,9 +702,7 @@ def convex_check(
     # coefficients leave room for a violation.
     b_scale = 1.0 / (theta.rates[0] + theta.rates[-1])
     grid = [(a, f * b_scale) for a in _a_grid(lam, theta) for f in B_FACTORS]
-    hit, scanned, _ = _pruned_scan(
-        _Gaps(lam, theta), grid, _convex_violation, _convex_signs, opts.scan
-    )
+    hit, scanned, _ = _pruned_scan(_Gaps(lam, theta), grid, _convex_signs, opts.scan)
     if hit is not None:
         detail = f"pattern '{hit.pattern.text()}' violates the two-change criterion"
         return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)
@@ -747,7 +735,7 @@ def convex_check_at(
     with the pattern attached.
     """
     opts = opts or OrderOptions()
-    hit, scanned = _scan(_Gaps(lam, theta), [(a, b)], _convex_violation, opts.scan)
+    hit, scanned = _scan(_Gaps(lam, theta), [(a, b)], _convex_signs, opts.scan)
     if hit is not None:
         detail = f"certified pattern '{hit.pattern.text()}' at (a={a:.6g}, b={b:.6g})"
         return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)
@@ -773,7 +761,9 @@ def sign_map(
     The rows a = theta1/lam_n and a = theta1/lam_1 (the strip boundaries)
     are always included exactly.  A cell's sign is certain by the rule of
     ``sign_pattern``: cells whose |gap| does not clear both the sign floor
-    and the rounding bound carry sign 0 (uncertain).
+    and the rounding bound carry sign 0 (uncertain).  The rows are one
+    block of ``_Gaps.block``, so for three or more components they are
+    evaluated in product form, which leaves the x = 0 column uncertain.
     """
     opts = opts or OrderOptions()
     na, nx = (resolution, resolution) if isinstance(resolution, int) else resolution
@@ -788,8 +778,8 @@ def sign_map(
 
     a_vals = sorted(set(np.linspace(a_min, a_max, na).tolist()) | set(_strip(lam, theta)))
     x_vals = np.linspace(x_min, x_max, nx)
-    gaps = _Gaps(lam, theta)
-    rows = certain_signs([gaps(a, b) for a in a_vals], [x_vals] * len(a_vals), opts.scan)
+    gaps = _Gaps(lam, theta).block([(a, b) for a in a_vals])
+    rows = certain_signs(gaps, [x_vals] * len(a_vals), opts.scan)
     return SignMap(
         a_values=tuple(a_vals),
         x_values=tuple(float(x) for x in x_vals),

@@ -56,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expsum import _BLOCK, _EPS, ExpSum, SumBlock
+from .expsum import _EPS, ExpSum, SumBlock, in_blocks
 
 _U = _EPS / 2.0  # unit roundoff
 _FN = 4.0 * _EPS  # relative error of numpy's exp, expm1 and log
@@ -84,21 +84,11 @@ class ProductGaps(SumBlock):
     def evaluate(self, xss) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(s, m, err) of each gap k at its own points xss[k], the rows
         concatenated in order, in blocks of at most _BLOCK (rate, point)
-        pairs (at least 1024 points).  Every point's result is independent
-        of the others, so the blocks change no bit."""
-        sizes = [len(xs) for xs in xss]
-        if not sum(sizes):
-            return np.zeros(0), np.zeros(0), np.zeros(0)
-        x = np.concatenate(xss, dtype=float)
-        a, b = (np.repeat(col, sizes) for col in self.probes.T)
-        step = max(_BLOCK // (2 * self.lam.size), min(x.size, 1024))
-        parts = [
-            product_block(self.lam, self.theta, a[i : i + step], b[i : i + step], x[i : i + step])
-            for i in range(0, x.size, step)
-        ]
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(np.concatenate(col) for col in zip(*parts))
+        pairs (:func:`expsum.in_blocks`)."""
+        a, b = self.probes.T
+        return in_blocks(
+            lambda k, x: product_block(self.lam, self.theta, a[k], b[k], x), 2 * self.lam.size, xss
+        )
 
 
 def product_block(lam, theta, a, b, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

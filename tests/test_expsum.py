@@ -271,7 +271,6 @@ class TestScaledRows:
         # reference takes the last row of a cumsum, which adds in term order
         # for any number of points.  Near x = 0 every term counts, so a sum
         # in another order (pairwise, for 63 terms at one point) differs.
-        # 63 terms at 300 or 2000 points go in several term chunks.
         rng = np.random.default_rng(n * 1000 + points)
         f = self.random_sum(rng, n)
         got, want = self.block_of_one_sum(f, rng.uniform(-0.05, 0.05, points))
@@ -279,25 +278,30 @@ class TestScaledRows:
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("points", [1, 2, 3, 300])
-    def test_in_order_sums_carry_across_chunks(self, monkeypatch, points):
-        # With a 16-entry block, 63 terms go in chunks of 16 terms at one
-        # point and of one term at 300: the Kahan state and both running
-        # sums must carry over from chunk to chunk, the one-point cumsum too.
+    def test_row_wider_than_block_goes_one_point_a_block(self, monkeypatch, points):
+        # With a 16-entry block, a 63-term row goes one point to a block,
+        # each summed over all of its terms: the bytes of one pass over all,
+        # the one-point cumsum included.
         monkeypatch.setattr(expsum, "_BLOCK", 16)
         rng = np.random.default_rng(points)
-        got, want = self.block_of_one_sum(self.random_sum(rng, 63), rng.uniform(-0.05, 0.05, points))
+        f = self.random_sum(rng, 63)
+        xs = rng.uniform(-0.05, 0.05, points)
+        calls = self.counted_blocks(monkeypatch)
+        got = scaled_rows([f], [xs])
+        assert calls[0] == points
+        want = cumsum_scaled_block(-np.outer(f.rates, xs), np.array(f.coeffs)[:, None], xs)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
     def test_long_row_in_point_blocks_matches_cumsum(self, monkeypatch):
-        # One 63-term row on more than _BLOCK points: blocks of 1024 points,
-        # each in several term chunks, give the bytes of one pass over all.
+        # One 63-term row on more than _BLOCK points: blocks of _BLOCK // 63
+        # points give the bytes of one pass over all.
         rng = np.random.default_rng(17)
         f = self.random_sum(rng, 63)
         xs = rng.uniform(-0.05, 0.05, _BLOCK + 500)
         calls = self.counted_blocks(monkeypatch)
         got = scaled_rows([f], [xs])
-        assert calls[0] == -(-xs.size // 1024) and 63 * 1024 > _BLOCK
+        assert calls[0] == -(-xs.size // (_BLOCK // 63))
         want = cumsum_scaled_block(-np.outer(f.rates, xs), np.array(f.coeffs)[:, None], xs)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
@@ -338,11 +342,11 @@ class TestScaledRows:
         fs, xss = self.mixed_batch()
         calls = self.counted_blocks(monkeypatch)
         scaled_rows(fs, xss)
-        # One pass per block of max(_BLOCK // 63, min(points, 1024)) points,
-        # fewer than one per term count.
+        # One pass per block of _BLOCK // 63 points, fewer than one per
+        # term count.
         points = sum(len(xs) for xs in xss)
         counts = {f.n_terms for f, xs in zip(fs, xss) if len(xs) and not f.is_zero}
-        assert calls[0] == -(-points // max(_BLOCK // 63, min(points, 1024))) < len(counts)
+        assert calls[0] == -(-points // (_BLOCK // 63)) < len(counts)
 
     def test_cached_layout_and_its_columns_match_a_fresh_list(self):
         # A scan block lays its sums out once and hands column takes of that

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from itertools import combinations
 
 import mpmath
 import numpy as np
@@ -246,36 +247,36 @@ class TestViolationSearch:
         assert orders._unconfirmed_region([gap], report.pattern, opts) is None
 
 
-def scan_one_at_a_time(gaps, probes, violates, opts):
+def scan_one_at_a_time(gaps, probes, violating, opts):
     """The probe loop as a plain sequence of sign_pattern calls."""
     scanned = []
     for a, b in probes:
         p = sign_pattern(gaps(a, b), opts)
         scanned.append((a, p))
-        if p.certified and violates(p):
+        if p.certified and violating(p.signs()):
             return orders.Witness(a, b, p), scanned
     return None, scanned
 
 
 class TestScanBlocks:
     @staticmethod
-    def assert_same_scan(lam, theta, probes, violates):
+    def assert_same_scan(lam, theta, probes, violating):
         gaps, opts = orders._Gaps(lam, theta), ScanOptions()
-        got = orders._scan(gaps, probes, violates, opts)
-        want = scan_one_at_a_time(gaps, probes, violates, opts)
+        got = orders._scan(gaps, probes, violating, opts)
+        want = scan_one_at_a_time(gaps, probes, violating, opts)
         assert repr(got) == repr(want)
         return got
 
     def test_hit_in_mid_grid(self):
         # Reversed classic star check: the violation is found part way up.
         probes = [(a, 0.0) for a in orders._a_grid(THETA, LAM)]
-        hit, scanned = self.assert_same_scan(THETA, LAM, probes, orders._star_violation)
+        hit, scanned = self.assert_same_scan(THETA, LAM, probes, orders._star_signs)
         assert hit is not None
         assert 1 < len(scanned) < len(probes) - orders.MAX_BLOCK
 
     def test_majorized_pair_has_no_hit(self):
         probes = [(a, 0.0) for a in orders._a_grid(LAM, THETA)]
-        hit, scanned = self.assert_same_scan(LAM, THETA, probes, orders._star_violation)
+        hit, scanned = self.assert_same_scan(LAM, THETA, probes, orders._star_signs)
         assert hit is None and len(scanned) == len(probes)
 
     def test_b_halving_list(self):
@@ -286,7 +287,7 @@ class TestScanBlocks:
         slack = systems.inverse_survival(gaps.surv_x, gaps.surv_y.eval(x0)) - a_hi * x0
         probes = [(a_hi, 0.5 * slack * 0.5**k) for k in range(orders.SEARCH_MAX_HALVINGS)]
         hit, _ = self.assert_same_scan(
-            LAM, THETA, probes, lambda p: p.signs() == ("+", "-", "+")
+            LAM, THETA, probes, lambda s: s == ("+", "-", "+")
         )
         assert hit is not None
 
@@ -332,7 +333,7 @@ def full_grid_convex_verdict(lam, theta):
     b_scale = 1.0 / (theta.rates[0] + theta.rates[-1])
     probes = [(a, f * b_scale) for a in orders._a_grid(lam, theta) for f in orders.B_FACTORS]
     hit, _ = orders._scan(
-        orders._Gaps(lam, theta), probes, orders._convex_violation, ScanOptions()
+        orders._Gaps(lam, theta), probes, orders._convex_signs, ScanOptions()
     )
     if hit is not None:
         detail = f"pattern '{hit.pattern.text()}' violates the two-change criterion"
@@ -352,7 +353,7 @@ def full_grid_star_verdict(lam, theta, opts):
     """The star_check verdict of a pair without an analytic certificate,
     from one bisected _scan over the whole a-grid, with no probe pruned."""
     probes = [(a, 0.0) for a in orders._a_grid(lam, theta)]
-    hit, scanned = orders._scan(orders._Gaps(lam, theta), probes, orders._star_violation, opts.scan)
+    hit, scanned = orders._scan(orders._Gaps(lam, theta), probes, orders._star_signs, opts.scan)
     if hit is not None:
         detail = f"gap pattern '{hit.pattern.text()}' at a={hit.a:.6g} has a '+,-' change"
         return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)
@@ -559,7 +560,7 @@ class TestExactZeroAtOrigin:
         gaps = orders._Gaps(lam, theta)
         b_scale = 1.0 / (theta.rates[0] + theta.rates[-1])
         probes = [(a, f * b_scale) for a in orders._a_grid(lam, theta) for f in orders.B_FACTORS]
-        _, scanned = orders._scan(gaps, probes, lambda p: False, ScanOptions())
+        _, scanned = orders._scan(gaps, probes, lambda s: False, ScanOptions())
         assert len(scanned) == len(probes)
         certified = 0
         for (a, b), (_, p) in zip(probes, scanned):
@@ -682,14 +683,14 @@ class TestSpotChecksAndRescans:
         assert scans == [(probes, True)]
 
     @pytest.mark.parametrize("check, lam, violation", [
-        (star_check, LAM, "_star_violation"),
-        (convex_check, HazardVector((2.5, 2.5)), "_convex_violation"),
+        (star_check, LAM, "_star_signs"),
+        (convex_check, HazardVector((2.5, 2.5)), "_convex_signs"),
     ], ids=["star-majorized", "convex-homogeneous"])
     def test_contradicted_certificate_is_a_numerical_defect(
         self, monkeypatch, check, lam, violation
     ):
         # Every certified spot-check pattern taken as a violation.
-        monkeypatch.setattr(orders, violation, lambda p: True)
+        monkeypatch.setattr(orders, violation, lambda s: True)
         with pytest.raises(RuntimeError, match="contradicts the .* numerical defect"):
             check(lam, THETA)
 
@@ -698,7 +699,7 @@ class TestSpotChecksAndRescans:
         # the 46th of 67 probes.
         scans = recorded_scans(monkeypatch)
         probes = [(a, 0.0) for a in orders._a_grid(THETA, LAM)]
-        hit, scanned = orders._scan(orders._Gaps(THETA, LAM), probes, orders._star_violation,
+        hit, scanned = orders._scan(orders._Gaps(THETA, LAM), probes, orders._star_signs,
                                     ScanOptions(), refine=False)
         assert hit is not None and len(scanned) == 46 and len(probes) == 67
         assert scans == [(n, False) for n in (1, 2, 4, 8, 16, 16)]
@@ -845,6 +846,55 @@ class TestSignMap:
         # canonicalize merges a*lam_i = theta_1 on the strip-boundary rows,
         # so the map's one call mixes rows of different term counts.
         assert n_terms == {5, 6}
+
+    @staticmethod
+    def mp_gap(lam, theta, a, b, x):
+        """V(x; a, b) at 50 digits, each survival by inclusion-exclusion
+        over the nonempty subsets S of components."""
+        def surv(rates, t):
+            rates = [mpmath.mpf(r) for r in rates]
+            return mpmath.fsum(
+                (-1) ** (k + 1) * mpmath.exp(-mpmath.fsum(s) * t)
+                for k in range(1, len(rates) + 1) for s in combinations(rates, k)
+            )
+        with mpmath.workdps(50):
+            x = mpmath.mpf(x)
+            return surv(theta, x) - surv(lam, mpmath.mpf(a) * x + mpmath.mpf(b))
+
+    def test_n3_cells_at_rates_near_1e_11_match_50_digits(self):
+        # Rates near 1e-11 merge in the coefficient form, which certified
+        # 94 of these 1,720 cells with the wrong sign.
+        lam, theta = (2e-11, 3e-11, 4e-11), (1e-11, 3e-11, 5e-11)
+        smap = sign_map(HazardVector(lam), HazardVector(theta), 0.0, (0.3, 1.0),
+                        (0.0, 1.5e12), 41)
+        certain = 0
+        for a, row in zip(smap.a_values, smap.signs):
+            for x, s in zip(smap.x_values, row):
+                if s:
+                    certain += 1
+                    value = self.mp_gap(lam, theta, a, smap.b, x)
+                    assert value != 0 and (value > 0) == (s > 0), (a, x, s, value)
+        assert certain > 1500
+
+    N3 = HazardVector((2, 3, 4)), HazardVector((1, 3, 5))
+
+    def test_n3_cells_certified_by_both_forms_agree(self):
+        lam, theta = self.N3
+        smap = sign_map(lam, theta, 0.05, (0.125, 1.0), (0.0, 20.0), 41)
+        gaps = orders._Gaps(lam, theta)
+        x_vals = np.array(smap.x_values)
+        coefficient = expsum.certain_signs(
+            [gaps(a, smap.b) for a in smap.a_values], [x_vals] * len(smap.a_values), ScanOptions()
+        )
+        product_signs = np.array(smap.signs)
+        assert not np.any(product_signs * np.array(coefficient) < 0)
+        assert np.count_nonzero(product_signs) > 1500
+
+    def test_n3_origin_column_uncertain_for_positive_b(self):
+        # The product form leaves a*x < 2^-1000 uncertain, so x = 0 is.
+        smap = sign_map(*self.N3, 0.05, (0.125, 1.0), (0.0, 20.0), 41)
+        assert [row[0] for row in smap.signs] == [0] * len(smap.a_values)
+        assert all(s != 0 for row in smap.signs for s in row[1:3])
 
 
 class TestStarCheckN:
