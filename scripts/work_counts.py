@@ -94,6 +94,8 @@ VERDICTS = (
      CLASSIC),
     ("star_check linspace n=3", star_check, linspace_pair(3)),
     ("star_check linspace n=6", star_check, linspace_pair(6)),
+    # A late hit: the "+,-" witness is probe 46 of the 67-probe a-grid.
+    ("star_check reversed linspace n=3", star_check, linspace_pair(3)[::-1]),
     # The rounds of flip bisection, outside any verdict.
     ("count_roots classic witness", lambda f: count_roots(f, -5.0, 10.0), (CLASSIC_WITNESS_GAP,)),
 )

@@ -31,11 +31,16 @@ from its coefficients; for three or more components its points are
 evaluated in product form (``product``, from the rates and (a, b) at 2n
 exponentials a point), for two from the coefficients: ``_Gaps.block``
 picks the form, for the scans and ``sign_map`` alike.
-It hands the probes to ``expsum.sign_patterns`` in blocks of 1, 2, 4, ...
-up to ``MAX_BLOCK`` (a list that fits in one block, such as a list of spot
-checks, goes whole), whose patterns are scanned together: each evaluator
-call carries the points of the whole block, and the first certified
-violation in probe order is still the one returned.
+It hands the probes to ``expsum.sign_patterns`` in blocks of 1, 4, 10,
+then ``MAX_BLOCK`` = 64 (a list of at most 15 probes, such as a list of
+spot checks, goes whole), whose patterns are scanned together: each
+evaluator call carries the points of the whole block, and the first
+certified violation in probe order is still the one returned.  The sizes
+follow where violations land: a list's first certified violation is
+nearly always among its first 5 probes (b-halving at the first, the
+a-walk and the n = 2 grids within the first 5), most lists have none,
+and the few late ones (reversed n >= 3 a-grids) land past probe 40, so
+after 15 probes a block is as long as memory allows.
 
 The non-majorized grids of ``star_check`` (the a-grid at b = 0) and
 ``convex_check`` (the (a, b) grid) are pruned before scanning, through
@@ -79,6 +84,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, repeat
 from typing import Callable, Iterable
 
 import numpy as np
@@ -126,12 +132,23 @@ B_FACTORS = (0.0, 0.01, 0.05, 0.25, 1.0)  # convex-scan shifts, units of 1/(thet
 SEARCH_MAX_HALVINGS = 40  # b-halvings while certifying "+,-,+" at the strip top
 SEARCH_A_STEPS = 12  # geometric a-steps down from the strip top before the sweep
 
+# Probe blocks of a scan.  Each block costs a fixed set of evaluator calls
+# (the sign grid, the dip passes, the walk to 0+ and the guessed ends),
+# about the work of five probes, so a long list is cut into few blocks;
+# but a list's first certified violation, where it has one, is nearly
+# always among its first 5 probes, so the first blocks are short.  A list
+# of at most sum(LEAD_BLOCKS) = 15 probes, such as the spot checks, is one
+# block.
+LEAD_BLOCKS = (1, 4, 10)
 # Most probes whose sign patterns are computed together, from a memory
 # budget: every pattern in flight holds its evaluated points (33 bytes each,
 # up to about 2000), and each lock-step round evaluates the new points of
-# all of them at once.  16 keeps the peak resident memory of the benchmark
-# workloads within 2 MB of scanning one probe at a time; 32 costs up to 4 MB.
-MAX_BLOCK = 16
+# all of them at once.  On the longest list the verdicts scan, the 335
+# (a, b) probes of the reversed linspace n = 6 convex grid, blocks of 64
+# peak at 34.4 MB of process memory, against 33.7 MB for blocks of 16 and
+# 34.2 MB one probe at a time; one block of all 335 peaks at 41.7 MB.  On
+# the benchmark workloads 64 costs up to 1 MB over blocks of 16.
+MAX_BLOCK = 64
 
 
 class ViolationSearchError(RuntimeError):
@@ -267,10 +284,11 @@ def _scan(
     order, up to the first certified one whose sign tuple is ``violating``:
     returns it as a witness (or None) and every scanned (a, pattern).
 
-    Probes go to :func:`sign_patterns` in blocks of 1, 2, 4, ... up to
-    MAX_BLOCK, so an early violation costs little extra work and a long
-    scan shares each evaluator call among many patterns.  A list of at
-    most MAX_BLOCK probes, such as the spot checks, is one block.
+    Probes go to :func:`sign_patterns` in blocks of LEAD_BLOCKS (1, 4,
+    10), then MAX_BLOCK, so an early violation costs little extra work and
+    a long scan shares each evaluator call among many patterns.  A list of
+    at most sum(LEAD_BLOCKS) = 15 probes, such as the spot checks, is one
+    block.
 
     With ``refine=False`` the patterns, the witness's included, skip flip
     bisection, which never changes which probe violates.  A caller that
@@ -278,14 +296,18 @@ def _scan(
     """
     probes = list(probes)
     scanned = []
-    start, size = 0, len(probes) if len(probes) <= MAX_BLOCK else 1
+    if len(probes) <= sum(LEAD_BLOCKS):
+        sizes = iter((len(probes),))
+    else:
+        sizes = chain(LEAD_BLOCKS, repeat(MAX_BLOCK))
+    start = 0
     while start < len(probes):
-        block = probes[start : start + size]
+        block = probes[start : start + next(sizes)]
         for (a, b), p in zip(block, sign_patterns(gaps.block(block), opts, refine=refine)):
             scanned.append((a, p))
             if p.certified and violating(p.signs()):
                 return Witness(a, b, p), scanned
-        start, size = start + size, min(2 * size, MAX_BLOCK)
+        start += len(block)
     return None, scanned
 
 

@@ -272,7 +272,38 @@ class TestScanBlocks:
         probes = [(a, 0.0) for a in orders._a_grid(THETA, LAM)]
         hit, scanned = self.assert_same_scan(THETA, LAM, probes, orders._star_signs)
         assert hit is not None
-        assert 1 < len(scanned) < len(probes) - orders.MAX_BLOCK
+        assert sum(orders.LEAD_BLOCKS) < len(scanned) < len(probes)
+
+    # The reversed classic a-grid has its first "+,-" hit at index 45, so
+    # the hit of grid[45 - k:] is at index k: on either side of each block
+    # edge (after 1, 5 and 15 probes) and inside the first 64-probe block
+    # (k = 45, the whole grid, is test_hit_in_mid_grid).
+    @pytest.mark.parametrize("k", [0, 1, 4, 5, 14, 15, 16])
+    def test_hit_at_each_block_edge(self, k):
+        grid = [(a, 0.0) for a in orders._a_grid(THETA, LAM)]
+        hit, scanned = self.assert_same_scan(THETA, LAM, grid[45 - k:], orders._star_signs)
+        assert hit is not None and len(scanned) == k + 1
+
+    @pytest.mark.parametrize("size, blocks", [
+        (15, (15,)),  # one block, as a list of spot checks
+        (16, (1, 4, 10, 1)),
+    ])
+    def test_lists_of_15_and_16_probes(self, size, blocks, monkeypatch):
+        scans = recorded_scans(monkeypatch)
+        grid = [(a, 0.0) for a in orders._a_grid(THETA, LAM)]
+        hit, scanned = self.assert_same_scan(THETA, LAM, grid[46 - size : 46], orders._star_signs)
+        assert hit is not None and len(scanned) == size
+        assert tuple(n for n, _ in scans) == blocks
+
+    def test_hit_after_the_first_full_block(self, monkeypatch):
+        # The 45 probes before the hit twice over, then the rest of the
+        # grid: the hit is probe 91 of 112, in the second MAX_BLOCK block.
+        scans = recorded_scans(monkeypatch)
+        grid = [(a, 0.0) for a in orders._a_grid(THETA, LAM)]
+        probes = grid[:45] + grid[:45] + grid[45:]
+        hit, scanned = self.assert_same_scan(THETA, LAM, probes, orders._star_signs)
+        assert hit is not None and len(scanned) == 91 and len(probes) == 112
+        assert tuple(n for n, _ in scans) == (1, 4, 10, orders.MAX_BLOCK, 33)
 
     def test_majorized_pair_has_no_hit(self):
         probes = [(a, 0.0) for a in orders._a_grid(LAM, THETA)]
@@ -702,7 +733,7 @@ class TestSpotChecksAndRescans:
         hit, scanned = orders._scan(orders._Gaps(THETA, LAM), probes, orders._star_signs,
                                     ScanOptions(), refine=False)
         assert hit is not None and len(scanned) == 46 and len(probes) == 67
-        assert scans == [(n, False) for n in (1, 2, 4, 8, 16, 16)]
+        assert scans == [(n, False) for n in (1, 4, 10, 52)]
 
 
 class TestScaleFreeCertificates:
