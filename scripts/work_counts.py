@@ -64,8 +64,11 @@ HOMOGENEOUS = HazardVector((2.5, 2.5)), HazardVector((1.5, 3.5))
 STAR_FAILS = HazardVector((1.0, 4.0)), HazardVector((2.0, 2.5))
 # The classic pair with theta rescaled: not majorized, star_check INCONCLUSIVE.
 RESCALED = HazardVector((2.0, 3.0)), HazardVector((3.0, 7.0))
-# A narrow-strip majorized pair with theta rescaled by 1.5, so not majorized.
-RESCALED_NARROW = HazardVector((1.6702, 1.6707)), HazardVector((0.9237, 4.08765))
+# A narrow-strip majorized pair: the floored scan certifies the '-' region
+# at the strip top but not the tail '+', so violation_search ends INCONCLUSIVE.
+NARROW = HazardVector((1.6702, 1.6707)), HazardVector((0.6158, 2.7251))
+# The narrow pair with theta rescaled by 1.5, so not majorized.
+RESCALED_NARROW = NARROW[0], HazardVector((0.9237, 4.08765))
 # The gap at the classic published violating point (a, b) = (0.749, 0.0125).
 CLASSIC_WITNESS_GAP = survival(CLASSIC[1]) - survival(CLASSIC[0]).shift_scale(0.749, 0.0125)
 
@@ -87,6 +90,7 @@ VERDICTS = (
     ("convex_check reversed", convex_check, REVERSED),
     ("convex_check homogeneous", convex_check, HOMOGENEOUS),
     ("convex_check (1,4)/(2,2.5)", convex_check, STAR_FAILS),
+    ("convex_check narrow", convex_check, NARROW),
     ("convex_check rescaled narrow", convex_check, RESCALED_NARROW),
     ("convex_check (2,3,4)/(1,3,5)", convex_check,
      (HazardVector((2.0, 3.0, 4.0)), HazardVector((1.0, 3.0, 5.0)))),

@@ -30,6 +30,10 @@ import numpy as np
 
 _EPS = 2.220446049250313e-16  # float64 machine epsilon
 _BLOCK = 1 << 14  # most (term, point) pairs one evaluation holds in memory
+# Fewest points a block holds while that is at most _WIDE_BLOCK pairs: a
+# sum wider than _BLOCK would otherwise go one point at a time, through a
+# Python loop over all of its terms at every point.
+_MIN_POINTS, _WIDE_BLOCK = 16, 1 << 20
 
 DEFAULT_MERGE_TOL = 1e-12  # relative tolerance for duplicate-rate merging
 
@@ -343,8 +347,9 @@ def scaled_rows(fs: Sequence[ExpSum], xss) -> tuple[np.ndarray, np.ndarray, np.n
     :class:`_PaddedSums` brings its layout along, which a scan block builds
     once for all of its calls; any other sequence is laid out here.
 
-    The points go in blocks of max(1, _BLOCK // terms) (:func:`in_blocks`),
-    each one (terms x points) array; see :func:`_scaled_block`.
+    The points go in the blocks of :func:`in_blocks` (_BLOCK // terms
+    points, and at least 16 for sums of up to 65,536 terms), each one
+    (terms x points) array; see :func:`_scaled_block`.
     """
     sums = fs if isinstance(fs, _PaddedSums) else _PaddedSums(fs)
     block = partial(_scaled_block, sums.neg_rates, sums.coeffs)
@@ -358,14 +363,16 @@ def in_blocks(block, width: int, xss) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """(s, m, err) of each row k at its own points xss[k], the rows
     concatenated in order.  ``block(owner, xs)`` gives them at the points
     xs, point i of row owner[i], and holds ``width`` (term, point) pairs
-    a point.  The points go in blocks of max(1, _BLOCK // width); every
-    point's result is independent of the others, so the blocks change no
-    bit.  The one blocking loop of both certified evaluators,
-    :func:`scaled_rows` and ``product.ProductGaps``."""
+    a point.  The points go in blocks of _BLOCK // width, but of at least
+    min(_MIN_POINTS, _WIDE_BLOCK // width) and at least one, so a row
+    wider than _BLOCK still shares each pass over its terms among several
+    points; every point's result is independent of the others, so the
+    blocks change no bit.  The one blocking loop of both certified
+    evaluators, :func:`scaled_rows` and ``product.ProductGaps``."""
     sizes = [len(x) for x in xss]
     xs = np.concatenate(xss, dtype=float) if xss else np.zeros(0)
     owner = np.repeat(np.arange(len(sizes)), sizes)
-    step = max(1, _BLOCK // width)
+    step = max(1, _BLOCK // width, min(_MIN_POINTS, _WIDE_BLOCK // width))
     if 0 < xs.size <= step:
         return block(owner, xs)
     s, m, err = np.zeros((3, xs.size))

@@ -81,9 +81,9 @@ def star_ratio_oracle(lam: HazardVector, theta: HazardVector, grid: np.ndarray) 
     drops = ratio[:-1] - ratio[1:]
     bad = np.nonzero(drops > RATIO_DROP_TOL)[0]
     return GridReport(
-        grid_x=tuple(float(x) for x in grid),
-        values=tuple(float(v) for v in ratio),
-        monotone_violations=tuple((int(i), float(drops[i])) for i in bad),
+        grid_x=tuple(grid.tolist()),
+        values=tuple(ratio.tolist()),
+        monotone_violations=tuple(zip(bad.tolist(), drops[bad].tolist())),
     )
 
 
@@ -109,9 +109,9 @@ def convexity_oracle(
     d2 = values[2:] - 2.0 * values[1:-1] + values[:-2]
     bad = np.nonzero(d2 < -concavity_tol)[0]
     return GridReport(
-        grid_x=tuple(float(x) for x in grid),
-        values=tuple(float(v) for v in values),
-        convexity_violations=tuple((int(i) + 1, float(-d2[i])) for i in bad),
+        grid_x=tuple(grid.tolist()),
+        values=tuple(values.tolist()),
+        convexity_violations=tuple(zip((bad + 1).tolist(), (-d2[bad]).tolist())),
     )
 
 
@@ -140,9 +140,9 @@ def mc_survival(h: HazardVector, n_samples: int, seed: int) -> McSurvivalReport:
         rates=h.rates,
         n_samples=n_samples,
         seed=seed,
-        grid_x=tuple(float(x) for x in grid),
-        empirical=tuple(float(v) for v in empirical),
-        analytic=tuple(float(v) for v in analytic),
+        grid_x=tuple(grid.tolist()),
+        empirical=tuple(empirical.tolist()),
+        analytic=tuple(analytic.tolist()),
         sup_distance=sup,
     )
 

@@ -37,10 +37,12 @@ spot checks, goes whole), whose patterns are scanned together: each
 evaluator call carries the points of the whole block, and the first
 certified violation in probe order is still the one returned.  The sizes
 follow where violations land: a list's first certified violation is
-nearly always among its first 5 probes (b-halving at the first, the
-a-walk and the n = 2 grids within the first 5), most lists have none,
-and the few late ones (reversed n >= 3 a-grids) land past probe 40, so
-after 15 probes a block is as long as memory allows.
+nearly always among its first 5 probes (the a-walk and the n = 2 grids
+within the first 5), most lists have none, and the few late ones
+(reversed n >= 3 a-grids) land past probe 40, so after 15 probes a
+block is as long as memory allows.  The b-halving of
+``violation_search`` ends at its first probe with a certified '-'
+region (``_scan``'s ``stop``), which in practice is its first.
 
 The non-majorized grids of ``star_check`` (the a-grid at b = 0) and
 ``convex_check`` (the (a, b) grid) are pruned before scanning, through
@@ -61,10 +63,10 @@ Pruned rows build nothing.  The filter prunes none of the a-grid probes
 of linspace-rate pairs at n = 3-6, but the n >= 3 star scan goes through
 it all the same, so that every star verdict has one scan path.  The other
 scans run unfiltered and build their gaps one at a time:
-``violation_search`` would gain nothing, since on the classic pair the
-filter prunes only the last 6 of the 40 b-halving probes, while the first
-one hits.  The spot checks and ``convex_check_at`` report every scanned
-pattern.
+``violation_search`` would gain nothing, since its b-halving nearly
+always ends at its first probe, and on the classic pair the filter
+prunes only the last 6 of its 40 probes.  The spot checks and
+``convex_check_at`` report every scanned pattern.
 
 Scans decide first and bisect only what a verdict reports.  Flip bisection
 places transitions and witnesses but never changes which pattern is a
@@ -75,8 +77,11 @@ that reports the witness scans only that probe again with bisection
 witness is byte-identical to the one a fully bisected scan finds.  The
 grid verdicts without a witness carry no evidence, so they bisect
 nothing, and the b-halving of ``violation_search`` keeps only the b of
-its hit, so it is not re-scanned.  The spot checks and ``convex_check_at``
-return their scanned patterns as evidence and keep bisection throughout.
+its hit, so it is not re-scanned.  It halves b only up to the first
+shift whose pattern certifies a '-' region, hit or not: a smaller shift
+lowers the gap at every x, so it only weakens the '+' regions that
+pattern lacks.  The spot checks and ``convex_check_at`` return their
+scanned patterns as evidence and keep bisection throughout.
 """
 
 from __future__ import annotations
@@ -129,7 +134,10 @@ CERT_IDENTICAL = "identical-rates"  # same distribution, identity transform
 # Scan grids and search budgets.
 A_POINTS = 64  # log-spaced a-grid points, before the analytic breakpoints
 B_FACTORS = (0.0, 0.01, 0.05, 0.25, 1.0)  # convex-scan shifts, units of 1/(theta_1+theta_n)
-SEARCH_MAX_HALVINGS = 40  # b-halvings while certifying "+,-,+" at the strip top
+# Cap on the shifts b the search scans at the strip top: it halves b only
+# while no '-' region is certified, and stops at the first shift that
+# certifies one, whether or not it certifies "+,-,+".
+SEARCH_MAX_HALVINGS = 40
 SEARCH_A_STEPS = 12  # geometric a-steps down from the strip top before the sweep
 
 # Probe blocks of a scan.  Each block costs a fixed set of evaluator calls
@@ -152,7 +160,9 @@ MAX_BLOCK = 64
 
 
 class ViolationSearchError(RuntimeError):
-    """Counterexample construction failed; carries the attempted (x0, b0) pairs."""
+    """Counterexample construction failed.  ``attempts`` holds an (x0, b0)
+    pair for each shift the b-halving actually scanned, in order: up to
+    its hit, or up to the shift where it stopped without one."""
 
     def __init__(self, message: str, attempts: tuple[tuple[float, float], ...]):
         super().__init__(message)
@@ -279,10 +289,13 @@ def _scan(
     opts: ScanOptions,
     *,
     refine: bool = True,
+    stop: Callable[[SignPattern], bool] | None = None,
 ) -> tuple[Witness | None, list[tuple[float, SignPattern]]]:
     """Sign patterns of the gap ``gaps(a, b)`` at each (a, b) probe, in
     order, up to the first certified one whose sign tuple is ``violating``:
     returns it as a witness (or None) and every scanned (a, pattern).
+    With ``stop``, the scan also ends, without a witness, at the first
+    pattern that ``stop`` accepts, which is then the last one scanned.
 
     Probes go to :func:`sign_patterns` in blocks of LEAD_BLOCKS (1, 4,
     10), then MAX_BLOCK, so an early violation costs little extra work and
@@ -307,6 +320,8 @@ def _scan(
             scanned.append((a, p))
             if p.certified and violating(p.signs()):
                 return Witness(a, b, p), scanned
+            if stop is not None and stop(p):
+                return None, scanned
         start += len(block)
     return None, scanned
 
@@ -579,14 +594,26 @@ def dVda(lam: HazardVector, x: float, a: float, b: float = 0.0) -> float:
     return x * density(lam).eval(a * x + b)
 
 
+def _dip_certified(p: SignPattern) -> bool:
+    """Whether ``p`` has a certain '-' region."""
+    return any(r.sign == "-" and r.certain for r in p.regions)
+
+
 def violation_search(
     lam: HazardVector, theta: HazardVector, opts: OrderOptions | None = None
 ) -> CounterexampleReport:
     """Construct a certified convex-order violation inside the strip.
 
     Strategy: (i) seed x0 = 1/(theta_1+theta_n) and derive the shift budget
-    from the strict gap survival_X^{-1}(survival_Y(x0)) - a_hi*x0 > 0,
-    halving b until the gap at the top of the strip certifies "+,-,+";
+    slack = survival_X^{-1}(survival_Y(x0)) - a_hi*x0 > 0, then scan the
+    gap at the top of the strip from b = slack/2, halving b (at most
+    SEARCH_MAX_HALVINGS shifts) only while no '-' region is certified.
+    The first shift that certifies one ends the halving: it is the hit
+    when its pattern is a certified "+,-,+", and otherwise the search
+    fails, since dV/db = density_X(a*x + b) > 0 makes a smaller shift
+    lower V at every x, which only weakens the '+' regions the pattern
+    lacks.  By the choice of slack the gap at x0 is negative from the
+    first shift on, so that shift is nearly always the last one scanned;
     (ii) with that b0 fixed, walk a downward from a_hi through
     geometrically growing offsets until the full "+,-,+,-" certifies (the
     gap is increasing in a, so the fourth region grows as a falls);
@@ -613,11 +640,22 @@ def violation_search(
         )
 
     probes = [(a_hi, 0.5 * slack * 0.5**k) for k in range(SEARCH_MAX_HALVINGS)]
-    top, scanned = _scan(gaps, probes, lambda s: s == ("+", "-", "+"), opts.scan, refine=False)
+    top, scanned = _scan(
+        gaps, probes, lambda s: s == ("+", "-", "+"), opts.scan, refine=False, stop=_dip_certified
+    )
     attempts = [(x0, b) for _, b in probes[: len(scanned)]]
     if top is None:
+        last = scanned[-1][1]
+        if _dip_certified(last):
+            why = (
+                f"halving stopped at b0={attempts[-1][1]:.6g}, whose pattern '{last.text()}'"
+                f"{'' if last.certified else ' (uncertified)'} has a certified '-' region: "
+                "a smaller shift lowers the gap and only weakens its '+' regions"
+            )
+        else:
+            why = f"halving stopped after {len(attempts)} shifts, none with a certified '-' region"
         raise ViolationSearchError(
-            f"no shift produced a certified '+,-,+' at a={a_hi:.6g}; "
+            f"no shift produced a certified '+,-,+' at a={a_hi:.6g}: {why}; "
             f"attempted (x0, b0) pairs: {attempts}",
             tuple(attempts),
         )

@@ -84,7 +84,7 @@ class ProductGaps(SumBlock):
     def evaluate(self, xss) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(s, m, err) of each gap k at its own points xss[k], the rows
         concatenated in order, in blocks of at most _BLOCK (rate, point)
-        pairs (:func:`expsum.in_blocks`)."""
+        pairs at the sizes the verdicts take (:func:`expsum.in_blocks`)."""
         a, b = self.probes.T
         return in_blocks(
             lambda k, x: product_block(self.lam, self.theta, a[k], b[k], x), 2 * self.lam.size, xss

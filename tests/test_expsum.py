@@ -279,10 +279,12 @@ class TestScaledRows:
 
     @pytest.mark.parametrize("points", [1, 2, 3, 300])
     def test_row_wider_than_block_goes_one_point_a_block(self, monkeypatch, points):
-        # With a 16-entry block, a 63-term row goes one point to a block,
-        # each summed over all of its terms: the bytes of one pass over all,
-        # the one-point cumsum included.
+        # With a 16-entry block and a 16-entry budget for wide rows, a
+        # 63-term row goes one point to a block, each summed over all of
+        # its terms: the bytes of one pass over all, the one-point cumsum
+        # included.
         monkeypatch.setattr(expsum, "_BLOCK", 16)
+        monkeypatch.setattr(expsum, "_WIDE_BLOCK", 16)
         rng = np.random.default_rng(points)
         f = self.random_sum(rng, 63)
         xs = rng.uniform(-0.05, 0.05, points)
@@ -292,6 +294,22 @@ class TestScaledRows:
         want = cumsum_scaled_block(-np.outer(f.rates, xs), np.array(f.coeffs)[:, None], xs)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n_rates", [11, 12])
+    def test_row_wider_than_block_shares_blocks_of_16_points(self, monkeypatch, n_rates):
+        # Survivals of 2,047 and 4,095 terms, for which _BLOCK // terms is
+        # 8 and 4: blocks of 16 points, with the bytes of one point a block.
+        rng = np.random.default_rng(n_rates)
+        f = survival(HazardVector(tuple(rng.uniform(1.0, 3.0, n_rates).tolist())))
+        assert f.n_terms == 2**n_rates - 1
+        xs = rng.uniform(0.0, 5.0, 50)
+        calls = self.counted_blocks(monkeypatch)
+        got = scaled_rows([f], [xs])
+        assert calls[0] == 4  # 16 + 16 + 16 + 2 points
+        one_point = [scaled_rows([f], [xs[i : i + 1]]) for i in range(xs.size)]
+        assert calls[0] == 4 + xs.size
+        for a, b in zip(got, zip(*one_point)):
+            assert a.tobytes() == np.concatenate(b).tobytes()
 
     def test_long_row_in_point_blocks_matches_cumsum(self, monkeypatch):
         # One 63-term row on more than _BLOCK points: blocks of _BLOCK // 63

@@ -18,7 +18,9 @@ from transform_orders import (
     violation_search,
     zoomed_concavity_grid,
     Status,
+    survival,
 )
+from transform_orders import oracle
 
 LAM = HazardVector((2, 3))
 THETA = HazardVector((1.5, 3.5))
@@ -112,3 +114,55 @@ class TestMcSurvival:
     def test_rejects_tiny_sample_size(self):
         with pytest.raises(ValueError):
             mc_survival(LAM, 999, seed=0)
+
+
+class TestReportTuples:
+    """The reports' tuples, built from ``tolist()``, against the same arrays
+    converted one element at a time with ``float`` and ``int``: equal by
+    value and by repr, so every element is a Python float or int."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got == want
+        assert repr(got) == repr(want)
+
+    def test_star_ratio_report(self):
+        grid = ratio_grid(LAM, 2000)
+        got = star_ratio_oracle(THETA, LAM, grid)
+        ratio = transform_values(THETA, LAM, grid) / grid
+        drops = ratio[:-1] - ratio[1:]
+        bad = np.nonzero(drops > oracle.RATIO_DROP_TOL)[0]
+        assert bad.size
+        self.assert_same(got, oracle.GridReport(
+            grid_x=tuple(float(x) for x in grid),
+            values=tuple(float(v) for v in ratio),
+            monotone_violations=tuple((int(i), float(drops[i])) for i in bad),
+        ))
+
+    def test_convexity_report(self):
+        grid = zoomed_concavity_grid(violation_search(LAM, THETA).concavity_window(), 2000)
+        got = convexity_oracle(LAM, THETA, grid)
+        values = transform_values(LAM, THETA, grid)
+        d2 = values[2:] - 2.0 * values[1:-1] + values[:-2]
+        bad = np.nonzero(d2 < -oracle.CONCAVITY_TOL)[0]
+        assert bad.size
+        self.assert_same(got, oracle.GridReport(
+            grid_x=tuple(float(x) for x in grid),
+            values=tuple(float(v) for v in values),
+            convexity_violations=tuple((int(i) + 1, float(-d2[i])) for i in bad),
+        ))
+
+    def test_mc_survival_report(self):
+        got = mc_survival(LAM, 10_000, seed=5)
+        u = np.random.default_rng(5).random((10_000, LAM.n))
+        lifetimes = np.sort((-np.log1p(-u) / np.asarray(LAM.rates)).max(axis=1))
+        grid = np.linspace(0.0, float(-np.log(1e-4) / LAM.rates[0]), oracle.MC_GRID_POINTS)
+        analytic = survival(LAM).eval_many(grid)
+        empirical = 1.0 - np.searchsorted(lifetimes, grid, side="right") / 10_000
+        self.assert_same(got, oracle.McSurvivalReport(
+            rates=LAM.rates, n_samples=10_000, seed=5,
+            grid_x=tuple(float(x) for x in grid),
+            empirical=tuple(float(v) for v in empirical),
+            analytic=tuple(float(v) for v in analytic),
+            sup_distance=float(np.max(np.abs(empirical - analytic))),
+        ))

@@ -27,6 +27,7 @@ from transform_orders import (
     sign_pattern,
     star_check,
     star_ratio_oracle,
+    majorizes,
     survival_gap,
     violation_search,
 )
@@ -245,6 +246,132 @@ class TestViolationSearch:
         opts = ScanOptions()
         assert orders._unconfirmed_region([gap], fabricated, opts) == regions[k]
         assert orders._unconfirmed_region([gap], report.pattern, opts) is None
+
+
+NARROW = HazardVector((1.6702, 1.6707)), HazardVector((0.6158, 2.7251))
+
+
+def halving_shifts(lam, theta):
+    """(x0, the SEARCH_MAX_HALVINGS shifts b at the strip top a_hi, a_hi)
+    of violation_search, or (x0, [], a_hi) without a positive budget."""
+    gaps = orders._Gaps(lam, theta)
+    a_hi = orders._strip(lam, theta)[1]
+    x0 = 1.0 / (theta.rates[0] + theta.rates[-1])
+    slack = systems.inverse_survival(gaps.surv_x, gaps.surv_y.eval(x0)) - a_hi * x0
+    if slack <= 0.0:
+        return x0, [], a_hi
+    return x0, [0.5 * slack * 0.5**k for k in range(orders.SEARCH_MAX_HALVINGS)], a_hi
+
+
+def full_halving_b0(lam, theta, opts):
+    """The b-halving without its stop rule: the first of all
+    SEARCH_MAX_HALVINGS shifts whose gap at the strip top certifies
+    '+,-,+', from one sign_patterns call over all of them (per-probe
+    results do not depend on the batch), or None."""
+    _, shifts, a_hi = halving_shifts(lam, theta)
+    gaps = orders._Gaps(lam, theta)
+    patterns = expsum.sign_patterns(gaps.block([(a_hi, b) for b in shifts]), opts, refine=False)
+    for b, p in zip(shifts, patterns):
+        if p.certified and p.signs() == ("+", "-", "+"):
+            return b
+    return None
+
+
+def sweep_pairs(count, seed):
+    """Seeded majorized pairs, n = 2-4, strictly heterogeneous: theta spread
+    s in (0.05, 0.9) about its mean, and lam the same spread times rho, in
+    turn uniform in (0.3, 0.95) (wide strips) and log-uniform in (1e-4,
+    0.3), where most strips are too narrow for the floored scan."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = 2 + i % 3
+        mid = float(rng.uniform(0.5, 5.0))
+        theta = mid * (1.0 + rng.uniform(0.05, 0.9) * np.sort(rng.uniform(-1.0, 1.0, n)))
+        theta += mid - theta.mean()
+        rho = rng.uniform(0.3, 0.95) if i % 2 else 10.0 ** rng.uniform(-4.0, math.log10(0.3))
+        lam = mid + rho * (theta - mid)
+        yield HazardVector(tuple(lam.tolist())), HazardVector(tuple(theta.tolist()))
+
+
+class TestBHalvingStop:
+    """violation_search halves b only until a '-' region is certified."""
+
+    def test_sweep_matches_the_full_halving(self):
+        # The a-walk is a function of b0 alone, so the same b0 (or none)
+        # on every pair means the same status and witness.
+        opts = OrderOptions()
+        outcomes = []
+        for lam, theta in sweep_pairs(60, seed=25):
+            assert majorizes(lam, theta) and not lam.close_to(theta)
+            want = full_halving_b0(lam, theta, opts.scan)
+            x0, shifts, _ = halving_shifts(lam, theta)
+            try:
+                report = violation_search(lam, theta, opts)
+            except orders.ViolationSearchError as exc:
+                scanned = [b for _, b in exc.attempts]
+                assert all(x == x0 for x, _ in exc.attempts)
+                if str(exc).startswith(("no shift produced", "no positive shift budget")):
+                    assert want is None
+                    assert not shifts or scanned == shifts[: len(scanned)]
+                    outcomes.append("halving")
+                else:  # '+,-,+' found at the strip top, but no witness
+                    assert scanned == shifts[: len(scanned)] and scanned[-1] == want
+                    outcomes.append("walk")
+                continue
+            assert report.b0_used == want
+            outcomes.append("found")
+        # Every ending occurs (8 witnesses, 8 a-walks without one and 44
+        # halvings without a '+,-,+' at this seed).
+        assert all(outcomes.count(k) >= 5 for k in ("found", "walk", "halving"))
+
+    def test_smaller_shift_lowers_the_gap(self):
+        # dV/db = density_X(a x + b) > 0: V(x; a, b/2) < V(x; a, b), at 50
+        # digits, anywhere in the strip and beyond it.
+        rng = np.random.default_rng(31)
+        for lam, theta in sweep_pairs(12, seed=31):
+            a_lo, a_hi = orders._strip(lam, theta)
+            for _ in range(4):
+                a = float(rng.uniform(0.5 * a_lo, 1.5 * a_hi))
+                b = float(rng.uniform(1e-6, 1.0)) / theta.rates[0]
+                x = float(rng.uniform(0.0, 10.0)) / theta.rates[0]
+                lower = TestSignMap.mp_gap(lam.rates, theta.rates, a, 0.5 * b, x)
+                assert lower < TestSignMap.mp_gap(lam.rates, theta.rates, a, b, x)
+
+    def test_narrow_pair_scans_one_shift(self, monkeypatch):
+        # The first shift certifies the '-' region but not the tail '+'.
+        scans = recorded_scans(monkeypatch)
+        x0, shifts, _ = halving_shifts(*NARROW)
+        with pytest.raises(orders.ViolationSearchError) as info:
+            violation_search(*NARROW)
+        assert info.value.attempts == ((x0, shifts[0]),)
+        assert scans == [(1, False)]
+        message = str(info.value)
+        assert f"halving stopped at b0={shifts[0]:.6g}" in message
+        assert "'+,-,+' (uncertified) has a certified '-' region" in message
+        assert message.endswith(f"attempted (x0, b0) pairs: [{(x0, shifts[0])!r}]")
+        assert message in convex_check(*NARROW).detail
+
+    def test_stop_at_a_later_shift(self, monkeypatch):
+        # At sign floor 0.2 the '-' region of the first shift (-0.187) is
+        # not certain and that of the second (-0.209) is: the block of 4
+        # after the first probe is scanned, but only the shifts up to the
+        # stop are attempts.
+        opts = OrderOptions(scan=ScanOptions(sign_floor=0.2))
+        scans = recorded_scans(monkeypatch)
+        x0, shifts, _ = halving_shifts(*NARROW)
+        with pytest.raises(orders.ViolationSearchError, match="halving stopped at b0") as info:
+            violation_search(*NARROW, opts)
+        assert info.value.attempts == ((x0, shifts[0]), (x0, shifts[1]))
+        assert scans == [(1, False), (4, False)]
+
+    def test_no_certified_dip_scans_every_shift(self):
+        # Nothing clears a floor of 1: every shift is scanned.
+        opts = OrderOptions(scan=ScanOptions(sign_floor=1.0))
+        x0, shifts, _ = halving_shifts(LAM, THETA)
+        with pytest.raises(orders.ViolationSearchError, match="none with a certified") as info:
+            violation_search(LAM, THETA, opts)
+        assert info.value.attempts == tuple((x0, b) for b in shifts)
+        assert len(shifts) == orders.SEARCH_MAX_HALVINGS
 
 
 def scan_one_at_a_time(gaps, probes, violating, opts):
