@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""In-process wall times of star checks with three or more components.
+"""In-process wall times of star and convex checks with three or more components.
 
-Two sets of calls, each timed as the median and the best of ``--repeats``
+Three sets of calls, each timed as the median and the best of ``--repeats``
 runs after one untimed call:
 
 - every op of the benchmark's ``higher-n`` workload at ``--seed``
@@ -10,7 +10,9 @@ runs after one untimed call:
 - ``star_check`` on generic pairs of n = 8, 10 and 12 (``--generic``): n
   sorted rates drawn uniformly from (1, 3) with ``default_rng(5)``, theta
   drawn the same way and rescaled to lam's total, so that every gap has
-  2^(n+1) - 2 terms.
+  2^(n+1) - 2 terms;
+- ``convex_check`` on the same generic pairs of n = 8 and 10, reversed
+  (``--generic-convex``): not majorized, so each one scans the (a, b) grid.
 
 ``--packages`` names one or more importable copies of the package.  Their
 calls alternate repeat by repeat, first one package first, then the next,
@@ -19,7 +21,8 @@ host.  To compare with another tree, copy its ``src/transform_orders`` to
 ``DIR/transform_orders_base``.  Prints one JSON object.
 
 Usage:
-    PYTHONPATH=src python scripts/time_higher_n.py [--seed 7] [--repeats 5] [--generic 8,10,12]
+    PYTHONPATH=src python scripts/time_higher_n.py [--seed 7] [--repeats 5] [--generic 8,10,12] \
+        [--generic-convex 8,10]
     PYTHONPATH=src:DIR python scripts/time_higher_n.py \
         --packages transform_orders_base,transform_orders
 """
@@ -63,12 +66,26 @@ def timed(calls: dict, repeats: int) -> dict:
                    "best_ms": round(1e3 * min(times[name]), 2)} for name in names}
 
 
+def timed_generic(libs: dict, ns: str, check: str, repeats: int, reverse: bool = False) -> dict:
+    """``timed`` of ``check`` on the generic pair of each n in the
+    comma-separated ``ns``, with theta first if ``reverse``."""
+    out = {}
+    for n in filter(None, ns.split(",")):
+        pair = generic_rates(int(n))[:: -1 if reverse else 1]
+        calls = {name: (lambda lib=lib: getattr(lib, check)(*map(lib.HazardVector, pair)))
+                 for name, lib in libs.items()}
+        out[n] = timed(calls, repeats)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--generic", default="8,10,12",
                         help="comma-separated n of the generic pairs ('' for none)")
+    parser.add_argument("--generic-convex", default="8,10",
+                        help="comma-separated n of the reversed generic convex checks")
     parser.add_argument("--packages", default="transform_orders",
                         help="comma-separated importable copies of the package")
     args = parser.parse_args(argv)
@@ -77,18 +94,14 @@ def main(argv: list[str] | None = None) -> int:
     for op in workloads.generate("higher-n", args.seed):
         calls = {name: (lambda lib=lib: workloads.run_op(lib, op)) for name, lib in libs.items()}
         ops.append({"group": op.group, "n": len(op.lam), "by_package": timed(calls, args.repeats)})
-    generic = {}
-    for n in filter(None, args.generic.split(",")):
-        lam, theta = generic_rates(int(n))
-        calls = {
-            name: (lambda lib=lib: lib.star_check(lib.HazardVector(lam), lib.HazardVector(theta)))
-            for name, lib in libs.items()
-        }
-        generic[n] = timed(calls, args.repeats)
+    generic = timed_generic(libs, args.generic, "star_check", args.repeats)
+    generic_convex = timed_generic(libs, args.generic_convex, "convex_check", args.repeats,
+                                   reverse=True)
     passes = {name: round(sum(op["by_package"][name]["median_ms"] for op in ops), 2)
               for name in libs}
     print(json.dumps({"seed": args.seed, "repeats": args.repeats, "higher_n_ops": ops,
-                      "higher_n_pass_median_ms": passes, "generic_star_check": generic}))
+                      "higher_n_pass_median_ms": passes, "generic_star_check": generic,
+                      "generic_convex_check_reversed": generic_convex}))
     return 0
 
 

@@ -100,6 +100,9 @@ VERDICTS = (
     ("star_check linspace n=6", star_check, linspace_pair(6)),
     # A late hit: the "+,-" witness is probe 46 of the 67-probe a-grid.
     ("star_check reversed linspace n=3", star_check, linspace_pair(3)[::-1]),
+    # The (a, b) grid at n >= 3, where the rate-dominance rule prunes the
+    # probes whose gap has one sign.
+    ("convex_check reversed linspace n=3", convex_check, linspace_pair(3)[::-1]),
     # The rounds of flip bisection, outside any verdict.
     ("count_roots classic witness", lambda f: count_roots(f, -5.0, 10.0), (CLASSIC_WITNESS_GAP,)),
 )

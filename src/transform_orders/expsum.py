@@ -1128,7 +1128,10 @@ def _pattern_steps(f: ExpSum, pts: _Pts, refine: bool):
     if s0 != 0 and (not runs or runs[0].sign != s0):
         runs.insert(0, _Run(s0, None, None, xs[0] / 2.0 if xs else x_lo, math.nan, False))
     if s_inf != 0 and (not runs or runs[-1].sign != s_inf):
-        runs.append(_Run(s_inf, None, None, runs[-1].x * 2.0 if runs else x_lo, math.nan, False))
+        x_end = x_lo
+        if runs:  # past the last run's extent; the analytic 0+ region has none
+            x_end = 2.0 * (runs[-1].x if runs[-1].last is None else runs[-1].last)
+        runs.append(_Run(s_inf, None, None, x_end, math.nan, False))
     guessed = [k for k, run in enumerate(runs) if run.first is None]
     if guessed:
         p = yield np.array([runs[k].x for k in guessed])

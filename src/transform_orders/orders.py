@@ -46,23 +46,32 @@ region (``_scan``'s ``stop``), which in practice is its first.
 
 The non-majorized grids of ``star_check`` (the a-grid at b = 0) and
 ``convex_check`` (the (a, b) grid) are pruned before scanning, through
-``_pruned_scan``: a probe whose gap admits no violating sign tuple among
-``expsum.possible_signs`` (the signs at 0+ and at infinity, and at most
-as many changes as the exact prefix sums of the coefficients have, which
-counts the exact zero at 0 of each b = 0 gap) cannot yield a certified
-violation, so only the other probes are scanned and the first certified
-violation is the same probe as without the filter.  ``_may_violate``
-decides the whole grid in one array pass over the gaps' coefficients:
-rows in rate order, prefix sums by ``np.cumsum``, ``math.fsum`` only
-where a running sum does not clear its rounding bound, and the sign at
-0+ of every row that may be kept from one batch of derivative sums.  The
-gap of each kept row is built straight from its sorted row, with its sign
-at 0+ and dominance point already known, so the scan computes neither
-again; ``canonicalize`` runs only where it would change a row's terms.
-Pruned rows build nothing.  The filter prunes none of the a-grid probes
-of linspace-rate pairs at n = 3-6, but the n >= 3 star scan goes through
-it all the same, so that every star verdict has one scan path.  The other
-scans run unfiltered and build their gaps one at a time:
+``_pruned_scan``, by two rules; a probe either rule drops cannot yield a
+certified violation, so only the other probes are scanned and the first
+certified violation is the same probe as without them.  The first reads
+the rates alone: where a * lam_(i) >= theta_(i) for every i (rates in
+ascending order, products exact; ``_dominance_bounds``) the gap is >= 0
+for every b >= 0, and where a * lam_(i) <= theta_(i) for every i it is
+<= 0 at b = 0, and a violation of either order needs both signs.  The
+second, ``_may_violate``, drops a probe whose gap admits no violating sign
+tuple among ``expsum.possible_signs`` (the signs at 0+ and at infinity,
+and at most as many changes as the exact prefix sums of the coefficients
+have, which counts the exact zero at 0 of each b = 0 gap).  It decides the
+probes the first rule leaves in one array pass over the gaps'
+coefficients: rows in rate order, prefix sums by ``np.cumsum``,
+``math.fsum`` only where a running sum does not clear its rounding
+bound, and the sign at 0+ of every row that may be kept from one batch of
+derivative sums.  The gap of each kept row is built straight from its
+sorted row, with its sign at 0+ and dominance point already known, so the
+scan computes neither again; ``canonicalize`` runs only where it would
+change a row's terms.  Pruned rows build nothing.  At n = 2 the second
+rule already drops every probe the first one does.  At n >= 3 the second
+drops almost none of the a-grid probes, while the first leaves only those
+with a strictly between min_i and max_i of theta_(i)/lam_(i): 13 of 65 on
+linspace-rate pairs, 1-23 of 67 on the benchmark's higher-n pairs.  On
+the (a, b) grid it drops every probe above that range and the b = 0 ones
+below it, and 160-250 of 335 are left.  The other scans run unfiltered
+and build their gaps one at a time:
 ``violation_search`` would gain nothing, since its b-halving nearly
 always ends at its first probe, and on the classic pair the filter
 prunes only the last 6 of its 40 probes.  The spot checks and
@@ -87,6 +96,7 @@ scanned patterns as evidence and keep bisection throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, repeat
@@ -371,6 +381,8 @@ def _may_violate(
     """The probes of ``grid`` whose gap's ``possible_signs`` include a
     sign tuple that ``violating`` accepts, in grid order, from one array
     pass over the gaps' coefficients instead of one gap per probe.
+    :func:`_pruned_scan` hands it only the probes its rate-dominance rule
+    leaves, so the probes that rule drops build no row either.
 
     Each row holds Y's survival terms and X's negated, shifted terms
     ``(a * r, -(c * exp(-r * b)))``, with the coefficients taken once per
@@ -430,6 +442,29 @@ def _may_violate(
     return kept
 
 
+def _dominance_bounds(lam: HazardVector, theta: HazardVector) -> tuple[float, float]:
+    """(lo, hi): the largest float a with a * lam_(i) <= theta_(i) for
+    every i, and the smallest with a * lam_(i) >= theta_(i) for every i,
+    the rates in ascending order and each product exact, not rounded.
+
+    These are min_i theta_(i)/lam_(i) rounded down and max_i
+    theta_(i)/lam_(i) rounded up.  A float quotient is within one step of
+    the exact ratio, and the integer ratios of the three floats tell on
+    which side it lies.
+    """
+    lo, hi = math.inf, 0.0
+    for r, t in zip(lam.rates, theta.rates, strict=True):
+        q = t / r
+        if q == math.inf:  # the exact ratio exceeds the largest float
+            lo, hi = min(lo, sys.float_info.max), math.inf
+            continue
+        (qn, qd), (rn, rd), (tn, td) = (v.as_integer_ratio() for v in (q, r, t))
+        over = qn * rn * td - tn * qd * rd  # the sign of q * r - t
+        lo = min(lo, q if over <= 0 else math.nextafter(q, 0.0))
+        hi = max(hi, q if over >= 0 else math.nextafter(q, math.inf))
+    return lo, hi
+
+
 def _pruned_scan(
     gaps: _Gaps,
     grid: list[tuple[float, float]],
@@ -437,16 +472,28 @@ def _pruned_scan(
     opts: ScanOptions,
 ) -> tuple[Witness | None, list[tuple[float, SignPattern]], list[tuple[float, float]]]:
     """The first certified violation on ``grid``, scanned only where the
-    gap's ``possible_signs`` include a sign tuple that ``violating``
-    accepts (:func:`_may_violate`): a probe without one cannot yield a
-    certified violation, so the hit is the same probe as on the whole grid.
+    gap can have both signs and its ``possible_signs`` include a sign
+    tuple that ``violating`` accepts (:func:`_may_violate`): a probe
+    without one cannot yield a certified violation, so the hit is the same
+    probe as on the whole grid.
+
+    The gap is V = F_X(a x + b) - F_Y(x), with F_X(t) = prod_i (1 -
+    exp(-lam_(i) t)) and F_Y likewise.  Where a * lam_(i) >= theta_(i) for
+    every i (a >= hi of :func:`_dominance_bounds`) and b >= 0, each factor
+    of F_X(a x + b) is at least the matching factor of F_Y(x), so V >= 0
+    on [0, inf); where a * lam_(i) <= theta_(i) for every i (a <= lo) and
+    b = 0, V <= 0.  A violation of either order has regions of both signs,
+    so these probes are pruned before any row is built.
 
     The kept probes are scanned without flip bisection and only the hit is
     scanned again with it (:func:`_bisected`), so it is byte-identical to a
     fully bisected scan's.  Returns the hit (or None), the scanned
     (a, pattern) pairs and the pruned probes.
     """
-    kept = _may_violate(gaps, grid, violating)
+    lo, hi = _dominance_bounds(gaps.lam, gaps.theta)
+    two_signed = [(a, b) for a, b in grid
+                  if not (a >= hi and b >= 0.0) and not (a <= lo and b == 0.0)]
+    kept = _may_violate(gaps, two_signed, violating)
     hit, scanned = _scan(gaps, kept, violating, opts, refine=False)
     if hit is not None:
         hit = _bisected(gaps, hit, violating, opts)
@@ -510,8 +557,9 @@ def star_check(
     on a logarithmic a-grid for a certified pattern with a "+,-" change,
     which refutes the order; with nothing found the verdict stays
     numerical (INCONCLUSIVE unless numerical holds are explicitly
-    allowed).  Only the probes whose ``possible_signs`` hold a "+,-" are
-    scanned (``_pruned_scan``); the verdict is that of the full grid.
+    allowed).  Only the probes whose gap can take both signs and whose
+    ``possible_signs`` hold a "+,-" are scanned (``_pruned_scan``); the
+    verdict is that of the full grid.
     """
     opts = opts or OrderOptions()
     majorized = majorizes(lam, theta)  # raises on a length mismatch
@@ -707,16 +755,18 @@ def convex_check(
     ``star_check`` also holds, since the convex order implies the star
     order.
 
-    The grid is pruned first (``_pruned_scan``): a probe whose gap has no
-    violating sign tuple among ``possible_signs`` is not scanned, since no
-    pattern the scan could certify there violates.  At b = 0 both
+    The grid is pruned first (``_pruned_scan``): a probe whose rates
+    dominate term by term (a * lam_(i) >= theta_(i) for every i, or <= at
+    b = 0), so that its gap has one sign, or whose gap has no violating
+    sign tuple among ``possible_signs``, is not scanned, since no pattern
+    the scan could certify there violates.  At b = 0 both
     survivals are 1 at x = 0, so the gap's coefficients sum to exactly 0,
     the last prefix sum is 0 and ``possible_signs`` allows one sign change
     fewer on (0, infinity) than the coefficient signs would; the prefix
     sums prune more probes at every b.  The verdict and witness are those
     of the full grid.  For ``allow_numerical_holds`` a pruned probe counts
-    as settled, like a probe whose pattern is complete: its coefficients
-    prove it has no violating tuple.
+    as settled, like a probe whose pattern is complete: its rates or its
+    coefficients prove it has no violating tuple.
     """
     opts = opts or OrderOptions()
     if lam.close_to(theta):

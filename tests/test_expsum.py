@@ -630,6 +630,16 @@ class TestSignPattern:
             assert r0.sign != r1.sign
             assert r0.x < r1.x
 
+    def test_guessed_region_at_infinity_lies_past_the_last_run(self):
+        # The narrow pair's gap at its first b-halving shift: the '-' run's
+        # largest |f| is near x = 1.46 but the run reaches x = 66, so a
+        # guessed '+' at twice the peak would sit inside the '-' run.
+        surv_x = survival(HazardVector((1.6702, 1.6707)))
+        surv_y = survival(HazardVector((0.6158, 2.7251)))
+        p = sign_pattern(surv_y - surv_x.shift_scale(0.36869835947790686, 0.05432356369406743))
+        assert p.signs() == ("+", "-", "+") and not p.regions[-1].certain
+        assert p.regions[-1].x > p.transitions[-1] > 10.0 * p.regions[1].x
+
 
 @st.composite
 def gap_sums(draw):

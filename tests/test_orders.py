@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 
 import mpmath
@@ -747,6 +748,97 @@ class TestExactZeroAtOrigin:
 
     def test_verdict_equals_full_grid_scan(self):
         assert repr(convex_check(*RESCALED_NARROW)) == repr(full_grid_convex_verdict(*RESCALED_NARROW))
+
+
+def generic_pair(n, rng):
+    """n sorted rates uniform on (1, 3) for each system, theta rescaled to
+    lam's total."""
+    lam = np.sort(rng.uniform(1.0, 3.0, n))
+    theta = np.sort(rng.uniform(1.0, 3.0, n))
+    theta *= lam.sum() / theta.sum()
+    return HazardVector(tuple(lam.tolist())), HazardVector(tuple(theta.tolist()))
+
+
+def spread_pair(n, rng):
+    """A majorized pair: theta spreads the same centred offsets as lam
+    by a factor in (1.2, 2), around the same mean."""
+    mean = rng.uniform(1.0, 3.0)
+    offsets = np.sort(rng.uniform(-0.4, 0.4, n)) * mean
+    offsets -= offsets.mean()
+    lam = mean + offsets
+    theta = mean + offsets * rng.uniform(1.2, 2.0)
+    return HazardVector(tuple(lam.tolist())), HazardVector(tuple(theta.tolist()))
+
+
+def one_signed(lam, theta, grid):
+    """The probes of grid that the rate-dominance rule prunes, each with the
+    sign its gap cannot take: '-' where a * lam_(i) >= theta_(i) for all i,
+    '+' where a * lam_(i) <= theta_(i) for all i at b = 0."""
+    lo, hi = orders._dominance_bounds(lam, theta)
+    return [((a, b), "-" if a >= hi else "+") for a, b in grid
+            if (a >= hi and b >= 0.0) or (a <= lo and b == 0.0)]
+
+
+class TestDominancePrune:
+    """_pruned_scan drops the probes whose rates dominate term by term: the
+    gap has one sign on [0, inf), so neither order can be violated there."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
+    def test_pruned_probes_certify_no_region_of_the_excluded_sign(self, n):
+        rng = np.random.default_rng(600 + n)
+        pairs = [linspace_pair(n), generic_pair(n, rng), spread_pair(n, rng)]
+        checked = {"+": 0, "-": 0}
+        for lam, theta in pairs + [p[::-1] for p in pairs]:
+            gaps = orders._Gaps(lam, theta)
+            pruned = one_signed(lam, theta, convex_grid(lam, theta))
+            assert {s for _, s in pruned} == {"+", "-"}
+            sample = pruned[:: max(1, len(pruned) // 4)]
+            _, scanned = orders._scan(gaps, [ab for ab, _ in sample], lambda s: False,
+                                      ScanOptions(), refine=False)
+            for ((a, b), excluded), (_, p) in zip(sample, scanned):
+                assert not any(r.certain and r.sign == excluded for r in p.regions), (a, b, p)
+                checked[excluded] += any(r.certain for r in p.regions)
+        assert min(checked.values()) > 0
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_verdicts_equal_those_without_the_rule(self, n, monkeypatch):
+        rng = np.random.default_rng(700 + n)
+        pairs = [spread_pair(n, rng), spread_pair(n, rng)]
+        cases = [(check, *p) for lam, theta in pairs
+                 for p in ((lam, theta), (theta, lam)) for check in (star_check, convex_check)]
+        with_rule = [repr(check(lam, theta)) for check, lam, theta in cases]
+        monkeypatch.setattr(orders, "_dominance_bounds", lambda lam, theta: (0.0, math.inf))
+        assert with_rule == [repr(check(lam, theta)) for check, lam, theta in cases]
+
+    def test_float_tie_is_not_dominance(self):
+        # fl(a * 3) == 1, but the exact product is below 1: a * lam_(1) >=
+        # theta_(1) does not hold, so the probe is kept.
+        a = 1.0 / 3.0
+        assert a * 3.0 == 1.0 and Fraction(a) * 3 < 1
+        lam, theta = HazardVector((3.0, 6.0, 9.0)), HazardVector((1.0, 1.5, 2.0))
+        lo, hi = orders._dominance_bounds(lam, theta)
+        assert a < hi == math.nextafter(a, math.inf)
+        assert one_signed(lam, theta, [(a, 0.0), (a, 0.05)]) == []
+        assert one_signed(lam, theta, [(hi, 0.0)]) == [((hi, 0.0), "-")]
+        # And the '+' side: fl(0.1 * 10) == 1, but the exact product is above 1.
+        a = 0.1
+        assert a * 10.0 == 1.0 and Fraction(a) * 10 > 1
+        lam, theta = HazardVector((10.0, 20.0, 30.0)), HazardVector((1.0, 5.0, 10.0))
+        lo, hi = orders._dominance_bounds(lam, theta)
+        assert lo == math.nextafter(a, 0.0) < a
+        assert one_signed(lam, theta, [(a, 0.0)]) == []
+        assert one_signed(lam, theta, [(lo, 0.0)]) == [((lo, 0.0), "+")]
+
+    def test_bounds_at_extreme_ratios(self):
+        # theta_(1)/lam_(1) = 1e310 overflows, and 1e-600 underflows to 0.
+        lo, hi = orders._dominance_bounds(HazardVector((1e-300, 1.0)), HazardVector((1e10, 1e300)))
+        assert (lo, hi) == (1e300, math.inf)
+        lo, hi = orders._dominance_bounds(HazardVector((1e300, 2e300)), HazardVector((1e-300, 2e300)))
+        assert (lo, hi) == (0.0, 1.0)
+
+    def test_violations_need_both_signs(self):
+        for signs in [(), ("+",), ("-",)]:
+            assert not orders._star_signs(signs) and not orders._convex_signs(signs)
 
 
 def bisect_every_scan(fs, opts=None, **kw):
