@@ -6,7 +6,7 @@ Wall times on a small shared machine spread too widely to compare two
 trees; these counts do not move between runs.  For each verdict the line
 reads
 
-    name evaluator_calls=E sign_patterns_calls=C patterns=P dip_split=D geomspace=G canonicalize=K eval_blocks=B sign_at_zero=Z
+    name evaluator_calls=E sign_patterns_calls=C patterns=P dip_split=D geomspace=G canonicalize=K eval_blocks=B sign_at_zero=Z quantile_evals=Q
 
 - ``evaluator_calls``: calls of a certified evaluator (``scaled_rows``,
   ``ExpSum._scaled_many``, or ``product.ProductGaps.evaluate`` for the
@@ -24,7 +24,10 @@ reads
 - ``sign_at_zero``: scalar evaluations of ``ExpSum.sign_at_zero`` (the
   cached ``ExpSum._sign_at_zero``), whether inside a verdict or as the
   fallback of ``expsum.sign_at_zero_rows``; a sum whose sign at 0+ the
-  batch helper gave is not counted.
+  batch helper gave is not counted;
+- ``quantile_evals``: calls of ``ExpSum.eval_many`` made inside
+  ``systems.inverse_survival_many`` (doubling and bisection rounds of
+  each quantile inversion).
 
 With ``--check FILE`` the lines are compared with those stored in FILE
 (``scripts/work_counts.txt`` holds the counts of this tree): the script
@@ -56,7 +59,7 @@ from transform_orders import (
     survival,
     violation_search,
 )
-from transform_orders import expsum, orders, product
+from transform_orders import expsum, orders, product, systems
 
 CLASSIC = HazardVector((2.0, 3.0)), HazardVector((1.5, 3.5))
 REVERSED = CLASSIC[::-1]
@@ -161,12 +164,24 @@ def work(run, *args) -> Counter:
                                           expsum.ExpSum._sign_at_zero.func))
         at_zero.__set_name__(expsum.ExpSum, "_sign_at_zero")
         patch(mock.patch.object(expsum.ExpSum, "_sign_at_zero", at_zero))
+        inverting = [0]
+        patch(mock.patch.object(systems, "inverse_survival_many",
+                                counted(counts, "inversions", systems.inverse_survival_many,
+                                        inverting)))
+        evaluate = expsum.ExpSum.eval_many
+
+        def eval_many(f, xs):
+            if inverting[0]:
+                counts["quantile_evals"] += 1
+            return evaluate(f, xs)
+
+        patch(mock.patch.object(expsum.ExpSum, "eval_many", eval_many))
         run(*args)
     return counts
 
 
 KEYS = ("evaluator_calls", "sign_patterns_calls", "patterns", "dip_split", "geomspace",
-        "canonicalize", "eval_blocks", "sign_at_zero")
+        "canonicalize", "eval_blocks", "sign_at_zero", "quantile_evals")
 
 
 def parse(line: str) -> tuple[str, dict[str, int]]:

@@ -41,7 +41,10 @@ DEFAULT_MERGE_TOL = 1e-12  # relative tolerance for duplicate-rate merging
 BASE_POINTS = 256  # initial grid points
 DIP_PASSES = 3  # passes that halve |f| valleys and uncertain gaps, outside the end bands
 MAX_REFINEMENTS = 80  # bisection steps per sign flip
-BISECT_LEVELS = 4  # bisection steps evaluated per evaluator call
+# Levels of the midpoint tree of a flip bracket that one evaluator call
+# holds, above a chain toward the bracket's predicted root; at 1, one
+# level a call and no chain.
+BISECT_LEVELS = 4
 X_RTOL = 1e-10  # relative bracket width at which bisection stops
 ZERO_TOL = 1e-12  # relative threshold for a nonzero derivative sum at 0
 
@@ -750,7 +753,8 @@ def _lockstep(fs: SumBlock, gens: list, opts: ScanOptions) -> list:
     those points as :class:`_Pts` in request order, and returns its result.
     Each round, the requests of all running generators go to one
     evaluator call, with their sums taken from the block; a flip-bisection
-    request holds BISECT_LEVELS levels of each bracket (see
+    request holds BISECT_LEVELS levels of each bracket's midpoint tree and
+    a chain below it toward the bracket's predicted root (see
     :func:`_refine_flips`).  The generators of sign scans and
     root scans start from the points of :func:`_grid_phase`, which has
     already evaluated the grids and dip passes of all the sums.
@@ -794,65 +798,193 @@ def _mid(a: float, b: float) -> float:
     return mid if a <= mid <= b else a + 0.5 * (b - a)
 
 
-def _refine_flips(lo: list, hi: list, left_sign: list):
+class BisectionRound(NamedTuple):
+    """The points one round of bisection of a bracket evaluates (see
+    :func:`bisection_round`).  ``tree`` holds, in heap order (node i has
+    children 2i + 1 on the left and 2i + 2 on the right), each node's
+    (midpoint, index in the round's point list), or None for a node
+    without a point.  ``leaf`` is the node below the tree that its
+    predicted branch reaches, or -1; ``chain`` holds (midpoint, index,
+    whether the step is predicted to keep the right half) of each link
+    below that leaf."""
+
+    tree: list
+    leaf: int
+    chain: list
+
+
+def bisection_round(a: float, b: float, depth: int, links: int, guess: float, split,
+                    mids: list) -> BisectionRound:
+    """Plan one round of bisection of [a, b], appending the points it
+    evaluates to ``mids``: the tree of every midpoint that its next
+    ``depth`` steps can reach, then a chain of up to ``links`` more
+    midpoints below the tree's predicted branch, the one toward the
+    predicted root ``guess``, on toward guess.  split(lo, hi) is the
+    midpoint of [lo, hi] that a step uses, or None where one step at a
+    time would stop; such a node gets no point and nothing below it.  A
+    guess that is nan plans no chain.
+    """
+    tree, spans = [], [(a, b)]
+    for _ in range(depth):
+        below = []
+        for span in spans:
+            mid = split(*span) if span else None
+            if mid is None:
+                tree.append(None)
+                below += (None, None)
+            else:
+                tree.append((mid, len(mids)))
+                mids.append(mid)
+                below += ((span[0], mid), (mid, span[1]))
+        spans = below
+    if not links or guess != guess:
+        return BisectionRound(tree, -1, [])
+    node = 0
+    for _ in range(depth):
+        if tree[node] is None:
+            return BisectionRound(tree, -1, [])
+        mid = tree[node][0]
+        node, a, b = (2 * node + 2, mid, b) if guess >= mid else (2 * node + 1, a, mid)
+    chain = []
+    for _ in range(links):
+        mid = split(a, b)
+        if mid is None:
+            break
+        right = guess >= mid
+        chain.append((mid, len(mids), right))
+        mids.append(mid)
+        a, b = (mid, b) if right else (a, mid)
+    return BisectionRound(tree, node, chain)
+
+
+def walk_round(plan: BisectionRound, a: float, b: float, goes_right):
+    """The steps of one planned round (see :func:`bisection_round`) from
+    [a, b], as one step at a time would take them: goes_right(i) says
+    whether the root lies right of point i (the step keeps [mid, b]), or
+    None where the bracket stops for good, as it does at a node without a
+    point.  The walk goes down the tree, then down the chain if it left
+    the tree at the predicted leaf, up to the first link whose step goes
+    the other way than predicted.
+
+    Returns a, b, the indices of the points walked in step order, the
+    index of the point now at a and at b (-1 for an end not moved), and
+    whether the bracket can go on.
+    """
+    path, at_a, at_b = [], -1, -1
+    node, size = 0, len(plan.tree)
+    while node < size:
+        if plan.tree[node] is None:
+            return a, b, path, at_a, at_b, False
+        mid, i = plan.tree[node]
+        path.append(i)
+        right = goes_right(i)
+        if right is None:
+            return a, b, path, at_a, at_b, False
+        if right:
+            a, at_a, node = mid, i, 2 * node + 2
+        else:
+            b, at_b, node = mid, i, 2 * node + 1
+    if node != plan.leaf:
+        return a, b, path, at_a, at_b, True
+    for mid, i, predicted in plan.chain:
+        path.append(i)
+        right = goes_right(i)
+        if right is None:
+            return a, b, path, at_a, at_b, False
+        if right:
+            a, at_a = mid, i
+        else:
+            b, at_b = mid, i
+        if right != predicted:
+            break
+    return a, b, path, at_a, at_b, True
+
+
+def _flip_split(a: float, b: float) -> float | None:
+    """The midpoint flip bisection steps at (:func:`_mid`), or None where
+    it is not strictly inside [a, b] or [a, b] is no wider than X_RTOL
+    relative to its ends."""
+    mid = _mid(a, b)
+    if a < mid < b and b - a > X_RTOL * max(abs(a), abs(b), 1e-30):
+        return mid
+    return None
+
+
+def _flip_guess(a: float, b: float, log_a: float, log_b: float) -> float:
+    """The secant root of a flip bracket: where the line through the
+    signed values at its ends, of magnitudes e^log_a and e^log_b and of
+    opposite signs, crosses 0 against log x (against x where a <= 0, as
+    the midpoints there are arithmetic); nan where a magnitude is not a
+    number."""
+    w = 1.0 / (1.0 + math.exp(min(max(log_b - log_a, -700.0), 700.0)))  # |f(a)| / (|f(a)| + |f(b)|)
+    if a > 0:
+        return math.exp(math.log(a) + w * (math.log(b) - math.log(a)))
+    return a + w * (b - a)
+
+
+def _refine_flips(lo: list, hi: list, left_sign: list, lo_log: list | None = None,
+                  hi_log: list | None = None):
     """Shrink certain-sign flip brackets [lo[k], hi[k]] in place and
     together by bisection (a step generator; see _lockstep).  left_sign[k]
-    is the sign at lo[k].  Returns lo, hi and the points of the bisection
-    path, in the order sequential bisection evaluates them.  Each certain
+    is the sign at lo[k]; lo_log[k] and hi_log[k] are log|f| at the ends
+    (0 where not given).  Returns lo, hi and the points of the bisection
+    paths, in the order sequential bisection evaluates them.  Each certain
     one lies inside its bracket, on the side of its own sign: left of every
     point of the other sign.
 
-    Each round evaluates BISECT_LEVELS levels at once: for every bracket
-    still shrinking, the tree of all midpoints its next steps can reach,
-    where a node that is not strictly inside its interval or whose interval
-    is narrower than X_RTOL gets no point and no children.  The returned
-    signs then pick each bracket's path, as one step at a time would: a
-    sign of 0 or a node with no point ends the bracket.  Every point's
-    value is independent of the others in its call, so lo, hi and the path
-    equal those of one level per round; the off-path points are dropped.
+    Each round evaluates, for every bracket still shrinking, the tree of
+    all midpoints its next BISECT_LEVELS steps can reach and a chain below
+    it toward the secant root of the signed values at its ends
+    (:func:`_flip_guess`), of twice as many steps as the bracket's last
+    round took (twice BISECT_LEVELS in the first); see
+    :func:`bisection_round`.  A node that is not strictly inside its
+    interval or whose interval is narrower than X_RTOL gets no point.  The
+    returned signs then pick each bracket's path, as one step at a time
+    would (:func:`walk_round`): a sign of 0 or a node with no point ends
+    the bracket, and a link that goes the other way than predicted ends
+    its round.  Every point's value is independent of the others in its
+    call, so lo, hi and the paths equal those of one level per round; the
+    off-path points are dropped.  A bracket takes at most MAX_REFINEMENTS
+    steps.  With BISECT_LEVELS = 1 there is no chain: one level a round.
     """
-    seen = [_NO_PTS]
-    active = list(range(len(lo)))
-    steps = 0
-    while active and steps < MAX_REFINEMENTS:
-        depth = min(BISECT_LEVELS, MAX_REFINEMENTS - steps)
-        trees, mids = [], []
+    n = len(lo)
+    lo_log = [0.0] * n if lo_log is None else list(lo_log)
+    hi_log = [0.0] * n if hi_log is None else list(hi_log)
+    steps, last = [0] * n, [BISECT_LEVELS] * n  # steps taken, and in the last round
+    seen, levels, owners = [_NO_PTS], [], []  # kept points, and each one's step and bracket
+    active = list(range(n))
+    while active:
+        plans, mids = [], []
         for k in active:
-            tree = {}  # node -> (midpoint, index in mids); node i has children 2i+1, 2i+2
-            todo = [(0, lo[k], hi[k])]
-            for node, a, b in todo:  # breadth first: todo grows while it is walked
-                mid = _mid(a, b)
-                if a < mid < b and b - a > X_RTOL * max(abs(a), abs(b), 1e-30):
-                    tree[node] = mid, len(mids)
-                    mids.append(mid)
-                    if 2 * node + 2 < 2**depth - 1:  # its children are within depth
-                        todo += [(2 * node + 1, a, mid), (2 * node + 2, mid, b)]
-            trees.append(tree)
+            depth = min(BISECT_LEVELS, MAX_REFINEMENTS - steps[k])
+            links = min(2 * last[k], MAX_REFINEMENTS - steps[k] - depth) if BISECT_LEVELS > 1 else 0
+            guess = _flip_guess(lo[k], hi[k], lo_log[k], hi_log[k])
+            plans.append(bisection_round(lo[k], hi[k], depth, links, guess, _flip_split, mids))
         if not mids:
             break
         p = yield np.array(mids)
-        signs = p.sign.tolist()
-        path = [[] for _ in range(depth)]  # per level, the on-path point of each bracket
-        still = []
-        for k, tree in zip(active, trees):
-            node = 0
-            for level in range(depth):
-                if node not in tree:
-                    break
-                mid, i = tree[node]
-                path[level].append(i)
-                if signs[i] == 0:
-                    break  # cannot place the flip more precisely than this gap
-                if signs[i] == left_sign[k]:
-                    lo[k], node = mid, 2 * node + 2
-                else:
-                    hi[k], node = mid, 2 * node + 1
-            else:
+        signs, logs = p.sign.tolist(), p.logmag.tolist()
+        still, kept = [], []
+        for k, plan in zip(active, plans):
+            s = left_sign[k]
+            lo[k], hi[k], path, at_lo, at_hi, goes_on = walk_round(
+                plan, lo[k], hi[k], lambda i: signs[i] == s if signs[i] else None
+            )
+            if at_lo >= 0:
+                lo_log[k] = logs[at_lo]
+            if at_hi >= 0:
+                hi_log[k] = logs[at_hi]
+            kept += path
+            levels += range(steps[k], steps[k] + len(path))
+            owners += [k] * len(path)
+            steps[k] += len(path)
+            last[k] = len(path)
+            if goes_on and steps[k] < MAX_REFINEMENTS:
                 still.append(k)
-        seen.append(p.take(np.array([i for level in path for i in level], dtype=np.intp)))
+        seen.append(p.take(np.array(kept, dtype=np.intp)))
         active = still
-        steps += depth
-    return lo, hi, _Pts(*(np.concatenate(col) for col in zip(*seen)))
+    pts = _Pts(*(np.concatenate(col) for col in zip(*seen)))
+    return lo, hi, pts.take(np.lexsort((owners, levels)))
 
 
 def _dip_split(pts: _Pts, owner: np.ndarray | None = None) -> np.ndarray:
@@ -989,9 +1121,10 @@ def sign_patterns(
     one evaluator call over the points of all sums (see
     :func:`_grid_phase`).  Then each scan's step
     generator goes on from its own points in lock step: each 0+ walk,
-    flip-bisection round (BISECT_LEVELS levels; see :func:`_refine_flips`)
-    and guessed end region evaluates the points that every scan still
-    running requests in one evaluator call.
+    flip-bisection round (BISECT_LEVELS tree levels and a chain toward
+    each flip's predicted root; see :func:`_refine_flips`) and guessed end
+    region evaluates the points that every scan still running requests in
+    one evaluator call.
 
     ``refine=False`` skips flip bisection, for scans that only decide.
     Bisection places transitions and may move witnesses and values, but
@@ -1111,7 +1244,8 @@ def _pattern_steps(f: ExpSum, pts: _Pts, refine: bool):
     if refine:
         flip = np.flatnonzero(np.diff(certain.sign))
         _, _, bisected = yield from _refine_flips(
-            certain.x[flip].tolist(), certain.x[flip + 1].tolist(), certain.sign[flip].tolist()
+            certain.x[flip].tolist(), certain.x[flip + 1].tolist(), certain.sign[flip].tolist(),
+            certain.logmag[flip].tolist(), certain.logmag[flip + 1].tolist(),
         )
         certain = certain.merged(bisected.take(np.flatnonzero(bisected.sign)))
 
@@ -1202,7 +1336,8 @@ def _root_steps(f: ExpSum, pts: _Pts, lo: float, hi: float, opts: ScanOptions):
     certain = pts.take(np.flatnonzero(pts.sign))
     flip = np.flatnonzero(certain.sign[1:] != certain.sign[:-1])
     left, right, _ = yield from _refine_flips(
-        certain.x[flip].tolist(), certain.x[flip + 1].tolist(), certain.sign[flip].tolist()
+        certain.x[flip].tolist(), certain.x[flip + 1].tolist(), certain.sign[flip].tolist(),
+        certain.logmag[flip].tolist(), certain.logmag[flip + 1].tolist(),
     )
     brackets = list(zip(left, right))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import HazardVector, inverse_survival_many, survival
+from .systems import HazardVector, SurvivalUnderflow, inverse_survival_many, survival
 
 RATIO_DROP_TOL = 1e-9
 CONCAVITY_TOL = 1e-9
@@ -59,9 +59,23 @@ class McSurvivalReport:
 def transform_values(
     lam: HazardVector, theta: HazardVector, grid: np.ndarray
 ) -> np.ndarray:
-    """T(x) = survival_theta^{-1}(survival_lam(x)) on the grid."""
+    """T(x) = survival_theta^{-1}(survival_lam(x)) on the grid.
+
+    Raises SurvivalUnderflow where survival_lam underflows to 0 at a grid
+    x, since T is then out of reach; its max_safe_x is the largest grid x
+    whose survival is positive (0 where there is none).
+    """
     grid = np.asarray(grid, dtype=float)
     u = survival(lam).eval_many(grid)
+    lost = u == 0.0
+    if lost.any():
+        safe = grid[~lost]
+        max_safe = float(safe.max()) if safe.size else 0.0
+        raise SurvivalUnderflow(
+            f"survival of lam underflowed to 0 at grid x={float(grid[lost].min()):.6g}; "
+            f"the largest safe grid x is {max_safe:.6g}",
+            max_safe,
+        )
     u = np.clip(u, None, 1.0)  # rounding can push survival a hair above 1
     return inverse_survival_many(survival(theta), u)
 

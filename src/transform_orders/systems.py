@@ -15,12 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expsum import ExpSum, canonicalize
+from .expsum import ExpSum, bisection_round, canonicalize, walk_round
 
 MAX_COMPONENTS = 20  # inclusion-exclusion yields 2^n - 1 terms
 RATE_RTOL = 1e-12  # relative tolerance at which two rates, or two rate totals, agree
 BISECT_STEPS = 120  # most bisection steps of a quantile
-BISECT_POINTS = 128  # points one bisection call may evaluate, over all pending quantiles
+# Points of the midpoint trees that one bisection call may evaluate, over
+# all pending quantiles; below each tree goes a chain toward the
+# quantile's predicted root.
+BISECT_POINTS = 128
 
 
 class SurvivalUnderflow(ArithmeticError):
@@ -129,9 +132,13 @@ def inverse_survival_many(f: ExpSum, u: np.ndarray) -> np.ndarray:
 
     Each bisection call evaluates as many levels of the pending
     quantiles' midpoint trees as fit in BISECT_POINTS points, at least
-    one: seven for one quantile, one for a 2000-point oracle (see
-    :func:`_bisect_levels`).  Every value of ``eval_many`` depends on its
-    own point only, so lo and hi are those of one level per call.
+    one: seven for one quantile, one for a 2000-point oracle.  While the
+    trees have one level, that is one vectorized step a call; once they
+    have two or more, a chain below each tree goes on toward the
+    quantile's predicted root (see :func:`_bisect_rounds`).  Every value
+    of ``eval_many`` depends on its own point only, so lo and hi are
+    those of one level per call.  A quantile takes at most BISECT_STEPS
+    steps.
     """
     _check_survival_form(f)
     u = np.asarray(u, dtype=float)
@@ -140,60 +147,110 @@ def inverse_survival_many(f: ExpSum, u: np.ndarray) -> np.ndarray:
     lo = np.zeros_like(u)
     hi = np.where(u < 1.0, 1.0 / f.rates[0], 0.0)  # level 1 is x = 0
     for _ in range(200):
-        too_high = (f.eval_many(hi) >= u) & (hi > 0.0)
+        f_hi = f.eval_many(hi)
+        too_high = (f_hi >= u) & (hi > 0.0)
         if not too_high.any():
             break
         hi[too_high] *= 2.0
     else:
         raise ValueError("failed to bracket all quantiles by doubling")
-    steps = 0
-    while steps < BISECT_STEPS:
+    levels = 0  # one level per call while a tree of two levels (3 points each) does not fit
+    while levels < BISECT_STEPS:
         mid = 0.5 * (lo + hi)
         step = (lo < mid) & (mid < hi)  # brackets still wider than one ulp
-        pending = np.count_nonzero(step)
-        if not pending:
+        if BISECT_POINTS // max(np.count_nonzero(step), 1) >= 3:
             break
-        depth = min(BISECT_STEPS - steps, max(1, int(math.log2(BISECT_POINTS // pending + 1))))
-        if depth > 1:
-            at = np.flatnonzero(step)
-            lo[at], hi[at] = _bisect_levels(f, u[at], lo[at], hi[at], depth)
-        else:
-            above = f.eval_many(mid) > u
-            lo = np.where(step & above, mid, lo)
-            hi = np.where(step & ~above, mid, hi)
-        steps += depth
+        above = f.eval_many(mid) > u
+        lo = np.where(step & above, mid, lo)
+        hi = np.where(step & ~above, mid, hi)
+        levels += 1
+    else:
+        return 0.5 * (lo + hi)
+    at = np.flatnonzero(step)
+    if at.size:
+        known = levels == 0  # f(0) = 1 and f(hi) from the doubling, until a level moves them
+        f_lo = [1.0 if known else math.nan] * at.size
+        f_hi = f_hi[at].tolist() if known else [math.nan] * at.size
+        lo[at], hi[at] = _bisect_rounds(
+            f, u[at].tolist(), lo[at].tolist(), hi[at].tolist(), f_lo, f_hi, levels
+        )
     return 0.5 * (lo + hi)
 
 
-def _bisect_levels(f: ExpSum, u, lo, hi, depth: int):
-    """``depth`` bisection steps of the brackets [lo, hi] of f = u from one
-    ``eval_many`` call over every midpoint those steps can reach: level k
-    of a bracket's tree holds the 2^k midpoints of the intervals its first
-    k steps can leave, node i's children being 2i (left) and 2i + 1.  The
-    values then pick each bracket's path, as one step at a time would; a
+def _quantile_guess(u: float, a: float, b: float, f_a: float, f_b: float) -> float:
+    """The predicted root of f = u in [a, b] from f_a = f(a) and f_b = f(b):
+    the secant of log f against x in the tail (u <= 1/2), where f is about
+    c e^(-r x), and of log(1 - f) against log x near 0, where 1 - f is
+    about c x^p; at a = 0, 1 - f is taken proportional to x.  nan where
+    that is not strictly inside (a, b): where the values are unknown, or
+    f(b) = 0, or f(a) = 1 at a > 0."""
+    try:
+        if u <= 0.5:
+            log_a = math.log(f_a)
+            guess = a + (b - a) * (log_a - math.log(u)) / (log_a - math.log(f_b))
+        elif a > 0.0:
+            gap_a, log_a = math.log1p(-f_a), math.log(a)
+            t = (math.log1p(-u) - gap_a) / (math.log1p(-f_b) - gap_a)
+            guess = math.exp(log_a + t * (math.log(b) - log_a))
+        else:
+            guess = b * math.exp(math.log1p(-u) - math.log1p(-f_b))
+    except (ValueError, ZeroDivisionError, OverflowError):  # a log of 0, or equal ends
+        return math.nan
+    return guess if a < guess < b else math.nan
+
+
+def _bisect_rounds(f: ExpSum, u: list, lo: list, hi: list, f_lo: list, f_hi: list, levels: int):
+    """Bisect the brackets [lo, hi] of f = u to machine width, each round
+    from one ``eval_many`` call, after ``levels`` steps taken; f_lo and
+    f_hi are f at the ends (nan where unknown).  Returns lo and hi.
+
+    Each round plans, for every bracket whose midpoint is still strictly
+    inside it, the tree of every midpoint its next steps can reach, as
+    many levels as fit in BISECT_POINTS points over those brackets, and
+    below it a chain toward its predicted root (:func:`_quantile_guess`)
+    of twice as many steps as the bracket's last round took (twice the
+    tree's levels in the first), with
+    :func:`~transform_orders.expsum.bisection_round`; the values then pick
+    each bracket's path (:func:`~transform_orders.expsum.walk_round`).  A
     midpoint not strictly inside its interval ends the bracket's steps, as
-    it would leave the bracket there for good."""
-    u, lo, hi = u.tolist(), lo.tolist(), hi.tolist()
-    mids, starts = [], []  # every midpoint; per bracket, the index of each level's first
-    for a, b in zip(lo, hi):
-        level, first = [(a, b)], []
-        for _ in range(depth):
-            first.append(len(mids))
-            mids += [0.5 * (a + b) for a, b in level]
-            level = [iv for (a, b), m in zip(level, mids[first[-1]:]) for iv in ((a, m), (m, b))]
-        starts.append(first)
-    values = f.eval_many(np.array(mids)).tolist()
-    for k, first in enumerate(starts):
-        node = 0
-        for start in first:
-            m = mids[start + node]
-            if not lo[k] < m < hi[k]:
-                break
-            if values[start + node] > u[k]:
-                lo[k], node = m, 2 * node + 1
-            else:
-                hi[k], node = m, 2 * node
+    it would leave the bracket there for good; a bracket takes at most
+    BISECT_STEPS steps in all."""
+    steps, last = [levels] * len(u), [0] * len(u)  # steps taken, and in the last round
+    active = list(range(len(u)))
+    while True:
+        active = [k for k in active if lo[k] < 0.5 * (lo[k] + hi[k]) < hi[k]]
+        if not active:
+            break
+        depth = max(1, int(math.log2(BISECT_POINTS // len(active) + 1)))
+        plans, mids = [], []
+        for k in active:
+            tree = min(depth, BISECT_STEPS - steps[k])
+            links = min(2 * (last[k] or depth), BISECT_STEPS - steps[k] - tree)
+            guess = _quantile_guess(u[k], lo[k], hi[k], f_lo[k], f_hi[k])
+            plans.append(bisection_round(lo[k], hi[k], tree, links, guess, _half, mids))
+        values = f.eval_many(np.array(mids)).tolist()
+        still = []
+        for k, plan in zip(active, plans):
+            lo[k], hi[k], path, at_lo, at_hi, _ = walk_round(
+                plan, lo[k], hi[k], lambda i: values[i] > u[k]
+            )
+            if at_lo >= 0:
+                f_lo[k] = values[at_lo]
+            if at_hi >= 0:
+                f_hi[k] = values[at_hi]
+            steps[k] += len(path)
+            last[k] = len(path)
+            if steps[k] < BISECT_STEPS:
+                still.append(k)
+        active = still
     return lo, hi
+
+
+def _half(a: float, b: float) -> float | None:
+    """The midpoint of quantile bisection, or None where it is not
+    strictly inside [a, b]."""
+    mid = 0.5 * (a + b)
+    return mid if a < mid < b else None
 
 
 def majorizes(lam: HazardVector, theta: HazardVector) -> bool:

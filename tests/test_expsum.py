@@ -903,13 +903,14 @@ def test_block_takes_one_split_per_dip_pass(refine):
 
 
 def test_default_levels_cut_the_rounds_of_the_classic_scan():
-    # 32 evaluator calls of 351 points at one level per round; the default
-    # levels also evaluate the off-path points of each round's trees.
+    # 32 evaluator calls of 351 points at one level per round, 11 of 571
+    # with the trees alone; the default levels also evaluate the off-path
+    # points of each round's trees and the chains past the predicted roots.
     seen = []
     with mock.patch.object(expsum, "scaled_rows", recording_evaluator(seen)):
         sign_pattern(CLASSIC_WITNESS_GAP)
-    assert len(seen) <= 12
-    assert sum(x.size for x, *_ in seen) <= 600
+    assert len(seen) <= 8
+    assert sum(x.size for x, *_ in seen) <= 500
 
 
 def scan_results(f):
@@ -932,19 +933,78 @@ def test_bisection_levels_keep_every_result(f):
     assert got[2] == want[2]
 
 
-def run_refine_flips(brackets, left_sign, sign_at):
-    """_refine_flips driven by hand: each requested x gets sign_at(x) and
-    mantissa x.  Returns lo, hi, the kept points and the evaluator calls."""
-    steps = expsum._refine_flips([a for a, _ in brackets], [b for _, b in brackets], left_sign)
+def drive_refine_flips(steps, answer):
+    """Run the _refine_flips step generator steps, sending answer(xs) back
+    for each requested x-array.  Returns lo, hi, the kept points and the
+    evaluator calls."""
     calls, xs = 0, next(steps)
     try:
         while True:
             calls += 1
-            sign = np.array([sign_at(x) for x in xs.tolist()], dtype=np.int8)
-            xs = steps.send(expsum._Pts(xs, xs.copy(), np.zeros_like(xs), np.zeros_like(xs), sign))
+            xs = steps.send(answer(xs))
     except StopIteration as done:
         lo, hi, kept = done.value
     return lo, hi, kept, calls
+
+
+def run_refine_flips(brackets, left_sign, sign_at):
+    """_refine_flips driven by hand: each requested x gets sign_at(x) and
+    mantissa x.  Returns lo, hi, the kept points and the evaluator calls."""
+    def answer(xs):
+        sign = np.array([sign_at(x) for x in xs.tolist()], dtype=np.int8)
+        return expsum._Pts(xs, xs.copy(), np.zeros_like(xs), np.zeros_like(xs), sign)
+
+    steps = expsum._refine_flips([a for a, _ in brackets], [b for _, b in brackets], left_sign)
+    return drive_refine_flips(steps, answer)
+
+
+def run_refine_flips_on_roots(brackets, left_sign, root):
+    """_refine_flips driven by hand on a function with one root root[k] in
+    bracket k, linear in what its midpoints bisect: log(x / root[k]) for
+    a bracket of positive x (geometric midpoints), x - root[k] for one of
+    negative x, times -left_sign[k].  Each requested x gets its sign and
+    log|f|, and the ends' log|f| are passed in.  Returns lo, hi, the kept
+    points and the evaluator calls."""
+    def gap(x, k):
+        return -left_sign[k] * (math.log(x / root[k]) if x > 0 else x - root[k])
+
+    def owner(x):
+        return next(k for k, (a, b) in enumerate(brackets) if a < x < b)
+
+    def answer(xs):
+        values = np.array([gap(x, owner(x)) for x in xs.tolist()])
+        return expsum._Pts(
+            xs, values, np.zeros_like(xs), np.log(np.abs(values)), np.sign(values).astype(np.int8)
+        )
+
+    lo, hi = [a for a, _ in brackets], [b for _, b in brackets]
+    steps = expsum._refine_flips(
+        list(lo), list(hi), left_sign,
+        [math.log(abs(gap(a, k))) for k, a in enumerate(lo)],
+        [math.log(abs(gap(b, k))) for k, b in enumerate(hi)],
+    )
+    return drive_refine_flips(steps, answer)
+
+
+def test_refine_flips_chains_toward_predicted_roots():
+    # With magnitudes that the secant through the ends predicts well, the
+    # chains below the trees walk most of the way to X_RTOL: at most 3
+    # rounds, with the same brackets and paths as one level a round.
+    rng = np.random.default_rng(27)
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        side = rng.choice([-1.0, 1.0])
+        ends = np.sort(side * rng.uniform(0.1, 10.0, 2 * n)).reshape(n, 2)
+        brackets = [tuple(e) for e in ends.tolist()]
+        root = [a + rng.uniform(0.1, 0.9) * (b - a) for a, b in brackets]
+        left = rng.choice([-1, 1], n).tolist()
+        got = run_refine_flips_on_roots(brackets, left, root)
+        with mock.patch.object(expsum, "BISECT_LEVELS", 1):
+            want = run_refine_flips_on_roots(brackets, left, root)
+        assert got[:2] == want[:2]
+        for col_got, col_want in zip(got[2], want[2]):
+            assert np.array_equal(col_got, col_want)
+        assert got[3] <= 3 < want[3]
 
 
 @pytest.mark.parametrize("budget", [80, 10], ids=["full-budget", "truncated-budget"])

@@ -18,6 +18,7 @@ from transform_orders import (
     violation_search,
     zoomed_concavity_grid,
     Status,
+    SurvivalUnderflow,
     survival,
 )
 from transform_orders import oracle
@@ -88,6 +89,27 @@ class TestConvexityOracle:
     def test_transform_starts_at_origin(self):
         vals = transform_values(LAM, THETA, np.array([0.0, 1.0]))
         assert vals[0] == 0.0
+
+
+class TestSurvivalUnderflow:
+    # S_lam(x) is about 2 e^-2x: it underflows to 0 near x = 372, so the
+    # grid from 0 to 400 in steps of 400/49 keeps a positive (subnormal)
+    # survival up to 367.35.
+    GRID = np.linspace(0.0, 400.0, 50)
+
+    def test_both_oracles_report_the_largest_safe_grid_x(self):
+        safe = float(self.GRID[survival(LAM).eval_many(self.GRID) > 0.0].max())
+        assert safe == pytest.approx(367.35, abs=0.01)
+        for check, grid in ((convexity_oracle, self.GRID), (star_ratio_oracle, self.GRID[1:])):
+            with pytest.raises(SurvivalUnderflow) as info:
+                check(LAM, THETA, grid)
+            assert info.value.max_safe_x == safe
+            assert "largest safe grid x" in str(info.value)
+
+    def test_a_grid_past_the_underflow_has_no_safe_x(self):
+        with pytest.raises(SurvivalUnderflow) as info:
+            transform_values(LAM, THETA, np.array([500.0, 600.0]))
+        assert info.value.max_safe_x == 0.0
 
 
 class TestMcSurvival:

@@ -6,6 +6,8 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from transform_orders import (
@@ -227,6 +229,28 @@ class TestInverseSurvival:
         u = np.concatenate([[1.0, 1e-300, 1e-12], rng.uniform(0.0, 1.0, 37) ** 4])
         assert np.array_equal(inverse_survival_many(f, u), self.sequential_quantiles(f, u))
         for ui in u.tolist():
+            assert inverse_survival(f, ui) == self.sequential_quantiles(f, [ui])[0]
+
+    # Levels where a predicted root is poor or fails: next to 1 (1 - f is
+    # a few ulps), deep in the tail, subnormal, and level 1 itself.
+    EDGE_LEVELS = (1.0 - 1e-6, 1.0 - 1e-15, 1e-12, 1e-300, 5e-324, 1.0)
+
+    @settings(max_examples=40)
+    @given(
+        rates=st.lists(st.floats(0.2, 8.0), min_size=1, max_size=5),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        size=st.sampled_from([1, 5, 40, 300]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chained_rounds_match_the_sequential_loop(self, rates, scale, size, seed):
+        # Uniform levels, their 8th powers (deep in the tail) and the edge
+        # levels, inverted together and one at a time.
+        f = survival(HazardVector(tuple(r * scale for r in rates)))
+        rng = np.random.default_rng(seed)
+        v = 1.0 - rng.random(size)  # in (0, 1]
+        u = rng.choice(np.concatenate([self.EDGE_LEVELS, v, v**8]), size)
+        assert np.array_equal(inverse_survival_many(f, u), self.sequential_quantiles(f, u))
+        for ui in u[:8].tolist():
             assert inverse_survival(f, ui) == self.sequential_quantiles(f, [ui])[0]
 
     def test_rejects_out_of_range(self):
