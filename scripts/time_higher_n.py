@@ -12,7 +12,13 @@ runs after one untimed call:
   drawn the same way and rescaled to lam's total, so that every gap has
   2^(n+1) - 2 terms;
 - ``convex_check`` on the same generic pairs of n = 8 and 10, reversed
-  (``--generic-convex``): not majorized, so each one scans the (a, b) grid.
+  (``--generic-convex``): not majorized, so each one scans the (a, b) grid;
+- ``sign_map`` on linspace pairs of n = 3, 6 and 8 (``--sign-map``):
+  ``linspace(2, 3, n)`` against ``linspace(1.5, 3.5, n)``, 201x201 cells
+  over the window of the benchmark's dense-grid maps (b = 0.0625 /
+  (theta_1 + theta_n), a in [theta_1 / (2 lam_n), 1], x in [0, 20 /
+  theta_1]), which has no map of three or more components.  A map's
+  status reads as its count of certain cells.
 
 ``--packages`` names one or more importable copies of the package.  Their
 calls alternate repeat by repeat, first one package first, then the next,
@@ -22,7 +28,7 @@ host.  To compare with another tree, copy its ``src/transform_orders`` to
 
 Usage:
     PYTHONPATH=src python scripts/time_higher_n.py [--seed 7] [--repeats 5] [--generic 8,10,12] \
-        [--generic-convex 8,10]
+        [--generic-convex 8,10] [--sign-map 3,6,8]
     PYTHONPATH=src:DIR python scripts/time_higher_n.py \
         --packages transform_orders_base,transform_orders
 """
@@ -51,10 +57,17 @@ def generic_rates(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(lam.tolist()), tuple(theta.tolist())
 
 
+def status_of(result) -> str | int:
+    """A verdict's status, or the count of certain cells of a sign map."""
+    if hasattr(result, "status"):
+        return result.status.value
+    return sum(1 for row in result.signs for s in row if s)
+
+
 def timed(calls: dict, repeats: int) -> dict:
     """Per package: the status of its call and the median and best time."""
     names = list(calls)
-    status = {name: calls[name]().status.value for name in names}
+    status = {name: status_of(calls[name]()) for name in names}
     times = {name: [] for name in names}
     for r in range(repeats):
         for name in names[r % len(names):] + names[: r % len(names)]:
@@ -78,6 +91,22 @@ def timed_generic(libs: dict, ns: str, check: str, repeats: int, reverse: bool =
     return out
 
 
+def timed_sign_maps(libs: dict, ns: str, repeats: int) -> dict:
+    """``timed`` of the 201x201 ``sign_map`` of the linspace pair of each n
+    in the comma-separated ``ns``."""
+    out = {}
+    for n in filter(None, ns.split(",")):
+        lam = np.linspace(2.0, 3.0, int(n)).tolist()
+        theta = np.linspace(1.5, 3.5, int(n)).tolist()
+        b = 0.0625 / (theta[0] + theta[-1])
+        window = (theta[0] / (2.0 * lam[-1]), 1.0), (0.0, 20.0 / theta[0])
+        calls = {name: (lambda lib=lib: lib.sign_map(
+                     lib.HazardVector(lam), lib.HazardVector(theta), b, *window, 201))
+                 for name, lib in libs.items()}
+        out[n] = timed(calls, repeats)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
@@ -86,6 +115,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated n of the generic pairs ('' for none)")
     parser.add_argument("--generic-convex", default="8,10",
                         help="comma-separated n of the reversed generic convex checks")
+    parser.add_argument("--sign-map", default="3,6,8",
+                        help="comma-separated n of the linspace-pair sign maps")
     parser.add_argument("--packages", default="transform_orders",
                         help="comma-separated importable copies of the package")
     args = parser.parse_args(argv)
@@ -97,11 +128,13 @@ def main(argv: list[str] | None = None) -> int:
     generic = timed_generic(libs, args.generic, "star_check", args.repeats)
     generic_convex = timed_generic(libs, args.generic_convex, "convex_check", args.repeats,
                                    reverse=True)
+    sign_maps = timed_sign_maps(libs, args.sign_map, args.repeats)
     passes = {name: round(sum(op["by_package"][name]["median_ms"] for op in ops), 2)
               for name in libs}
     print(json.dumps({"seed": args.seed, "repeats": args.repeats, "higher_n_ops": ops,
                       "higher_n_pass_median_ms": passes, "generic_star_check": generic,
-                      "generic_convex_check_reversed": generic_convex}))
+                      "generic_convex_check_reversed": generic_convex,
+                      "linspace_sign_map": sign_maps}))
     return 0
 
 

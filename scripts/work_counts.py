@@ -27,7 +27,7 @@ reads
   batch helper gave is not counted;
 - ``quantile_evals``: calls of ``ExpSum.eval_many`` made inside
   ``systems.inverse_survival_many`` (doubling and bisection rounds of
-  each quantile inversion).
+  each quantile inversion), called from ``systems`` or ``oracle``.
 
 With ``--check FILE`` the lines are compared with those stored in FILE
 (``scripts/work_counts.txt`` holds the counts of this tree): the script
@@ -55,11 +55,13 @@ from transform_orders import (
     convex_check,
     convex_check_at,
     count_roots,
+    sign_map,
     star_check,
+    star_ratio_oracle,
     survival,
     violation_search,
 )
-from transform_orders import expsum, orders, product, systems
+from transform_orders import expsum, oracle, orders, product, systems
 
 CLASSIC = HazardVector((2.0, 3.0)), HazardVector((1.5, 3.5))
 REVERSED = CLASSIC[::-1]
@@ -108,6 +110,15 @@ VERDICTS = (
     ("convex_check reversed linspace n=3", convex_check, linspace_pair(3)[::-1]),
     # The rounds of flip bisection, outside any verdict.
     ("count_roots classic witness", lambda f: count_roots(f, -5.0, 10.0), (CLASSIC_WITNESS_GAP,)),
+    # The bulk paths of the benchmark's dense-grid ops: a 201x201 map (203
+    # rows, of which only those where a rate of X meets one of Y build
+    # their gap) and a 2000-point oracle (its quantile rounds).
+    ("sign_map classic",
+     lambda lam, theta: sign_map(lam, theta, 0.0125, (0.25, 1.0), (0.0, 20.0 / 1.5), 201),
+     CLASSIC),
+    ("star_ratio_oracle classic",
+     lambda lam, theta: star_ratio_oracle(lam, theta, np.linspace(5.0 / 2000, 5.0, 2000)),
+     CLASSIC),
 )
 
 
@@ -165,9 +176,9 @@ def work(run, *args) -> Counter:
         at_zero.__set_name__(expsum.ExpSum, "_sign_at_zero")
         patch(mock.patch.object(expsum.ExpSum, "_sign_at_zero", at_zero))
         inverting = [0]
-        patch(mock.patch.object(systems, "inverse_survival_many",
-                                counted(counts, "inversions", systems.inverse_survival_many,
-                                        inverting)))
+        inverse = counted(counts, "inversions", systems.inverse_survival_many, inverting)
+        patch(mock.patch.object(systems, "inverse_survival_many", inverse))
+        patch(mock.patch.object(oracle, "inverse_survival_many", inverse))
         evaluate = expsum.ExpSum.eval_many
 
         def eval_many(f, xs):

@@ -84,13 +84,14 @@ def star_ratio_oracle(lam: HazardVector, theta: HazardVector, grid: np.ndarray) 
     """Check the star-shape ratio T(x)/x for decreasing stretches.
 
     Reports every adjacent pair where the ratio falls by more than
-    RATIO_DROP_TOL; an increasing ratio is exactly the star order.
+    RATIO_DROP_TOL; an increasing ratio is exactly the star order.  Every
+    grid point must be positive.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError("grid must be one-dimensional with at least 2 points")
-    if not (grid[0] > 0.0):
-        raise ValueError("star ratio grid must stay strictly positive")
+    if not np.all(grid > 0.0):  # also false at a nan point
+        raise ValueError("star ratio grid must stay strictly positive, with no nan point")
     ratio = transform_values(lam, theta, grid) / grid
     drops = ratio[:-1] - ratio[1:]
     bad = np.nonzero(drops > RATIO_DROP_TOL)[0]
@@ -109,12 +110,14 @@ def convexity_oracle(
 ) -> GridReport:
     """Check the composed transform for concave stretches.
 
-    Requires a uniform grid; reports every interior point whose second
-    difference of T is below ``-concavity_tol``.
+    Requires a uniform grid of nonnegative points; reports every interior
+    point whose second difference of T is below ``-concavity_tol``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 3:
         raise ValueError("grid must be one-dimensional with at least 3 points")
+    if not np.all(grid >= 0.0):  # also false at a nan point
+        raise ValueError("convexity grid must stay nonnegative, with no nan point")
     steps = np.diff(grid)
     h = steps[0]
     if h <= 0.0 or not np.allclose(steps, h, rtol=1e-8, atol=0.0):

@@ -29,8 +29,10 @@ probes a list of (a, b) through it, with both survivals built once per call.
 Each gap's structure (sign at 0+, tail sign, zero bound, grid ends) comes
 from its coefficients; for three or more components its points are
 evaluated in product form (``product``, from the rates and (a, b) at 2n
-exponentials a point), for two from the coefficients: ``_Gaps.block``
-picks the form, for the scans and ``sign_map`` alike.
+exponentials a point), for two from the coefficients.  ``_Gaps.product``
+picks the form for the scans (``_Gaps.block``) and ``sign_map``
+(``_Gaps.evaluator``) alike; ``sign_map`` only evaluates, so it builds no
+gap that its form does not read (see its docstring).
 It hands the probes to ``expsum.sign_patterns`` in blocks of 1, 4, 10,
 then ``MAX_BLOCK`` = 64 (a list of at most 15 probes, such as a list of
 spot checks, goes whole), whose patterns are scanned together: each
@@ -58,7 +60,8 @@ tuple among ``expsum.possible_signs`` (the signs at 0+ and at infinity,
 and at most as many changes as the exact prefix sums of the coefficients
 have, which counts the exact zero at 0 of each b = 0 gap).  It decides the
 probes the first rule leaves in one array pass over the gaps'
-coefficients: rows in rate order, prefix sums by ``np.cumsum``,
+coefficients (``_Gaps.rows``, the row builder it shares with
+``sign_map``): rows in rate order, prefix sums by ``np.cumsum``,
 ``math.fsum`` only where a running sum does not clear its rounding
 bound, and the sign at 0+ of every row that may be kept from one batch of
 derivative sums.  The gap of each kept row is built straight from its
@@ -110,6 +113,9 @@ from .expsum import (
     ScanOptions,
     SignPattern,
     SignRegion,
+    SumBlock,
+    _certify,
+    _PaddedSums,
     canonical_rows,
     certain_signs,
     dominance_point_rows,
@@ -260,18 +266,64 @@ class _Gaps:
         self.lam, self.theta = lam, theta
         self.surv_x, self.surv_y = survival(lam), survival(theta)
         self._built: dict[tuple[float, float], ExpSum] = {}
+        # The product form takes both systems at the same three or more
+        # components, where a gap has up to 2^(n+1) - 2 terms; at two the
+        # coefficient form is the faster one.
+        self.product = lam.n == theta.n >= 3
 
     def block(self, probes: list[tuple[float, float]]) -> list[ExpSum] | ProductGaps:
         """The gaps at the (a, b) probes as one scan block: evaluated in
-        product form when both systems have the same three or more
-        components (``product``), where a gap has up to 2^(n+1) - 2
-        terms, and from their coefficients otherwise: at two, where the
-        coefficient form is the faster one, and for systems of different
-        sizes, which the product form does not take."""
+        product form where ``product`` is set, and from their
+        coefficients otherwise (at two components, and for systems of
+        different sizes)."""
         fs = [self(a, b) for a, b in probes]
-        if not self.lam.n == self.theta.n >= 3:
+        if not self.product:
             return fs
         return ProductGaps(fs, self.lam.rates, self.theta.rates, probes)
+
+    def evaluator(self, probes: list[tuple[float, float]]) -> SumBlock:
+        """The gaps at the (a, b) probes in the form :meth:`block` picks,
+        for evaluation only: its points are those of :meth:`block`, bit
+        for bit, but no sum is built.  The product form reads only the
+        rates and the probes, and the coefficient form is laid out from
+        :meth:`rows`, where only the rows that ``canonicalize`` changes
+        build their gap."""
+        if self.product:
+            return ProductGaps((), self.lam.rates, self.theta.rates, probes)
+        return _PaddedSums.from_rows(*self.rows(probes)[:2])
+
+    def rows(self, probes: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rates, coeffs, exact): the gaps at the (a, b) probes as (probes
+        x terms) arrays from one array pass, and the mask of the rows that
+        are their gap term for term.
+
+        Each row holds Y's survival terms and X's negated, shifted terms
+        ``(a * r, -(c * exp(-r * b)))``, with the coefficients taken once
+        per distinct b from :meth:`ExpSum._shifted_terms`, sorted by rate.
+        A row that :func:`canonical_rows` keeps term for term is its gap,
+        bit for bit.  Any other row is its gap, built by ``canonicalize``
+        (and kept), padded in front with zero coefficients at its own
+        first rate as :class:`~transform_orders.expsum._PaddedSums` pads
+        it; the zero sum is all zeros at rate 0.  A row with a rate that
+        overflows is not kept term for term either, so it is its gap as
+        ``canonicalize`` builds it."""
+        x, y = self.surv_x, self.surv_y
+        shifted = {b: tuple(-c for _, c in x._shifted_terms(1.0, b))
+                   for b in {b for _, b in probes}}
+        a = np.array([a for a, _ in probes])
+        coeffs = np.array([y.coeffs + shifted[b] for _, b in probes])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = np.hstack([np.broadcast_to(y.rates, (len(probes), y.n_terms)),
+                               a[:, None] * np.array(x.rates)])
+            coeffs, exact = canonical_rows(rates, coeffs)
+        rates = np.sort(rates, axis=1)  # in the order of each row's sorted coefficients
+        n = rates.shape[1]
+        for j in np.flatnonzero(~exact).tolist():
+            gap = self(*probes[j])
+            pad = n - gap.n_terms
+            rates[j] = (gap.rates[:1] or (0.0,)) * pad + gap.rates
+            coeffs[j] = (0.0,) * pad + gap.coeffs
+        return rates, coeffs, exact
 
     def __call__(self, a: float, b: float = 0.0) -> ExpSum:
         gap = self._built.get((a, b))
@@ -384,14 +436,11 @@ def _may_violate(
     :func:`_pruned_scan` hands it only the probes its rate-dominance rule
     leaves, so the probes that rule drops build no row either.
 
-    Each row holds Y's survival terms and X's negated, shifted terms
-    ``(a * r, -(c * exp(-r * b)))``, with the coefficients taken once per
-    distinct b from :meth:`ExpSum._shifted_terms`.  A row that
-    :func:`canonical_rows` keeps term for term is its gap, sorted by rate;
-    any other row takes its coefficients from its gap, built by
-    ``canonicalize`` and padded behind with zeros, which add no prefix-sum
-    sign change.  So each row's zero bound (:func:`prefix_sign_changes_rows`)
-    and tail sign are its gap's.  The probe is kept when both starts admit
+    The rows are those of :meth:`_Gaps.rows`: each is its gap, sorted by
+    rate, or padded in front with zero coefficients, which add no
+    prefix-sum sign change.  So each row's zero bound
+    (:func:`prefix_sign_changes_rows`) and tail sign (its first nonzero
+    coefficient) are its gap's.  The probe is kept when both starts admit
     a violating tuple and pruned when neither does; otherwise the sign at
     0+ decides.  The exact rows that may be kept get their sign at 0+
     (:func:`sign_at_zero_rows`), and the kept ones their dominance point
@@ -399,29 +448,16 @@ def _may_violate(
     ``gaps`` as a sum built from its row, with both already known.  Pruned
     rows build nothing.  Rows go in chunks of at most ``_BLOCK`` entries.
     """
-    x, y = gaps.surv_x, gaps.surv_y
-    shifted = {b: [-c for _, c in x._shifted_terms(1.0, b)] for b in {b for _, b in grid}}
-    n = y.n_terms + x.n_terms
-    step = max(1, _BLOCK // n)
+    step = max(1, _BLOCK // (gaps.surv_y.n_terms + gaps.surv_x.n_terms))
     starts: dict[tuple[int, int], tuple[bool, bool]] = {}
     kept = []
     for i in range(0, len(grid), step):
         part = grid[i : i + step]
-        a = np.array([a for a, _ in part])
-        coeffs = np.array([y.coeffs + tuple(shifted[b]) for _, b in part])
-        # A rate that overflows leaves its row to its gap, which raises as
-        # it always has.
-        with np.errstate(over="ignore", invalid="ignore"):
-            rates = np.hstack([np.broadcast_to(y.rates, (len(part), y.n_terms)),
-                               a[:, None] * np.array(x.rates)])
-            coeffs, exact = canonical_rows(rates, coeffs)
-        rates = np.sort(rates, axis=1)  # in the order of each row's sorted coefficients
-        for j in np.flatnonzero(~exact).tolist():
-            gap = gaps(*part[j])
-            coeffs[j] = gap.coeffs + (0.0,) * (n - gap.n_terms)
+        rates, coeffs, exact = gaps.rows(part)
         bounds = prefix_sign_changes_rows(coeffs).tolist()
+        tails = np.sign(coeffs[np.arange(len(part)), np.argmax(coeffs != 0.0, axis=1)])
         ends = []
-        for key in zip(bounds, np.sign(coeffs[:, 0]).astype(int).tolist()):
+        for key in zip(bounds, tails.astype(int).tolist()):
             if key not in starts:
                 starts[key] = tuple(any(map(violating, sign_tuples((s,), *key))) for s in (1, -1))
             ends.append(starts[key])
@@ -872,8 +908,14 @@ def sign_map(
     are always included exactly.  A cell's sign is certain by the rule of
     ``sign_pattern``: cells whose |gap| does not clear both the sign floor
     and the rounding bound carry sign 0 (uncertain).  The rows are one
-    block of ``_Gaps.block``, so for three or more components they are
-    evaluated in product form, which leaves the x = 0 column uncertain.
+    evaluator call in the form a scan of the same probes takes
+    (``_Gaps.evaluator``), with the points of ``_Gaps.block`` bit for bit,
+    but no gap is built that the form does not read: for three or more
+    components the product form takes the rates and (a, b) alone (and
+    leaves the x = 0 column uncertain); for two the coefficient layout
+    comes from one array pass over the rows of ``_Gaps.rows``, and only
+    the few rows where a rate of X meets one of Y (at the strip ends, for
+    one) go through ``canonicalize``.
     """
     opts = opts or OrderOptions()
     na, nx = (resolution, resolution) if isinstance(resolution, int) else resolution
@@ -885,14 +927,16 @@ def sign_map(
     x_min, x_max = x_range
     if not (0.0 <= x_min < x_max):
         raise ValueError("x_range must satisfy 0 <= x_min < x_max")
+    if not (0.0 <= b < math.inf):
+        raise ValueError(f"shift b must be finite and nonnegative, got {b}")
 
     a_vals = sorted(set(np.linspace(a_min, a_max, na).tolist()) | set(_strip(lam, theta)))
     x_vals = np.linspace(x_min, x_max, nx)
-    gaps = _Gaps(lam, theta).block([(a, b) for a in a_vals])
-    rows = certain_signs(gaps, [x_vals] * len(a_vals), opts.scan)
+    block = _Gaps(lam, theta).evaluator([(a, b) for a in a_vals])
+    signs, _ = _certify(*block.evaluate([x_vals] * len(a_vals)), opts.scan)
     return SignMap(
         a_values=tuple(a_vals),
         x_values=tuple(float(x) for x in x_vals),
-        signs=tuple(tuple(row.tolist()) for row in rows),
+        signs=tuple(map(tuple, signs.reshape(len(a_vals), nx).tolist())),
         b=b,
     )

@@ -68,7 +68,9 @@ _SLACK = 1.0 + 2.0**-40  # covers the rounding of the bound's own arithmetic
 class ProductGaps(SumBlock):
     """The gaps V(.; a, b) of one pair of systems at a list of (a, b)
     probes: the sums fs[k] (the coefficient form, which still gives each
-    scan its structure) evaluated in product form at probes[k]."""
+    scan its structure) evaluated in product form at probes[k].  The
+    evaluation reads only the rates and the probes, so a block that is
+    only evaluated (a sign map's) passes no sums."""
 
     def __init__(self, fs: Sequence[ExpSum], lam, theta, probes):
         super().__init__(fs)

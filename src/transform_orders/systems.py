@@ -161,8 +161,10 @@ def inverse_survival_many(f: ExpSum, u: np.ndarray) -> np.ndarray:
         if BISECT_POINTS // max(np.count_nonzero(step), 1) >= 3:
             break
         above = f.eval_many(mid) > u
-        lo = np.where(step & above, mid, lo)
-        hi = np.where(step & ~above, mid, hi)
+        above &= step
+        lo = np.where(above, mid, lo)
+        step &= ~above
+        hi = np.where(step, mid, hi)
         levels += 1
     else:
         return 0.5 * (lo + hi)

@@ -126,6 +126,36 @@ class TestEval:
             f.eval_many(xs), [f.eval(float(x)) for x in xs], rtol=1e-13, atol=1e-300
         )
 
+    @staticmethod
+    def kahan_loop(f, xs):
+        """The plain compensated loop over the terms: the reference that
+        eval_many reproduces bit for bit without its dead passes."""
+        xs = np.asarray(xs, dtype=float)
+        s = np.zeros_like(xs)
+        comp = np.zeros_like(xs)
+        for r, c in zip(f.rates, f.coeffs):
+            y = c * np.exp(-r * xs) - comp
+            tot = s + y
+            comp = (tot - s) - y
+            s = tot
+        return s
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 41])
+    def test_eval_many_is_the_kahan_loop_bit_for_bit(self, n):
+        # Signed zeros, subnormals, overflow at x < 0 (inf - inf gives
+        # nan), nan and +-inf: every bit, the sign bit of zeros and nans
+        # included.  With every coefficient negative, each term that
+        # underflows is -0, and the sum that starts at +0 must stay +0.
+        rng = np.random.default_rng(n)
+        f = TestScaledRows.random_sum(rng, n)
+        negative = ExpSum(f.rates, tuple(-abs(c) for c in f.coeffs))
+        special = [0.0, -0.0, 5e-324, 1e-300, 1e300, -50.0, -800.0, math.nan, math.inf, -math.inf]
+        xs = np.concatenate([special, rng.uniform(0.0, 30.0, 200), rng.uniform(-60.0, 0.0, 20)])
+        for g in (f, negative):
+            with np.errstate(all="ignore"):
+                got, want = g.eval_many(xs), self.kahan_loop(g, xs)
+            assert got.tobytes() == want.tobytes()
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(

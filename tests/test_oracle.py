@@ -56,6 +56,13 @@ class TestStarRatioOracle:
         with pytest.raises(ValueError):
             star_ratio_oracle(LAM, THETA, np.linspace(0.0, 1.0, 10))
 
+    @pytest.mark.parametrize("grid", [[0.5, -1.0, 1.0], [0.5, math.nan, 1.0]],
+                             ids=["negative", "nan"])
+    def test_rejects_a_later_bad_point(self, grid):
+        # Only the grid is named, not the tail levels it would turn into.
+        with pytest.raises(ValueError, match="star ratio grid"):
+            star_ratio_oracle(LAM, THETA, np.array(grid))
+
 
 class TestConvexityOracle:
     def test_identity_pair_has_zero_curvature(self):
@@ -85,6 +92,12 @@ class TestConvexityOracle:
     def test_rejects_nonuniform_grid(self):
         with pytest.raises(ValueError):
             convexity_oracle(LAM, THETA, np.geomspace(0.1, 1.0, 50))
+
+    @pytest.mark.parametrize("grid", [np.linspace(-1.0, 1.0, 5), [0.0, math.nan, 1.0]],
+                             ids=["negative", "nan"])
+    def test_rejects_a_negative_or_nan_point(self, grid):
+        with pytest.raises(ValueError, match="convexity grid"):
+            convexity_oracle(LAM, THETA, np.asarray(grid))
 
     def test_transform_starts_at_origin(self):
         vals = transform_values(LAM, THETA, np.array([0.0, 1.0]))

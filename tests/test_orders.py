@@ -1140,6 +1140,58 @@ class TestSignMap:
         assert not np.any(product_signs * np.array(coefficient) < 0)
         assert np.count_nonzero(product_signs) > 1500
 
+    @pytest.mark.parametrize("lam, theta, probes", [
+        # The strip ends 0.5 and 0.75 and a = 1 (5a = 5) merge a term; at
+        # b = 40 every shifted term of X is dropped.
+        (LAM, THETA, [(a, b) for a in (0.3, 0.5, 0.6, 0.75, 1.0) for b in (0.0, 0.0125, 40.0)]),
+        (LAM, THETA, [(0.5, 0.0), (0.75, 0.0125), (1.0, 0.0)]),  # no row kept term for term
+        (LAM, LAM, [(0.5, 0.0), (1.0, 0.0), (1.0, 0.01)]),  # a zero gap at a = 1, b = 0
+        (LAM, LAM, [(1.0, 0.0)]),  # only the zero gap
+        (HazardVector((2.0,)), THETA, [(0.5, 0.0), (0.75, 0.3)]),  # systems of different sizes
+    ], ids=["classic", "changed-rows-only", "identical", "zero-only", "sizes-1-and-2"])
+    def test_layout_from_rows_is_the_padded_gaps(self, lam, theta, probes):
+        gaps = orders._Gaps(lam, theta)
+        rows = gaps.evaluator(probes)
+        padded = expsum._PaddedSums([gaps(a, b) for a, b in probes])
+        assert rows.neg_rates.tobytes() == padded.neg_rates.tobytes()
+        assert rows.coeffs.tobytes() == padded.coeffs.tobytes()
+        assert rows.zero == padded.zero
+        x = [np.linspace(-1.0, 20.0, 50)] * len(probes)
+        for got, want in zip(rows.evaluate(x), padded.evaluate(x)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_dense_map_builds_only_the_changed_rows(self, monkeypatch):
+        # 4 of the 203 rows of this map are not their gap term for term,
+        # where a rate of X meets one of Y: a = 0.5 and 0.75
+        # (a lam_i = theta_1), 0.7 (5a = theta_2) and 1 (5a = 5).
+        calls = [0]
+        canonicalize = expsum.canonicalize
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return canonicalize(*args, **kwargs)
+
+        monkeypatch.setattr(expsum, "canonicalize", counted)
+        smap = sign_map(LAM, THETA, 0.0125, (0.25, 1.0), (0.0, 12.0), 201)
+        assert len(smap.a_values) == 203 and calls[0] == 4
+
+    @pytest.mark.parametrize("lam, theta", [N3, (HazardVector((2.0, 2.5, 3.0, 3.5)),
+                                                  HazardVector((1.0, 2.0, 3.0, 5.0)))],
+                             ids=["n3", "n4"])
+    def test_product_rows_equal_the_scan_block(self, lam, theta):
+        smap = sign_map(lam, theta, 0.05, (0.125, 1.0), (0.0, 20.0), 41)
+        gaps = orders._Gaps(lam, theta)
+        block = gaps.block([(a, smap.b) for a in smap.a_values])
+        assert isinstance(block, product.ProductGaps)
+        rows = expsum.certain_signs(block, [np.array(smap.x_values)] * len(smap.a_values),
+                                    ScanOptions())
+        assert smap.signs == tuple(tuple(row.tolist()) for row in rows)
+
+    def test_negative_shift_rejected(self):
+        for lam, theta in ((LAM, THETA), self.N3):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                sign_map(lam, theta, -0.1, (0.5, 1.0), (0.0, 5.0), 5)
+
     def test_n3_origin_column_uncertain_for_positive_b(self):
         # The product form leaves a*x < 2^-1000 uncertain, so x = 0 is.
         smap = sign_map(*self.N3, 0.05, (0.125, 1.0), (0.0, 20.0), 41)
