@@ -13,6 +13,10 @@ runs after one untimed call:
   2^(n+1) - 2 terms;
 - ``convex_check`` on the same generic pairs of n = 8 and 10, reversed
   (``--generic-convex``): not majorized, so each one scans the (a, b) grid;
+- the pre-filter of each ``higher-n`` op (``--prefilter``):
+  ``orders._may_violate`` on every grid the op hands it, with a fresh
+  ``orders._Gaps`` built untimed before each repeat, so no gap is cached
+  from the last one.  Its status reads as the count of kept probes;
 - ``sign_map`` on linspace pairs of n = 3, 6 and 8 (``--sign-map``):
   ``linspace(2, 3, n)`` against ``linspace(1.5, 3.5, n)``, 201x201 cells
   over the window of the benchmark's dense-grid maps (b = 0.0625 /
@@ -28,7 +32,7 @@ host.  To compare with another tree, copy its ``src/transform_orders`` to
 
 Usage:
     PYTHONPATH=src python scripts/time_higher_n.py [--seed 7] [--repeats 5] [--generic 8,10,12] \
-        [--generic-convex 8,10] [--sign-map 3,6,8]
+        [--generic-convex 8,10] [--sign-map 3,6,8] [--prefilter]
     PYTHONPATH=src:DIR python scripts/time_higher_n.py \
         --packages transform_orders_base,transform_orders
 """
@@ -58,21 +62,31 @@ def generic_rates(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 def status_of(result) -> str | int:
-    """A verdict's status, or the count of certain cells of a sign map."""
+    """A verdict's status, the count of certain cells of a sign map, or a
+    count itself."""
+    if isinstance(result, int):
+        return result
     if hasattr(result, "status"):
         return result.status.value
     return sum(1 for row in result.signs for s in row if s)
 
 
-def timed(calls: dict, repeats: int) -> dict:
-    """Per package: the status of its call and the median and best time."""
+def timed(calls: dict, repeats: int, setup: dict | None = None) -> dict:
+    """Per package: the status of its call and the median and best time.
+    With ``setup``, each call takes the result of its package's untimed
+    setup call, made afresh before each one."""
     names = list(calls)
-    status = {name: status_of(calls[name]()) for name in names}
+
+    def args(name):
+        return (setup[name](),) if setup else ()
+
+    status = {name: status_of(calls[name](*args(name))) for name in names}
     times = {name: [] for name in names}
     for r in range(repeats):
         for name in names[r % len(names):] + names[: r % len(names)]:
+            given = args(name)
             start = perf_counter()
-            calls[name]()
+            calls[name](*given)
             times[name].append(perf_counter() - start)
     return {name: {"status": status[name],
                    "median_ms": round(1e3 * statistics.median(times[name]), 2),
@@ -107,6 +121,42 @@ def timed_sign_maps(libs: dict, ns: str, repeats: int) -> dict:
     return out
 
 
+def prefilter_calls(lib, op) -> list:
+    """The (lam, theta, grid, violating) of each ``_may_violate`` call of
+    ``op``, recorded from one run of it."""
+    calls = []
+    may_violate = lib.orders._may_violate
+
+    def recording(gaps, grid, violating):
+        calls.append((gaps.lam, gaps.theta, list(grid), violating))
+        return may_violate(gaps, grid, violating)
+
+    lib.orders._may_violate = recording
+    try:
+        workloads.run_op(lib, op)
+    finally:
+        lib.orders._may_violate = may_violate
+    return calls
+
+
+def timed_prefilters(libs: dict, seed: int, repeats: int) -> list:
+    """``timed`` of the pre-filter of each higher-n op at ``seed``: every
+    recorded ``_may_violate`` call of the op, each on a fresh ``_Gaps``."""
+    out = []
+    for op in workloads.generate("higher-n", seed):
+        recorded = {name: prefilter_calls(lib, op) for name, lib in libs.items()}
+        setup = {name: (lambda lib=lib, rec=recorded[name]:
+                        [lib.orders._Gaps(lam, theta) for lam, theta, _, _ in rec])
+                 for name, lib in libs.items()}
+        calls = {name: (lambda gaps, lib=lib, rec=recorded[name]: sum(
+                     len(lib.orders._may_violate(g, grid, violating))
+                     for g, (_, _, grid, violating) in zip(gaps, rec)))
+                 for name, lib in libs.items()}
+        out.append({"group": op.group, "n": len(op.lam),
+                    "by_package": timed(calls, repeats, setup)})
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
@@ -117,6 +167,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated n of the reversed generic convex checks")
     parser.add_argument("--sign-map", default="3,6,8",
                         help="comma-separated n of the linspace-pair sign maps")
+    parser.add_argument("--prefilter", action="store_true",
+                        help="time the pre-filter of each higher-n op")
     parser.add_argument("--packages", default="transform_orders",
                         help="comma-separated importable copies of the package")
     args = parser.parse_args(argv)
@@ -129,12 +181,13 @@ def main(argv: list[str] | None = None) -> int:
     generic_convex = timed_generic(libs, args.generic_convex, "convex_check", args.repeats,
                                    reverse=True)
     sign_maps = timed_sign_maps(libs, args.sign_map, args.repeats)
+    prefilters = timed_prefilters(libs, args.seed, args.repeats) if args.prefilter else []
     passes = {name: round(sum(op["by_package"][name]["median_ms"] for op in ops), 2)
               for name in libs}
     print(json.dumps({"seed": args.seed, "repeats": args.repeats, "higher_n_ops": ops,
                       "higher_n_pass_median_ms": passes, "generic_star_check": generic,
                       "generic_convex_check_reversed": generic_convex,
-                      "linspace_sign_map": sign_maps}))
+                      "linspace_sign_map": sign_maps, "higher_n_prefilter": prefilters}))
     return 0
 
 

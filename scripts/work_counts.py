@@ -6,7 +6,7 @@ Wall times on a small shared machine spread too widely to compare two
 trees; these counts do not move between runs.  For each verdict the line
 reads
 
-    name evaluator_calls=E sign_patterns_calls=C patterns=P dip_split=D geomspace=G canonicalize=K eval_blocks=B sign_at_zero=Z quantile_evals=Q
+    name evaluator_calls=E sign_patterns_calls=C patterns=P dip_split=D geomspace=G canonicalize=K eval_blocks=B sign_at_zero=Z quantile_evals=Q kept_probes=R
 
 - ``evaluator_calls``: calls of a certified evaluator (``scaled_rows``,
   ``ExpSum._scaled_many``, or ``product.ProductGaps.evaluate`` for the
@@ -27,7 +27,9 @@ reads
   batch helper gave is not counted;
 - ``quantile_evals``: calls of ``ExpSum.eval_many`` made inside
   ``systems.inverse_survival_many`` (doubling and bisection rounds of
-  each quantile inversion), called from ``systems`` or ``oracle``.
+  each quantile inversion), called from ``systems`` or ``oracle``;
+- ``kept_probes``: the probes that the grid pre-filter
+  ``orders._may_violate`` keeps for the scan, summed over its calls.
 
 With ``--check FILE`` the lines are compared with those stored in FILE
 (``scripts/work_counts.txt`` holds the counts of this tree): the script
@@ -187,12 +189,20 @@ def work(run, *args) -> Counter:
             return evaluate(f, xs)
 
         patch(mock.patch.object(expsum.ExpSum, "eval_many", eval_many))
+        may_violate = orders._may_violate
+
+        def keeping(*args, **kwargs):
+            kept = may_violate(*args, **kwargs)
+            counts["kept_probes"] += len(kept)
+            return kept
+
+        patch(mock.patch.object(orders, "_may_violate", keeping))
         run(*args)
     return counts
 
 
 KEYS = ("evaluator_calls", "sign_patterns_calls", "patterns", "dip_split", "geomspace",
-        "canonicalize", "eval_blocks", "sign_at_zero", "quantile_evals")
+        "canonicalize", "eval_blocks", "sign_at_zero", "quantile_evals", "kept_probes")
 
 
 def parse(line: str) -> tuple[str, dict[str, int]]:

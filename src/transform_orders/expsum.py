@@ -214,6 +214,15 @@ class ExpSum:
         """
         return int(prefix_sign_changes_rows(np.array([self.coeffs], dtype=float))[0])
 
+    def zero_bound(self) -> int:
+        """A bound on the zeros in (0, inf), at most
+        :meth:`prefix_sign_changes` (see :func:`possible_signs`).
+
+        The one-row case of :func:`zero_bound_rows`.
+        """
+        rates, coeffs = (np.array(v, dtype=float).reshape(1, -1) for v in (self.rates, self.coeffs))
+        return int(zero_bound_rows(rates, coeffs)[0])
+
     def asymptotic_sign(self) -> int:
         """Sign of f as x -> +infinity: the smallest-rate coefficient (0 if zero sum)."""
         if self.is_zero:
@@ -465,14 +474,15 @@ def canonicalize(
     their predecessor are merged by coefficient addition (inclusion-
     exclusion over subset sums routinely produces exactly equal rates that
     must cancel); merged coefficients with ``|c| <= tol`` are dropped.
-    A non-finite coefficient is an error, never a dropped term.
+    A non-finite rate or coefficient is an error, never a merged or dropped
+    term: an infinite rate would pass every merge test.
     """
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
     terms = sorted((float(r), float(c)) for r, c in raw_terms)
     for r, c in terms:
-        if not (r >= 0.0):
-            raise ValueError(f"rates must be nonnegative, got {r}")
+        if not (0.0 <= r < math.inf):
+            raise ValueError(f"rates must be finite and nonnegative, got {r}")
         if not math.isfinite(c):
             raise ValueError(f"coefficients must be finite, got {c}")
     rates: list[float] = []
@@ -515,21 +525,108 @@ def prefix_sign_changes_rows(coeffs: np.ndarray) -> np.ndarray:
     terms) array of coefficients, every row by ascending rate.
 
     A float running sum's sign is taken where it clears the bound
-    k * eps * sum|c_i| on the rounding of its k additions; elsewhere the
+    k * eps * sum|c_i| on the rounding of its k additions, and everywhere
+    in a row of integers whose magnitudes sum to less than 2^53 (every b = 0
+    gap), whose running sums are exact; elsewhere the
     prefix is summed again with ``math.fsum``, whose correctly rounded
     result has the sign of the exact sum.  ``np.cumsum`` adds in order, so
     each running sum is that of a scalar loop, bit for bit.  A zero prefix
     takes the sign before it, so changes are counted between nonzero signs.
     """
+    return _sign_changes(_exact_prefix_sums(coeffs))
+
+
+def _exact_prefix_sums(coeffs: np.ndarray) -> np.ndarray:
+    """The running sums of each row, each with the sign of the exact
+    prefix sum (see :func:`prefix_sign_changes_rows`)."""
     run = np.cumsum(coeffs, axis=1)
-    bound = np.arange(coeffs.shape[1]) * _EPS * np.cumsum(np.abs(coeffs), axis=1)
-    unsure = np.nonzero(np.abs(run) <= bound)
-    rows = coeffs.tolist()
-    run[unsure] = [math.fsum(rows[i][: k + 1]) for i, k in zip(*(u.tolist() for u in unsure))]
-    row, col = np.nonzero(run)
-    signs = run[row, col] > 0.0
+    mags = np.cumsum(np.abs(coeffs), axis=1)
+    exact = (coeffs == np.trunc(coeffs)).all(axis=1) & (mags[:, -1:] < 2.0**53).all(axis=1)
+    unsure = np.nonzero((np.abs(run) <= np.arange(coeffs.shape[1]) * _EPS * mags)
+                        & ~exact[:, None])
+    if unsure[0].size:
+        rows = coeffs.tolist()
+        run[unsure] = [math.fsum(rows[i][: k + 1])
+                       for i, k in zip(*(u.tolist() for u in unsure))]
+    return run
+
+
+def _sign_changes(run: np.ndarray) -> np.ndarray:
+    """The sign changes along each row of ``run``, zeros skipped."""
+    flat = run.ravel()
+    at = np.flatnonzero(flat)
+    signs = flat[at] > 0.0
+    row = at // run.shape[1]
     changes = (signs[1:] != signs[:-1]) & (row[1:] == row[:-1])
     return np.bincount(row[1:][changes], minlength=len(run))
+
+
+ROLLE_PIVOTS = 3  # the pivots of the Rolle step: the rates of the first nonzero terms
+
+
+def rolle_bounds_rows(rates: np.ndarray, coeffs: np.ndarray, run: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The Rolle-step bounds of each row of the (rows x terms) arrays of
+    rates and coefficients, each row a canonical sum or one padded in
+    front with zero coefficients, from ``run``, their prefix sums with
+    exact signs (``_exact_prefix_sums``): (rolle, unsure).  rolle
+    (pivots x rows) is the bound of each row at each of the
+    ``ROLLE_PIVOTS`` pivots r = the rates of its first nonzero terms (the
+    last one repeated in a row with fewer), and unsure (pivots x rows x
+    terms) marks the prefix sums of the derivative whose sign it left
+    open (see :func:`possible_signs`).
+
+    The bound is the sign changes of the prefix sums of the derivative's
+    coefficients e_i = c_i (r - r_i), plus 1 unless the prefix sums of
+    the c_i end at exactly 0.  A float running sum of the e_i has the sign
+    of the exact prefix where it clears (m + 2) eps sum_i (|e_i| +
+    2^-1022): twice the rounding of its m nonzero terms, each e_i rounded
+    twice, and more than the 2^-1074 that a product can lose to
+    underflow.  The 2^-1022 is left out for the products that are exactly
+    0 (c_i = 0, or r_i = r), so a prefix whose bound is 0 is exactly 0.
+    Any other prefix is unsure, and is charged the most changes it can
+    add: 2 inside the row and 1 at its end.  So a bound is never below the
+    exact count, and equals it where no prefix is unsure.  A row whose
+    magnitudes overflow gets no bound (it is ``terms``, above Laguerre's).
+    Leading zero coefficients change nothing: they add exactly 0 and no
+    rounding.
+    """
+    rows, n = coeffs.shape
+    nonzero = coeffs != 0.0
+    m = np.cumsum(nonzero, axis=1)
+    # The k-th nonzero term of a row with z leading zeros is term z + k.
+    at = np.minimum(n - m[:, -1] + np.arange(ROLLE_PIVOTS)[:, None], n - 1)
+    pivots = rates[np.arange(rows), at]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = pivots[:, :, None] - rates
+        e = coeffs * d
+        pivot_run = np.cumsum(e, axis=2)
+        # (m + 2) eps 2^-1022 covers the 2^-1074 a product loses to underflow.
+        mags = np.cumsum(np.abs(e) + (nonzero & (d != 0.0)) * 2.0**-1022, axis=2)
+        bound = (m + 2.0) * _EPS * mags
+    sure = np.abs(pivot_run) > bound
+    unsure = ~sure & (bound > 0.0)
+    charges = np.full(n, 2.0)
+    charges[-1] = 1.0
+    changes = _sign_changes(np.where(sure, pivot_run, 0.0).reshape(-1, n))
+    rolle = (changes + unsure.reshape(-1, n) @ charges).reshape(-1, rows).astype(int)
+    rolle += run[:, -1] != 0.0
+    rolle[~np.isfinite(mags[:, :, -1])] = n
+    return rolle, unsure
+
+
+def zero_bound_rows(rates: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """:meth:`ExpSum.zero_bound` of each row of the (rows x terms) arrays
+    of rates and coefficients, every row by ascending rate and either a
+    canonical sum or one padded in front with zero coefficients: the
+    least of Laguerre's count (:func:`prefix_sign_changes_rows`) and the
+    Rolle-step counts of :func:`rolle_bounds_rows`, from one prefix pass.
+    """
+    if not coeffs.shape[1]:
+        return np.zeros(len(coeffs), dtype=int)
+    run = _exact_prefix_sums(coeffs)
+    rolle, _ = rolle_bounds_rows(rates, coeffs, run)
+    return np.minimum(_sign_changes(run), rolle.min(axis=0))
 
 
 def sign_at_zero_rows(rates: np.ndarray, coeffs: np.ndarray) -> list[tuple[int, int]]:
@@ -1196,36 +1293,50 @@ def possible_signs(f: ExpSum) -> list[tuple[str, ...]]:
     """Every sign tuple that a certified ``sign_pattern(f)`` can report,
     read off the coefficients without evaluating f: the
     :func:`sign_tuples` from ``sign_at_zero()`` (either start when that
-    sign is 0) to ``asymptotic_sign()`` with at most
-    ``prefix_sign_changes()`` changes; the zero sum gives ``[()]``.  The
+    sign is 0) to ``asymptotic_sign()`` with at most ``zero_bound()``
+    changes; the zero sum gives ``[()]``.  The
     scan guarantees the ends by construction: ``_pattern_steps`` puts an
     uncertified region in front of (behind) the witnessed runs when the
     first (last) one disagrees with those signs, drops regions beyond
     ``sign_change_bound()`` and then clears ``certified``, and
     ``SignPattern`` enforces alternation.
 
-    The zero bound is ``prefix_sign_changes()``, the sign changes of the
-    exact prefix sums c_0, c_0 + c_1, ..., f(0) by ascending rate
+    The zero bound starts from ``prefix_sign_changes()``, the sign changes
+    of the exact prefix sums c_0, c_0 + c_1, ..., f(0) by ascending rate
     (Laguerre's rule; Polya and Szego, *Problems and Theorems in Analysis
     II*, Part V; Karlin, *Total Positivity*, 1968).  Proof: for x > 0,
-    f(x) = x * integral_0^inf P(s) exp(-s x) ds, where the step function P
+    f(x) = x * integral P(s) exp(-s x) ds, where the step function P
     takes the k-th prefix sum on [r_k, r_{k+1}) and f(0) from the last
     rate on, and the Laplace kernel is variation-diminishing, so f has at
-    most as many zeros in (0, infinity) as P has sign changes.  The regions
+    most as many zeros in (0, infinity), counted with multiplicity, as P
+    has sign changes.  The proof holds for rates of any sign.  The regions
     of a certified pattern are real sign regions of f, each witnessed by a
     point whose sign clears the rounding bound, so each of its changes
     needs such a zero.
 
-    The count never exceeds ``sign_change_bound()``, nor that bound less
+    One Rolle step sharpens it.  For any real pivot r, g(x) = exp(r x) f(x)
+    has the zeros of f, and between two zeros of g lies a zero of g', so f
+    has at most one zero more in (0, infinity) than g' = sum_i c_i (r -
+    r_i) exp(-(r_i - r) x).  When f(0) = 0 exactly, the zero of g at 0
+    counts too, and f has at most as many zeros there as g'.  Laguerre's
+    rule bounds the zeros of g' by the sign changes of its prefix sums
+    r P_j - Q_j, with P_j and Q_j those of c_i and of c_i r_i.  So
+    ``zero_bound()`` is the least of Laguerre's count and this one at the
+    pivots r = the rates of the first :data:`ROLLE_PIVOTS` nonzero terms
+    (:func:`rolle_bounds_rows`, which charges a prefix sum whose sign the
+    float sums leave open the most changes it can add).
+
+    The bound never exceeds ``sign_change_bound()``, nor that bound less
     one when f(0) = 0: each change of the prefix sums needs a coefficient
     of the new sign since the last nonzero prefix, and so does a final
     prefix of 0.  So it covers the Descartes bound with the exact zero at
     0 counted against it.  A grid of gaps reads the same tuples without
-    building each one (``orders._may_violate``).
+    building each one (``orders._may_violate``, through
+    :func:`zero_bound_rows`).
     """
     s0, _ = f.sign_at_zero()
     starts = (s0,) if s0 else (1, -1)
-    return sign_tuples(starts, f.prefix_sign_changes(), f.asymptotic_sign())
+    return sign_tuples(starts, f.zero_bound(), f.asymptotic_sign())
 
 
 def sign_tuples(starts: Iterable[int], bound: int, s_inf: int) -> list[tuple[str, ...]]:

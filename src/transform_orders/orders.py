@@ -56,24 +56,34 @@ ascending order, products exact; ``_dominance_bounds``) the gap is >= 0
 for every b >= 0, and where a * lam_(i) <= theta_(i) for every i it is
 <= 0 at b = 0, and a violation of either order needs both signs.  The
 second, ``_may_violate``, drops a probe whose gap admits no violating sign
-tuple among ``expsum.possible_signs`` (the signs at 0+ and at infinity,
-and at most as many changes as the exact prefix sums of the coefficients
-have, which counts the exact zero at 0 of each b = 0 gap).  It decides the
+tuple among ``expsum.possible_signs``: the signs at 0+ and at infinity,
+and at most ``zero_bound()`` changes.  That bound is the least of the sign
+changes of the exact prefix sums of the coefficients (Laguerre's rule,
+which counts the exact zero at 0 of each b = 0 gap) and of those of the
+derivative of exp(r x) times the gap, plus 1 unless the gap is 0 at 0 (a
+Rolle step, at three pivots r).  It decides the
 probes the first rule leaves in one array pass over the gaps'
-coefficients (``_Gaps.rows``, the row builder it shares with
+coefficients and rates (``_Gaps.rows``, the row builder it shares with
 ``sign_map``): rows in rate order, prefix sums by ``np.cumsum``,
 ``math.fsum`` only where a running sum does not clear its rounding
-bound, and the sign at 0+ of every row that may be kept from one batch of
+bound and its row is not one of integers, whose sums are exact (a
+Rolle-step prefix that does not clear it is charged the most changes it
+can add), and the sign at 0+ of every row that may be kept from one batch of
 derivative sums.  The gap of each kept row is built straight from its
 sorted row, with its sign at 0+ and dominance point already known, so the
 scan computes neither again; ``canonicalize`` runs only where it would
 change a row's terms.  Pruned rows build nothing.  At n = 2 the second
-rule already drops every probe the first one does.  At n >= 3 the second
+rule already drops every probe the first one does.  Of the 335 probes
+of the convex grid it keeps 2, 7 and 0 on the reversed classic pair,
+(1, 4) vs (2, 2.5) and the rescaled narrow pair, where Laguerre's rule
+alone keeps 90, 127 and 40.  At n >= 3 the second
 drops almost none of the a-grid probes, while the first leaves only those
 with a strictly between min_i and max_i of theta_(i)/lam_(i): 13 of 65 on
 linspace-rate pairs, 1-23 of 67 on the benchmark's higher-n pairs.  On
 the (a, b) grid it drops every probe above that range and the b = 0 ones
-below it, and 160-250 of 335 are left.  The other scans run unfiltered
+below it, and 160-250 of 335 are left; the second rule then keeps 70 of
+the 228 left on the reversed linspace n = 3 pair, and nearly all at
+n >= 4.  The other scans run unfiltered
 and build their gaps one at a time:
 ``violation_search`` would gain nothing, since its b-halving nearly
 always ends at its first probe, and on the classic pair the filter
@@ -115,14 +125,16 @@ from .expsum import (
     SignRegion,
     SumBlock,
     _certify,
+    _exact_prefix_sums,
     _PaddedSums,
+    _sign_changes,
     canonical_rows,
     certain_signs,
     dominance_point_rows,
     known_sum,
-    prefix_sign_changes_rows,
     sign_at_zero_rows,
     sign_patterns,
+    rolle_bounds_rows,
     sign_tuples,
 )
 from .product import ProductGaps
@@ -305,8 +317,9 @@ class _Gaps:
         (and kept), padded in front with zero coefficients at its own
         first rate as :class:`~transform_orders.expsum._PaddedSums` pads
         it; the zero sum is all zeros at rate 0.  A row with a rate that
-        overflows is not kept term for term either, so it is its gap as
-        ``canonicalize`` builds it."""
+        overflows is not kept term for term either, and building its gap
+        raises the ``ValueError`` of ``canonicalize``, which names that
+        rate."""
         x, y = self.surv_x, self.surv_y
         shifted = {b: tuple(-c for _, c in x._shifted_terms(1.0, b))
                    for b in {b for _, b in probes}}
@@ -437,10 +450,13 @@ def _may_violate(
     leaves, so the probes that rule drops build no row either.
 
     The rows are those of :meth:`_Gaps.rows`: each is its gap, sorted by
-    rate, or padded in front with zero coefficients, which add no
-    prefix-sum sign change.  So each row's zero bound
-    (:func:`prefix_sign_changes_rows`) and tail sign (its first nonzero
-    coefficient) are its gap's.  The probe is kept when both starts admit
+    rate, or padded in front with zero coefficients at its first rate,
+    which change neither prefix-sum pass.  So each row's zero bound and
+    tail sign (its first nonzero coefficient) are its gap's.  The zero
+    bound is that of :func:`~transform_orders.expsum.zero_bound_rows`,
+    taken in two steps: Laguerre's count for every row, then the Rolle
+    step (:func:`~transform_orders.expsum.rolle_bounds_rows`) for the rows
+    that count leaves open.  The probe is kept when both starts admit
     a violating tuple and pruned when neither does; otherwise the sign at
     0+ decides.  The exact rows that may be kept get their sign at 0+
     (:func:`sign_at_zero_rows`), and the kept ones their dominance point
@@ -450,21 +466,33 @@ def _may_violate(
     """
     step = max(1, _BLOCK // (gaps.surv_y.n_terms + gaps.surv_x.n_terms))
     starts: dict[tuple[int, int], tuple[bool, bool]] = {}
+
+    def ends(bound: int, tail: int) -> tuple[bool, bool]:
+        if (bound, tail) not in starts:
+            starts[bound, tail] = tuple(any(map(violating, sign_tuples((s,), bound, tail)))
+                                        for s in (1, -1))
+        return starts[bound, tail]
+
     kept = []
     for i in range(0, len(grid), step):
         part = grid[i : i + step]
         rates, coeffs, exact = gaps.rows(part)
-        bounds = prefix_sign_changes_rows(coeffs).tolist()
+        run = _exact_prefix_sums(coeffs)
+        laguerre = _sign_changes(run)
         tails = np.sign(coeffs[np.arange(len(part)), np.argmax(coeffs != 0.0, axis=1)])
-        ends = []
-        for key in zip(bounds, tails.astype(int).tolist()):
-            if key not in starts:
-                starts[key] = tuple(any(map(violating, sign_tuples((s,), *key))) for s in (1, -1))
-            ends.append(starts[key])
-        rows = [j for j in np.flatnonzero(exact).tolist() if any(ends[j])]
+        tails = tails.astype(int).tolist()
+        both = [ends(b, t) for b, t in zip(laguerre.tolist(), tails)]
+        # A smaller bound admits fewer tuples: the rows Laguerre's count
+        # prunes stay pruned, so only the others take the Rolle step.
+        rows = [j for j, e in enumerate(both) if any(e)]
+        if rows:
+            rolle, _ = rolle_bounds_rows(rates[rows], coeffs[rows], run[rows])
+            for j, b in zip(rows, np.minimum(laguerre[rows], rolle.min(axis=0)).tolist()):
+                both[j] = ends(b, tails[j])
+        rows = [j for j in np.flatnonzero(exact).tolist() if any(both[j])]
         at_zero = dict(zip(rows, sign_at_zero_rows(rates[rows], coeffs[rows])))
         built = []
-        for j, (ab, (up, down)) in enumerate(zip(part, ends)):
+        for j, (ab, (up, down)) in enumerate(zip(part, both)):
             keep = up
             if up != down:
                 s0, _ = at_zero[j] if j in at_zero else gaps(*ab).sign_at_zero()
@@ -799,7 +827,13 @@ def convex_check(
     survivals are 1 at x = 0, so the gap's coefficients sum to exactly 0,
     the last prefix sum is 0 and ``possible_signs`` allows one sign change
     fewer on (0, infinity) than the coefficient signs would; the prefix
-    sums prune more probes at every b.  The verdict and witness are those
+    sums prune more probes at every b.  A Rolle step prunes most of the
+    rest: between two zeros of exp(r x) times the gap lies a zero of its
+    derivative, whose prefix sums bound those zeros in turn, so the gap
+    has at most one zero more than they allow (none more at b = 0).  On
+    the reversed pairs of two components, most probes that Laguerre's rule
+    leaves at "+,-,+,-" can then show no more than "+,-" (2 of 335 are
+    kept on the reversed classic pair).  The verdict and witness are those
     of the full grid.  For ``allow_numerical_holds`` a pruned probe counts
     as settled, like a probe whose pattern is complete: its rates or its
     coefficients prove it has no violating tuple.

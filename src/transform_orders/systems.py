@@ -81,9 +81,10 @@ def survival(h: HazardVector) -> ExpSum:
         )
     sums = np.zeros(1)
     signs = np.ones(1)  # (-1)^|S| over subsets built so far
-    for r in h.rates:
-        sums = np.concatenate([sums, sums + r])
-        signs = np.concatenate([signs, -signs])
+    with np.errstate(over="ignore"):  # an overflowing sum is inf, which canonicalize rejects
+        for r in h.rates:
+            sums = np.concatenate([sums, sums + r])
+            signs = np.concatenate([signs, -signs])
     # Skip the empty subset (index 0); coefficient is (-1)^(|S|+1) = -(-1)^|S|.
     return canonicalize(zip(sums[1:].tolist(), (-signs[1:]).tolist()))
 

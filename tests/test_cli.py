@@ -170,6 +170,12 @@ class TestFindCounterexample:
         )
         assert code == EXIT_ERROR
 
+    def test_overflowing_survival_rate_is_an_error(self, capsys):
+        # Each system's subset sum overflows: the error names the rate.
+        argv = ["check-star", "--lambda", "1e308,1.5e308", "--theta", "1.2e308,1.3e308"]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: rates must be finite and nonnegative, got inf\n"
+
 
 class TestSignMap:
     def test_csv_shape(self, tmp_path):

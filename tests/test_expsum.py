@@ -78,6 +78,13 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             canonicalize([(-0.5, 1.0)])
 
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_non_finite_rate_rejected(self, r):
+        # inf - 1 <= tol * max(1, inf) holds, so an infinite rate would be
+        # merged into the term before it.
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {r}"):
+            canonicalize([(1.0, 1.0), (r, 2.0)])
+
     @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
     def test_non_finite_coefficient_rejected(self, c):
         # A NaN would otherwise be dropped as negligible (abs(nan) > tol is False).
@@ -1277,12 +1284,18 @@ ZERO_AT_ORIGIN_SUM = canonicalize([(1, 2.0), (2, -3.0), (3, 1.0)])
 NEAR_ZERO_AT_ORIGIN_SUM = canonicalize([(1, 2.0), (2, -3.0), (3, 1.0 + 1e-13)])
 
 
-@pytest.mark.parametrize("f, want", [
-    (ZERO_AT_ORIGIN_SUM, [("+",)]),
-    (NEAR_ZERO_AT_ORIGIN_SUM, [("+",), ("+", "-", "+")]),
+# The prefix sums are 2, -1, 0 and 2, -1, 1e-13: only an exact zero at 0
+# saves Laguerre's rule a change.  The near-zero sum's zeros, at y just
+# above 1 and near 2 (y = exp(-x)), lie at x < 0, and the Rolle step at
+# pivot 1 bounds its zeros in (0, infinity) by 1, which the two '+' ends
+# round down to 0.
+@pytest.mark.parametrize("f, prefix_changes, want", [
+    (ZERO_AT_ORIGIN_SUM, 1, [("+",)]),
+    (NEAR_ZERO_AT_ORIGIN_SUM, 2, [("+",)]),
 ], ids=["exact-zero", "zero-below-tolerance"])
-def test_possible_signs_count_only_an_exact_zero_at_origin(f, want):
+def test_possible_signs_count_only_an_exact_zero_at_origin(f, prefix_changes, want):
     assert f.sign_at_zero() == (1, 1)
+    assert f.prefix_sign_changes() == prefix_changes
     assert possible_signs(f) == want
     assert_certified_signs_possible(f)
 
@@ -1387,6 +1400,119 @@ def test_prefix_sign_changes_rows_equal_the_scalar_loop():
     width = max(f.n_terms for f in fs)
     rows = np.array([f.coeffs + (0.0,) * (width - f.n_terms) for f in fs])
     assert expsum.prefix_sign_changes_rows(rows).tolist() == want
+
+
+# -- the Rolle step of the zero bound ----------------------------------------
+
+
+def exact_rolle_bounds(f):
+    """The Rolle-step bound of f at each pivot of expsum.rolle_bounds_rows,
+    from exact rationals: the sign changes of the prefix sums of
+    c_i (r - r_i), plus 1 unless the coefficients sum to exactly 0."""
+    at_origin = sum(map(Fraction, f.coeffs)) != 0
+    out = []
+    for k in range(expsum.ROLLE_PIVOTS):
+        r = Fraction(f.rates[min(k, f.n_terms - 1)])
+        run, signs = Fraction(0), []
+        for ri, c in f.terms():
+            run += Fraction(c) * (r - Fraction(ri))
+            if run:
+                signs.append(run > 0)
+        out.append(sum(s0 != s1 for s0, s1 in zip(signs, signs[1:])) + at_origin)
+    return out
+
+
+def rolle_rows(f):
+    coeffs = np.array([f.coeffs])
+    bounds, unsure = expsum.rolle_bounds_rows(np.array([f.rates]), coeffs,
+                                              expsum._exact_prefix_sums(coeffs))
+    return bounds[:, 0].tolist(), unsure[:, 0].any(axis=1).tolist()
+
+
+def assert_rolle_bounds_hold(f):
+    exact = exact_rolle_bounds(f)
+    bounds, unsure = rolle_rows(f)
+    for got, want, open_prefix in zip(bounds, exact, unsure):
+        assert got >= want, f
+        assert open_prefix or got == want, f
+    zero_bound = f.zero_bound()
+    assert zero_bound == min(f.prefix_sign_changes(), *bounds), f
+    assert zero_bound >= min(exact_prefix_sign_changes(f), *exact), f
+    assert sign_changes_at_40_digits(f) <= zero_bound, f
+
+
+# The reversed classic pair's convex-grid gap at a = 0.58138, b = 0.002:
+# Laguerre's rule allows 3 zeros, the Rolle step 2.
+REVERSED_CLASSIC_GAP = (survival(HazardVector((2.0, 3.0)))
+                        - survival(HazardVector((1.5, 3.5))).shift_scale(0.5813796304732954, 0.002))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(gap_sums(), expsum_strategy()))
+@example(SHARPER_PREFIX_SUM)
+@example(ZERO_AT_ORIGIN_SUM)
+@example(NEAR_ZERO_AT_ORIGIN_SUM)
+@example(NARROW_SECOND_REGION_SUM)
+@example(REVERSED_CLASSIC_GAP)
+@example(ExpSum((2.0,), (3.0,)))  # every pivot gives g' = 0
+@example(ExpSum((1.0, 2.0, 3.0), (1e16, 1.0, -1e16)))
+@example(ExpSum((1.0, 2.0, 3.0, 4.0), (1.0, 2.0**53, -(2.0**53) - 2.0, 2.0)))
+def test_rolle_bounds_hold_against_exact_rationals(f):
+    assert_rolle_bounds_hold(f)
+
+
+def test_rolle_bounds_of_random_sums_hold_against_exact_rationals():
+    rng = np.random.default_rng(53)
+    sharper = 0
+    for _ in range(60):
+        f = random_expsum(rng)
+        assert_rolle_bounds_hold(f)
+        sharper += f.zero_bound() < f.prefix_sign_changes()
+    assert sharper > 0
+
+
+@pytest.mark.parametrize("f, laguerre, zero_bound, want", [
+    (REVERSED_CLASSIC_GAP, 3, 2, [("+", "-")]),
+    (NEAR_ZERO_AT_ORIGIN_SUM, 2, 1, [("+",)]),
+    # The Laguerre prefixes 1, 0.5, 0.7, 0.6 leave nothing to sharpen.
+    (SHARPER_PREFIX_SUM, 0, 0, [("+",)]),
+], ids=["reversed-classic-gap", "zero-below-tolerance", "prefix-sums"])
+def test_zero_bound_on_fixed_sums(f, laguerre, zero_bound, want):
+    assert f.prefix_sign_changes() == laguerre
+    assert f.zero_bound() == zero_bound
+    assert possible_signs(f) == want
+    assert_certified_signs_possible(f)
+
+
+def test_zero_bound_without_finite_products_is_laguerre():
+    # c_i (r - r_i) overflows at every pivot.
+    f = ExpSum((1.0, 2.0, 1e10), (1e300, -2e300, 1e300))
+    bounds, _ = rolle_rows(f)
+    assert bounds == [f.n_terms] * expsum.ROLLE_PIVOTS
+    assert f.zero_bound() == f.prefix_sign_changes() == 1
+
+
+def test_underflowing_products_leave_their_prefixes_unsure():
+    # Each c_i (r - r_i) is subnormal or 0; at the first pivot the second
+    # one, -2^-1079, rounds to 0, so that prefix is unsure, not a zero.
+    f = ExpSum((1.0, 1.0 + 2.0**-40, 3.0), (2.0**-1040, -(2.0**-1039), 2.0**-1040))
+    bounds, unsure = rolle_rows(f)
+    assert unsure[0]
+    assert all(b >= e for b, e in zip(bounds, exact_rolle_bounds(f)))
+    assert f.zero_bound() == f.prefix_sign_changes() == 1
+
+
+def test_zero_bound_rows_of_front_padded_rows_equal_the_scalar_bound():
+    rng = np.random.default_rng(59)
+    fs = [random_expsum(rng) for _ in range(120)]
+    fs += [ExpSum((), ()), ZERO_AT_ORIGIN_SUM, NEAR_ZERO_AT_ORIGIN_SUM, REVERSED_CLASSIC_GAP]
+    width = max(f.n_terms for f in fs) + 2
+    # Padded in front at the row's first rate, as orders._Gaps.rows pads.
+    rates = np.array([(f.rates[:1] or (0.0,)) * (width - f.n_terms) + f.rates for f in fs])
+    coeffs = np.array([(0.0,) * (width - f.n_terms) + f.coeffs for f in fs])
+    want = [f.zero_bound() for f in fs]
+    assert expsum.zero_bound_rows(rates, coeffs).tolist() == want
+    assert sum(w < f.prefix_sign_changes() for w, f in zip(want, fs)) > 0
 
 
 def test_canonical_rows_mark_the_rows_canonicalize_keeps():

@@ -737,17 +737,53 @@ class TestExactZeroAtOrigin:
     @pytest.mark.parametrize("lam, theta, max_patterns, max_calls", [
         (THETA, LAM, 180, 60),  # 225 patterns and 72 calls without the exact zero
         (HazardVector((1, 4)), HazardVector((2, 2.5)), 188, 60),  # 227 and 72
-        (*RESCALED_NARROW, 40, 6),  # 99 and 37
+        # 99 and 37; 40 and 6 without the Rolle step, which prunes the grid whole.
+        (*RESCALED_NARROW, 0, 0),
     ], ids=["reversed-classic", "(1,4)-(2,2.5)", "rescaled-narrow"])
     def test_pruned_grid_counts_with_exact_zero(self, lam, theta, max_patterns, max_calls,
                                                 monkeypatch):
         verdict, patterns, calls = convex_grid_work(lam, theta, monkeypatch)
         assert verdict.status is Status.INCONCLUSIVE
-        assert 0 < patterns <= max_patterns
-        assert 0 < calls <= max_calls
+        assert patterns <= max_patterns and calls <= max_calls
+        assert (patterns > 0) is (max_patterns > 0)
 
     def test_verdict_equals_full_grid_scan(self):
         assert repr(convex_check(*RESCALED_NARROW)) == repr(full_grid_convex_verdict(*RESCALED_NARROW))
+
+
+class TestRolleStep:
+    """The Rolle step of the zero bound prunes most of the convex grid
+    that Laguerre's rule keeps, and stays a true bound on the gap."""
+
+    def test_sharpened_probes_hold_at_50_digits(self):
+        # The gap from bench/verify.py, independent of the float64 scanner.
+        from test_cli import load_bench_verify
+
+        verify = load_bench_verify()
+        gaps = orders._Gaps(THETA, LAM)
+        sharpened = [(a, b) for a, b in convex_grid(THETA, LAM)
+                     if gaps(a, b).zero_bound() < gaps(a, b).prefix_sign_changes()]
+        assert len(sharpened) == 148
+        xs = np.geomspace(1e-4, 40.0, 400).tolist()
+        for a, b in sharpened[::6]:
+            signs = [v > 0 for v in (verify.gap(THETA.rates, LAM.rates, a, b, x) for x in xs) if v]
+            changes = sum(s0 != s1 for s0, s1 in zip(signs, signs[1:]))
+            assert changes <= gaps(a, b).zero_bound(), (a, b)
+
+    @pytest.mark.parametrize("lam, theta, laguerre_kept, kept", [
+        (THETA, LAM, 90, 2),
+        (HazardVector((1, 4)), HazardVector((2, 2.5)), 127, 7),
+        (*RESCALED_NARROW, 40, 0),
+    ], ids=["reversed-classic", "(1,4)-(2,2.5)", "rescaled-narrow"])
+    def test_kept_probes(self, lam, theta, laguerre_kept, kept, monkeypatch):
+        grid = convex_grid(lam, theta)
+        assert len(orders._may_violate(orders._Gaps(lam, theta), grid, orders._convex_signs)) == kept
+        monkeypatch.setattr(expsum.ExpSum, "zero_bound", expsum.ExpSum.prefix_sign_changes)
+        gaps = orders._Gaps(lam, theta)
+        lo, hi = orders._dominance_bounds(lam, theta)
+        left = [(a, b) for a, b in grid if not (a >= hi and b >= 0.0) and not (a <= lo and b == 0.0)]
+        laguerre = [ab for ab in left if any(map(orders._convex_signs, expsum.possible_signs(gaps(*ab))))]
+        assert len(laguerre) == laguerre_kept
 
 
 def generic_pair(n, rng):

@@ -84,6 +84,11 @@ class TestSurvival:
         with pytest.raises(ValueError):
             survival(HazardVector((1.0,) * 21))
 
+    def test_overflowing_subset_sum_rejected(self):
+        # 1e308 + 1.5e308 is inf: an error, not a one-term survival.
+        with pytest.raises(ValueError, match="finite and nonnegative, got inf"):
+            survival(HazardVector((1e308, 1.5e308)))
+
     def test_starts_at_one_exactly(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
