@@ -6,7 +6,7 @@ Wall times on a small shared machine spread too widely to compare two
 trees; these counts do not move between runs.  For each verdict the line
 reads
 
-    name evaluator_calls=E sign_patterns_calls=C patterns=P dip_split=D geomspace=G canonicalize=K eval_blocks=B sign_at_zero=Z quantile_evals=Q kept_probes=R
+    name evaluator_calls=E sign_patterns_calls=C patterns=P dip_split=D geomspace=G canonicalize=K eval_blocks=B sign_at_zero=Z quantile_evals=Q kept_probes=R bisect_points=M
 
 - ``evaluator_calls``: calls of a certified evaluator (``scaled_rows``,
   ``ExpSum._scaled_many``, or ``product.ProductGaps.evaluate`` for the
@@ -29,7 +29,10 @@ reads
   ``systems.inverse_survival_many`` (doubling and bisection rounds of
   each quantile inversion), called from ``systems`` or ``oracle``;
 - ``kept_probes``: the probes that the grid pre-filter
-  ``orders._may_violate`` keeps for the scan, summed over its calls.
+  ``orders._may_violate`` keeps for the scan, summed over its calls;
+- ``bisect_points``: the midpoints that the bisection planner
+  ``expsum.bisection_round`` plans (flip bisection and quantile
+  inversion, which imports it into ``systems``), summed over its calls.
 
 With ``--check FILE`` the lines are compared with those stored in FILE
 (``scripts/work_counts.txt`` holds the counts of this tree): the script
@@ -197,12 +200,24 @@ def work(run, *args) -> Counter:
             return kept
 
         patch(mock.patch.object(orders, "_may_violate", keeping))
+        plan = expsum.bisection_round
+
+        def planning(*args):
+            mids = args[-1]
+            before = len(mids)
+            index = plan(*args)
+            counts["bisect_points"] += len(mids) - before
+            return index
+
+        patch(mock.patch.object(expsum, "bisection_round", planning))
+        patch(mock.patch.object(systems, "bisection_round", planning))
         run(*args)
     return counts
 
 
 KEYS = ("evaluator_calls", "sign_patterns_calls", "patterns", "dip_split", "geomspace",
-        "canonicalize", "eval_blocks", "sign_at_zero", "quantile_evals", "kept_probes")
+        "canonicalize", "eval_blocks", "sign_at_zero", "quantile_evals", "kept_probes",
+        "bisect_points")
 
 
 def parse(line: str) -> tuple[str, dict[str, int]]:

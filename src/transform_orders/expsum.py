@@ -41,9 +41,9 @@ DEFAULT_MERGE_TOL = 1e-12  # relative tolerance for duplicate-rate merging
 BASE_POINTS = 256  # initial grid points
 DIP_PASSES = 3  # passes that halve |f| valleys and uncertain gaps, outside the end bands
 MAX_REFINEMENTS = 80  # bisection steps per sign flip
-# Levels of the midpoint tree of a flip bracket that one evaluator call
-# holds, above a chain toward the bracket's predicted root; at 1, one
-# level a call and no chain.
+# Bisection steps of a flip bracket whose every reachable interval one
+# evaluator call plans, before the intervals planned on the path toward
+# the bracket's predicted root; at 1, one step a call and no such path.
 BISECT_LEVELS = 4
 X_RTOL = 1e-10  # relative bracket width at which bisection stops
 ZERO_TOL = 1e-12  # relative threshold for a nonzero derivative sum at 0
@@ -882,11 +882,11 @@ def _lockstep(fs: SumBlock, gens: list, opts: ScanOptions) -> list:
     those points as :class:`_Pts` in request order, and returns its result.
     Each round, the requests of all running generators go to one
     evaluator call, with their sums taken from the block; a flip-bisection
-    request holds BISECT_LEVELS levels of each bracket's midpoint tree and
-    a chain below it toward the bracket's predicted root (see
-    :func:`_refine_flips`).  The generators of sign scans and
-    root scans start from the points of :func:`_grid_phase`, which has
-    already evaluated the grids and dip passes of all the sums.
+    request holds the midpoints of the intervals planned for each bracket,
+    those its next BISECT_LEVELS steps can reach and more toward its
+    predicted root (see :func:`_refine_flips`).  The generators of sign
+    scans and root scans start from the points of :func:`_grid_phase`,
+    which has already evaluated the grids and dip passes of all the sums.
     """
     results: list = [None] * len(gens)
     pending: dict[int, np.ndarray] = {}
@@ -927,95 +927,61 @@ def _mid(a: float, b: float) -> float:
     return mid if a <= mid <= b else a + 0.5 * (b - a)
 
 
-class BisectionRound(NamedTuple):
-    """The points one round of bisection of a bracket evaluates (see
-    :func:`bisection_round`).  ``tree`` holds, in heap order (node i has
-    children 2i + 1 on the left and 2i + 2 on the right), each node's
-    (midpoint, index in the round's point list), or None for a node
-    without a point.  ``leaf`` is the node below the tree that its
-    predicted branch reaches, or -1; ``chain`` holds (midpoint, index,
-    whether the step is predicted to keep the right half) of each link
-    below that leaf."""
-
-    tree: list
-    leaf: int
-    chain: list
-
-
 def bisection_round(a: float, b: float, depth: int, links: int, guess: float, split,
-                    mids: list) -> BisectionRound:
+                    mids: list) -> dict:
     """Plan one round of bisection of [a, b], appending the points it
-    evaluates to ``mids``: the tree of every midpoint that its next
-    ``depth`` steps can reach, then a chain of up to ``links`` more
-    midpoints below the tree's predicted branch, the one toward the
-    predicted root ``guess``, on toward guess.  split(lo, hi) is the
+    evaluates to ``mids``: every interval that its next ``depth`` steps
+    can reach, then up to ``links`` more on the path toward the predicted
+    root ``guess`` (none where guess is nan).  split(lo, hi) is the
     midpoint of [lo, hi] that a step uses, or None where one step at a
-    time would stop; such a node gets no point and nothing below it.  A
-    guess that is nan plans no chain.
+    time would stop; nothing below such an interval is planned.
+
+    Returns the planned intervals: a dict that maps each (lo, hi) to
+    (its midpoint, the midpoint's index in mids), or to None where split
+    gives no midpoint.
     """
-    tree, spans = [], [(a, b)]
+    index, spans = {}, [(a, b)]
     for _ in range(depth):
         below = []
         for span in spans:
-            mid = split(*span) if span else None
-            if mid is None:
-                tree.append(None)
-                below += (None, None)
-            else:
-                tree.append((mid, len(mids)))
+            lo, hi = span
+            mid = split(lo, hi)
+            index[span] = None if mid is None else (mid, len(mids))
+            if mid is not None:
                 mids.append(mid)
-                below += ((span[0], mid), (mid, span[1]))
+                below += ((lo, mid), (mid, hi))
         spans = below
     if not links or guess != guess:
-        return BisectionRound(tree, -1, [])
-    node = 0
-    for _ in range(depth):
-        if tree[node] is None:
-            return BisectionRound(tree, -1, [])
-        mid = tree[node][0]
-        node, a, b = (2 * node + 2, mid, b) if guess >= mid else (2 * node + 1, a, mid)
-    chain = []
+        return index
+    # Down the reachable intervals toward the guess; where that stops at an
+    # interval without a midpoint, split stops the links at once.
+    a, b, *_ = walk_round(index, a, b, lambda i: guess >= mids[i])
     for _ in range(links):
         mid = split(a, b)
+        index[a, b] = None if mid is None else (mid, len(mids))
         if mid is None:
             break
-        right = guess >= mid
-        chain.append((mid, len(mids), right))
         mids.append(mid)
-        a, b = (mid, b) if right else (a, mid)
-    return BisectionRound(tree, node, chain)
+        a, b = (mid, b) if guess >= mid else (a, mid)
+    return index
 
 
-def walk_round(plan: BisectionRound, a: float, b: float, goes_right):
-    """The steps of one planned round (see :func:`bisection_round`) from
-    [a, b], as one step at a time would take them: goes_right(i) says
-    whether the root lies right of point i (the step keeps [mid, b]), or
-    None where the bracket stops for good, as it does at a node without a
-    point.  The walk goes down the tree, then down the chain if it left
-    the tree at the predicted leaf, up to the first link whose step goes
-    the other way than predicted.
+def walk_round(index: dict, a: float, b: float, goes_right):
+    """The steps of one at a time bisection from [a, b] while its interval
+    was planned (see :func:`bisection_round`): goes_right(i) says whether
+    the root lies right of point i (the step keeps [mid, b]), or None
+    where the bracket stops for good, as it does at an interval planned
+    without a point.
 
     Returns a, b, the indices of the points walked in step order, the
     index of the point now at a and at b (-1 for an end not moved), and
     whether the bracket can go on.
     """
     path, at_a, at_b = [], -1, -1
-    node, size = 0, len(plan.tree)
-    while node < size:
-        if plan.tree[node] is None:
+    while (step := index.get((a, b), ())) != ():  # () where not planned
+        if step is None:
             return a, b, path, at_a, at_b, False
-        mid, i = plan.tree[node]
-        path.append(i)
-        right = goes_right(i)
-        if right is None:
-            return a, b, path, at_a, at_b, False
-        if right:
-            a, at_a, node = mid, i, 2 * node + 2
-        else:
-            b, at_b, node = mid, i, 2 * node + 1
-    if node != plan.leaf:
-        return a, b, path, at_a, at_b, True
-    for mid, i, predicted in plan.chain:
+        mid, i = step
         path.append(i)
         right = goes_right(i)
         if right is None:
@@ -1024,8 +990,6 @@ def walk_round(plan: BisectionRound, a: float, b: float, goes_right):
             a, at_a = mid, i
         else:
             b, at_b = mid, i
-        if right != predicted:
-            break
     return a, b, path, at_a, at_b, True
 
 
@@ -1061,20 +1025,20 @@ def _refine_flips(lo: list, hi: list, left_sign: list, lo_log: list | None = Non
     one lies inside its bracket, on the side of its own sign: left of every
     point of the other sign.
 
-    Each round evaluates, for every bracket still shrinking, the tree of
-    all midpoints its next BISECT_LEVELS steps can reach and a chain below
-    it toward the secant root of the signed values at its ends
-    (:func:`_flip_guess`), of twice as many steps as the bracket's last
-    round took (twice BISECT_LEVELS in the first); see
-    :func:`bisection_round`.  A node that is not strictly inside its
-    interval or whose interval is narrower than X_RTOL gets no point.  The
-    returned signs then pick each bracket's path, as one step at a time
-    would (:func:`walk_round`): a sign of 0 or a node with no point ends
-    the bracket, and a link that goes the other way than predicted ends
-    its round.  Every point's value is independent of the others in its
-    call, so lo, hi and the paths equal those of one level per round; the
-    off-path points are dropped.  A bracket takes at most MAX_REFINEMENTS
-    steps.  With BISECT_LEVELS = 1 there is no chain: one level a round.
+    Each round plans, for every bracket still shrinking, every interval
+    its next BISECT_LEVELS steps can reach, then more on the path toward
+    the secant root of the signed values at its ends (:func:`_flip_guess`),
+    twice as many as the steps the bracket's last round took (twice
+    BISECT_LEVELS in the first), and evaluates their midpoints; see
+    :func:`bisection_round`.  An interval whose midpoint is not strictly
+    inside it or that is narrower than X_RTOL is planned without a point.
+    The returned signs then walk each bracket as one step at a time would,
+    while the next interval was planned (:func:`walk_round`): a sign of 0
+    or an interval without a point ends the bracket.  Every point's value
+    is independent of the others in its call, so lo, hi and the paths
+    equal those of one step per round; the off-path points are dropped.  A
+    bracket takes at most MAX_REFINEMENTS steps.  With BISECT_LEVELS = 1
+    no intervals toward the root are planned: one step a round.
     """
     n = len(lo)
     lo_log = [0.0] * n if lo_log is None else list(lo_log)
@@ -1161,9 +1125,8 @@ def _grid_phase(fs: SumBlock, grids, opts: ScanOptions) -> list[_Pts]:
 
     The points of all sums are held in one array sorted by (owner, x), so
     the grid and every dip pass take one evaluator call and one split, one
-    midpoint and one merge for the whole block: each midpoint goes in
-    right behind its interval's left end (see :func:`_dip_slots`).  A sum
-    whose split is empty stays so, as its points no longer change.
+    midpoint and one merge for the whole block (:func:`_with_dips`).  A
+    sum whose split is empty stays so, as its points no longer change.
     """
     owner = np.repeat(np.arange(len(fs)), [len(grid) for grid in grids])
     if not owner.size:
@@ -1176,40 +1139,31 @@ def _grid_phase(fs: SumBlock, grids, opts: ScanOptions) -> list[_Pts]:
         new_owner = owner[left]
         mids = _mids(pts.x[left], pts.x[left + 1])
         rows = np.split(mids, np.cumsum(np.bincount(new_owner, minlength=len(fs)))[:-1])
-        new = _evaluated(fs, rows, opts)
-        new_at = _dip_slots(pts.x, owner, left, mids) + np.arange(left.size)  # index once merged
-        fresh = np.zeros(owner.size + left.size, dtype=bool)
-        fresh[new_at] = True
-        old_at = np.flatnonzero(~fresh)
-        pts = _Pts(*(_spliced(old, old_at, add, new_at) for old, add in zip(pts, new)))
-        owner = _spliced(owner, old_at, new_owner, new_at)
+        pts, owner = _with_dips(pts, owner, left, _evaluated(fs, rows, opts), new_owner)
     ends = np.searchsorted(owner, np.arange(len(fs) + 1)).tolist()
     return [pts.take(slice(a, b)) for a, b in zip(ends, ends[1:])]
 
 
-def _dip_slots(x: np.ndarray, owner: np.ndarray, left: np.ndarray, mids: np.ndarray) -> np.ndarray:
-    """For each midpoint mids[j] of the interval from point left[j] to the
-    next, the index of the old point it goes in front of, so that the
-    points stay sorted by (owner, x) with the old points first at equal
-    keys, in the order a stable ``np.lexsort((x, owner))`` of the old, then
-    the new points gives.  That is the interval's right end, as
-    :func:`_mids` never leaves [lo, hi]; where the midpoint equals that
-    end, it is the first point after it of a larger x or another sum."""
-    at = left + 1
-    for j in np.flatnonzero(mids == x[at]).tolist():
-        k = at[j]
-        while k < x.size and owner[k] == owner[left[j]] and x[k] == mids[j]:
-            k += 1
-        at[j] = k
-    return at
+def _with_dips(pts: _Pts, owner: np.ndarray, left: np.ndarray, new: _Pts,
+               new_owner: np.ndarray) -> tuple[_Pts, np.ndarray]:
+    """pts and their owners with each new point j spliced in right behind
+    point left[j], the left end of its interval.  As :func:`_mids` never
+    leaves [lo, hi], the points stay sorted by (owner, x).  A midpoint
+    equal to its interval's right end, of two adjacent or equal floats,
+    goes in front of that point instead of behind it, as a stable sort
+    would put it; the arrays are the same, since each point's value does
+    not depend on the others in its evaluator call."""
+    new_at = left + 1 + np.arange(left.size)  # index once merged
+    fresh = np.zeros(owner.size + left.size, dtype=bool)
+    fresh[new_at] = True
+    old_at = np.flatnonzero(~fresh)
 
+    def spliced(old: np.ndarray, add: np.ndarray) -> np.ndarray:
+        out = np.empty(fresh.size, dtype=old.dtype)
+        out[old_at], out[new_at] = old, add
+        return out
 
-def _spliced(old: np.ndarray, old_at: np.ndarray, new: np.ndarray, new_at: np.ndarray) -> np.ndarray:
-    """The entries of old and new, placed at the indices old_at and new_at."""
-    out = np.empty(old.size + new.size, dtype=old.dtype)
-    out[old_at] = old
-    out[new_at] = new
-    return out
+    return _Pts(*map(spliced, pts, new)), spliced(owner, new_owner)
 
 
 def _zero_walk(pts: _Pts, s0: int):
@@ -1246,14 +1200,13 @@ def sign_patterns(
     of sums is laid out once (:class:`_PaddedSums`) for every evaluator
     call of the block; a :class:`SumBlock` brings its own evaluator.  The
     grid phase runs once for the whole block: one geomspace call builds
-    every grid, and the grid and each dip pass take
-    one evaluator call over the points of all sums (see
-    :func:`_grid_phase`).  Then each scan's step
-    generator goes on from its own points in lock step: each 0+ walk,
-    flip-bisection round (BISECT_LEVELS tree levels and a chain toward
-    each flip's predicted root; see :func:`_refine_flips`) and guessed end
-    region evaluates the points that every scan still running requests in
-    one evaluator call.
+    every grid, and the grid and each dip pass take one evaluator call
+    over the points of all sums (see :func:`_grid_phase`).  Then each
+    scan's step generator goes on from its own points in lock step: each
+    0+ walk, flip-bisection round (the intervals planned for each flip,
+    walked while the next one was planned; see :func:`_refine_flips`) and
+    guessed end region evaluates the points that every scan still running
+    requests in one evaluator call.
 
     ``refine=False`` skips flip bisection, for scans that only decide.
     Bisection places transitions and may move witnesses and values, but

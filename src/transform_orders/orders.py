@@ -138,7 +138,7 @@ from .expsum import (
     sign_tuples,
 )
 from .product import ProductGaps
-from .systems import HazardVector, density, inverse_survival, majorizes, survival
+from .systems import HazardVector, density_and_survival, inverse_survival, majorizes, survival
 
 
 class Status(Enum):
@@ -703,7 +703,7 @@ def dVda(lam: HazardVector, x: float, a: float, b: float = 0.0) -> float:
         raise ValueError(f"b must be nonnegative and finite, got {b}")
     if x == 0.0:
         return 0.0
-    return x * density(lam).eval(a * x + b)
+    return x * density_and_survival(lam, a * x + b)[0]
 
 
 def _dip_certified(p: SignPattern) -> bool:

@@ -20,9 +20,9 @@ from .expsum import ExpSum, bisection_round, canonicalize, walk_round
 MAX_COMPONENTS = 20  # inclusion-exclusion yields 2^n - 1 terms
 RATE_RTOL = 1e-12  # relative tolerance at which two rates, or two rate totals, agree
 BISECT_STEPS = 120  # most bisection steps of a quantile
-# Points of the midpoint trees that one bisection call may evaluate, over
-# all pending quantiles; below each tree goes a chain toward the
-# quantile's predicted root.
+# Points that one bisection call may evaluate for the intervals every
+# pending quantile's next steps can reach, all quantiles together; more
+# are planned on each quantile's path toward its predicted root.
 BISECT_POINTS = 128
 
 
@@ -98,15 +98,27 @@ def failure_rate(h: HazardVector, x: float) -> float:
     """Instantaneous failure rate density(x) / survival(x), for x > 0."""
     if not (x > 0.0):
         raise ValueError(f"failure rate needs x > 0, got {x}")
-    surv = survival(h)
-    denom = surv.eval(x)
-    if denom <= 0.0:
+    dens, surv = density_and_survival(h, x)
+    if surv <= 0.0:
         max_safe = 700.0 / h.rates[0]
         raise SurvivalUnderflow(
             f"survival underflowed at x={x}; largest safe x is about {max_safe:.6g}",
             max_safe,
         )
-    return density(h).eval(x) / denom
+    return dens / surv
+
+
+def density_and_survival(h: HazardVector, t: float) -> tuple[float, float]:
+    """The density f(t) and survival S(t) of the system at t >= 0 from the
+    product form, with q_i = exp(-rate_i t), 1 - q_i = -expm1(-rate_i t)
+    and rates ascending: f = sum_i rate_i q_i prod_{j != i} (1 - q_j) and
+    S = sum_i q_i prod_{j < i} (1 - q_j).  Every term is nonnegative, so
+    neither cancels near 0, where the coefficient form does."""
+    q = [math.exp(-r * t) for r in h.rates]
+    p = [-math.expm1(-r * t) for r in h.rates]  # 1 - q
+    dens = math.fsum(r * qi * math.prod(p[:i] + p[i + 1:])
+                     for i, (r, qi) in enumerate(zip(h.rates, q)))
+    return dens, math.fsum(qi * math.prod(p[:i]) for i, qi in enumerate(q))
 
 
 def _check_survival_form(f: ExpSum) -> None:
@@ -131,15 +143,16 @@ def inverse_survival_many(f: ExpSum, u: np.ndarray) -> np.ndarray:
     Bracketing by doubling followed by bisection to machine width, so the
     residual |f(x) - u| is far below 1e-13 for any u in (0, 1].
 
-    Each bisection call evaluates as many levels of the pending
-    quantiles' midpoint trees as fit in BISECT_POINTS points, at least
-    one: seven for one quantile, one for a 2000-point oracle.  While the
-    trees have one level, that is one vectorized step a call; once they
-    have two or more, a chain below each tree goes on toward the
-    quantile's predicted root (see :func:`_bisect_rounds`).  Every value
-    of ``eval_many`` depends on its own point only, so lo and hi are
-    those of one level per call.  A quantile takes at most BISECT_STEPS
-    steps.
+    Each bisection call plans, for every pending quantile, the intervals
+    its next steps can reach, as many steps as fit in BISECT_POINTS points
+    over all of them, at least one: seven for one quantile, one for a
+    2000-point oracle.  While that is one step, each call is one
+    vectorized step; once it is two or more, more intervals are planned
+    on each quantile's path toward its predicted root, and the values walk
+    each bracket while its next interval was planned (see
+    :func:`_bisect_rounds`).  Every value of ``eval_many`` depends on its
+    own point only, so lo and hi are those of one step per call.  A
+    quantile takes at most BISECT_STEPS steps.
     """
     _check_survival_form(f)
     u = np.asarray(u, dtype=float)
@@ -155,7 +168,7 @@ def inverse_survival_many(f: ExpSum, u: np.ndarray) -> np.ndarray:
         hi[too_high] *= 2.0
     else:
         raise ValueError("failed to bracket all quantiles by doubling")
-    levels = 0  # one level per call while a tree of two levels (3 points each) does not fit
+    levels = 0  # one step per call while two steps of every interval (3 points each) do not fit
     while levels < BISECT_STEPS:
         mid = 0.5 * (lo + hi)
         step = (lo < mid) & (mid < hi)  # brackets still wider than one ulp
@@ -208,15 +221,16 @@ def _bisect_rounds(f: ExpSum, u: list, lo: list, hi: list, f_lo: list, f_hi: lis
     f_hi are f at the ends (nan where unknown).  Returns lo and hi.
 
     Each round plans, for every bracket whose midpoint is still strictly
-    inside it, the tree of every midpoint its next steps can reach, as
-    many levels as fit in BISECT_POINTS points over those brackets, and
-    below it a chain toward its predicted root (:func:`_quantile_guess`)
-    of twice as many steps as the bracket's last round took (twice the
-    tree's levels in the first), with
-    :func:`~transform_orders.expsum.bisection_round`; the values then pick
-    each bracket's path (:func:`~transform_orders.expsum.walk_round`).  A
-    midpoint not strictly inside its interval ends the bracket's steps, as
-    it would leave the bracket there for good; a bracket takes at most
+    inside it, every interval its next steps can reach, as many steps as
+    fit in BISECT_POINTS points over those brackets, and then more on the
+    path toward its predicted root (:func:`_quantile_guess`), twice as
+    many as the steps the bracket's last round took (twice the reachable
+    steps in the first), with
+    :func:`~transform_orders.expsum.bisection_round`; the values then walk
+    each bracket while its next interval was planned
+    (:func:`~transform_orders.expsum.walk_round`).  A midpoint not
+    strictly inside its interval ends the bracket's steps, as it would
+    leave the bracket there for good; a bracket takes at most
     BISECT_STEPS steps in all."""
     steps, last = [levels] * len(u), [0] * len(u)  # steps taken, and in the last round
     active = list(range(len(u)))
@@ -227,10 +241,10 @@ def _bisect_rounds(f: ExpSum, u: list, lo: list, hi: list, f_lo: list, f_hi: lis
         depth = max(1, int(math.log2(BISECT_POINTS // len(active) + 1)))
         plans, mids = [], []
         for k in active:
-            tree = min(depth, BISECT_STEPS - steps[k])
-            links = min(2 * (last[k] or depth), BISECT_STEPS - steps[k] - tree)
+            reach = min(depth, BISECT_STEPS - steps[k])
+            links = min(2 * (last[k] or depth), BISECT_STEPS - steps[k] - reach)
             guess = _quantile_guess(u[k], lo[k], hi[k], f_lo[k], f_hi[k])
-            plans.append(bisection_round(lo[k], hi[k], tree, links, guess, _half, mids))
+            plans.append(bisection_round(lo[k], hi[k], reach, links, guess, _half, mids))
         values = f.eval_many(np.array(mids)).tolist()
         still = []
         for k, plan in zip(active, plans):

@@ -21,7 +21,7 @@ from transform_orders import (
     sign_patterns,
     survival,
 )
-from transform_orders import expsum
+from transform_orders import expsum, systems
 from transform_orders.expsum import _BLOCK, possible_signs, scaled_rows
 
 from _samplers import random_expsum
@@ -1087,6 +1087,73 @@ def test_refine_flips_stops_a_bracket_on_a_sign_of_zero():
     assert kept.x[-1] == math.sqrt(lo * hi)
 
 
+def stepwise_round(a, b, depth, links, guess, split, side):
+    """One step at a time bisection of [a, b] for as long as a round of
+    bisection_round(a, b, depth, links, guess, split) plans: every step of
+    the first depth, then up to links more while each step so far went
+    toward guess (none for a nan guess).  side(x) says whether the root is
+    right of x, or None where the bracket stops.  Returns a, b, the
+    midpoints in step order, the midpoint now at a and at b (None for an
+    end not moved) and whether the bracket can go on."""
+    path, at_a, at_b, toward = [], None, None, guess == guess
+    while len(path) < depth or (toward and links and len(path) < depth + links):
+        mid = split(a, b)
+        if mid is None:
+            return a, b, path, at_a, at_b, False
+        path.append(mid)
+        right = side(mid)
+        if right is None:
+            return a, b, path, at_a, at_b, False
+        toward &= right == (guess >= mid)
+        if right:
+            a, at_a = mid, mid
+        else:
+            b, at_b = mid, mid
+    return a, b, path, at_a, at_b, True
+
+
+def random_bracket(rng):
+    """A bracket of either sign, wide, near X_RTOL, a few ulps or one ulp
+    wide, or of equal ends."""
+    a = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
+    kind = int(rng.integers(5))
+    if kind == 0:
+        return a, a + abs(a) * float(rng.uniform(0.01, 10.0))
+    if kind == 1:
+        return a, a + abs(a) * expsum.X_RTOL * float(2.0 ** rng.uniform(0.0, 6.0))
+    if kind == 2:
+        return a, a + abs(a) * float(np.spacing(1.0)) * float(rng.integers(2, 9))
+    return (a, float(np.nextafter(a, np.inf))) if kind == 3 else (a, a)
+
+
+@pytest.mark.parametrize("split", [expsum._flip_split, systems._half], ids=["flip", "quantile"])
+def test_walk_round_takes_the_steps_of_one_at_a_time_bisection(split):
+    rng = np.random.default_rng(30)
+    stopped = went_on = long_walks = 0
+    for _ in range(3000):
+        a, b = random_bracket(rng)
+        depth, links = int(rng.integers(1, 6)), int(rng.integers(0, 13))
+        guess = float(rng.choice([math.nan, rng.uniform(a, b), a, b]))
+        root = guess if rng.random() < 0.5 else float(rng.uniform(a, b))
+        mids = []
+        index = expsum.bisection_round(a, b, depth, links, guess, split, mids)
+        zero = {m for m in mids if rng.random() < 0.03}  # sign 0 there
+
+        def side(x):
+            return None if x in zero else root >= x
+
+        got = expsum.walk_round(index, a, b, lambda i: side(mids[i]))
+        want = stepwise_round(a, b, depth, links, guess, split, side)
+        lo, hi, path, at_a, at_b, goes_on = got
+        assert (lo, hi, [mids[i] for i in path], goes_on) == (want[0], want[1], want[2], want[5])
+        assert [mids[i] if i >= 0 else None for i in (at_a, at_b)] == list(want[3:5])
+        assert len(set(path)) == len(path) and len(set(mids)) == len(mids)
+        stopped += not goes_on
+        went_on += goes_on
+        long_walks += len(path) > depth
+    assert stopped > 100 and went_on > 100 and long_walks > 100
+
+
 def test_midpoints_stay_in_their_interval():
     # lo * hi underflows near 1e-310 and overflows near 1e300; elsewhere
     # the geometric (lo > 0) or arithmetic midpoint is kept unchanged.
@@ -1109,16 +1176,27 @@ def test_scan_of_huge_rates_stays_right_of_zero():
     assert all((x > 0.0).all() for x, *_ in seen)
 
 
-def assert_dip_slots_are_lexsort(x, owner, left, mids, slots=None):
-    """The merge of _grid_phase puts the old points and the midpoints in
-    the order of a stable lexsort by (owner, x) of old, then new points.
-    Returns how many midpoints equal their interval's right end."""
-    if slots is None:
-        slots = expsum._dip_slots(x, owner, left, mids)
-    merged = np.insert(np.arange(x.size), slots, np.arange(x.size, x.size + mids.size))
-    keys = np.concatenate((x, mids)), np.concatenate((owner, owner[left]))
-    assert merged.tolist() == np.lexsort(keys).tolist()
-    return int(np.count_nonzero(mids == x[left + 1]))
+def traced_points(x):
+    """Points whose every column is a function of x, so that a splice that
+    moves a row's x without the rest of it shows."""
+    x = np.asarray(x, dtype=float)
+    return expsum._Pts(x, -x, 2.0 * x, x + 1.0, np.sign(x).astype(np.int8))
+
+
+def assert_dip_splice_is_lexsort(pts, owner, left, new, got=None):
+    """The splice of _grid_phase (_with_dips, unless got is its result)
+    gives, value for value, the points and owners of a stable lexsort by
+    (owner, x) of the old points, then the new ones.  Returns how many new
+    points equal their interval's right end."""
+    new_owner = owner[left]
+    got_pts, got_owner = got or expsum._with_dips(pts, owner, left, new, new_owner)
+    cols = [np.concatenate(pair) for pair in zip(pts, new)]
+    owners = np.concatenate((owner, new_owner))
+    order = np.lexsort((cols[0], owners))
+    assert got_owner.tolist() == owners[order].tolist()
+    for col, want in zip(got_pts, cols):
+        np.testing.assert_array_equal(col, want[order])
+    return int(np.count_nonzero(new.x == pts.x[left + 1]))
 
 
 def test_dip_slots_match_lexsort_on_random_blocks():
@@ -1132,7 +1210,8 @@ def test_dip_slots_match_lexsort_on_random_blocks():
         x = np.concatenate([np.sort(rng.choice(rng.uniform(-2.0, 5.0, 6), k)) for k in sizes])
         inside = np.flatnonzero(owner[1:] == owner[:-1])
         left = np.sort(rng.choice(inside, rng.integers(0, inside.size + 1), replace=False))
-        at_end += assert_dip_slots_are_lexsort(x, owner, left, expsum._mids(x[left], x[left + 1]))
+        mids = traced_points(expsum._mids(x[left], x[left + 1]))
+        at_end += assert_dip_splice_is_lexsort(traced_points(x), owner, left, mids)
     assert at_end > 0
 
 
@@ -1149,22 +1228,23 @@ def test_dip_slots_at_adjacent_floats():
     strict = x[left] < x[left + 1]
     assert np.count_nonzero(strict & (mids == x[left])) >= 3
     assert np.count_nonzero(strict & (mids == x[left + 1])) >= 3
-    assert assert_dip_slots_are_lexsort(x, np.zeros(x.size, dtype=np.intp), left, mids) >= 5
+    owner = np.zeros(x.size, dtype=np.intp)
+    assert assert_dip_splice_is_lexsort(traced_points(x), owner, left, traced_points(mids)) >= 5
 
 
 def test_dip_slots_in_the_scan_of_huge_rates():
     # Every dip pass of the scan of a 1e300-rate sum, whose grid starts at
     # a subnormal x, in a block that also holds the classic witness gap.
     f = canonicalize([(1e300, 1.0), (2e300, -1.0), (3e300, 0.5)])
-    slots, passes = expsum._dip_slots, [0]
+    splice, passes = expsum._with_dips, [0]
 
-    def checked(x, owner, left, mids):
-        got = slots(x, owner, left, mids)
-        assert_dip_slots_are_lexsort(x, owner, left, mids, got)
+    def checked(pts, owner, left, new, new_owner):
+        got = splice(pts, owner, left, new, new_owner)
+        assert_dip_splice_is_lexsort(pts, owner, left, new, got)
         passes[0] += 1
         return got
 
-    with mock.patch.object(expsum, "_dip_slots", checked):
+    with mock.patch.object(expsum, "_with_dips", checked):
         got = sign_patterns([f, CLASSIC_WITNESS_GAP, f])
     assert passes[0] == expsum.DIP_PASSES
     for p, g in zip(got, [f, CLASSIC_WITNESS_GAP, f]):

@@ -4,6 +4,7 @@ import itertools
 import math
 from decimal import Decimal, getcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from scipy.integrate import quad
 from transform_orders import (
     HazardVector,
     SurvivalUnderflow,
+    dVda,
     density,
     failure_rate,
     inverse_survival,
@@ -168,6 +170,29 @@ class TestFailureRate:
     def test_rejects_nonpositive_x(self):
         with pytest.raises(ValueError):
             failure_rate(HazardVector((1,)), 0.0)
+
+    @pytest.mark.parametrize("rates", [(2,), (2, 3), (0.5, 2, 7), tuple(range(1, 9)),
+                                       tuple(range(1, 21))], ids=lambda r: f"n={len(r)}")
+    def test_against_mpmath_from_near_zero_to_the_tail(self, rates):
+        # The coefficient form of the density cancels near 0, where it gave
+        # a negative rate for n = 8 at x = 1e-3; the product form has
+        # positive terms only, so the rate and dV/da = x f(a x) are
+        # accurate and positive.
+        h = HazardVector(rates)
+        with mpmath.workdps(250):  # S(100) is down to e^-200; 1 - q(1e-20) about 1e-20
+            for x in (1e-20, 1e-10, 1e-3, 0.1, 1.0, 10.0, 100.0):
+                t = mpmath.mpf(x)
+                q = [mpmath.exp(-mpmath.mpf(r) * t) for r in h.rates]
+                dens = mpmath.fsum(
+                    r * qi * mpmath.fprod(1 - qj for j, qj in enumerate(q) if j != i)
+                    for i, (r, qi) in enumerate(zip(h.rates, q))
+                )
+                surv = 1 - mpmath.fprod(1 - qi for qi in q)
+                if dens * t < mpmath.mpf(1e-300):  # below the range of float64
+                    continue
+                assert failure_rate(h, x) == pytest.approx(float(dens / surv), rel=2e-15)
+                got = dVda(h, x, 1.0)
+                assert got > 0.0 and got == pytest.approx(float(dens * t), rel=2e-15)
 
 
 class TestInverseSurvival:
