@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
-"""In-process wall times of star and convex checks with three or more components.
+"""In-process wall times of star and convex checks with three or more
+components, and of every op of a benchmark workload.
 
-Three sets of calls, each timed as the median and the best of ``--repeats``
+Sets of calls, each timed as the median and the best of ``--repeats``
 runs after one untimed call:
 
-- every op of the benchmark's ``higher-n`` workload at ``--seed``
-  (``bench/workloads.py``: ``star_check`` on majorized pairs of n = 3..6
-  and reversed pairs of n = 3, 4);
+- every op of the benchmark workload ``--workload`` at ``--seed``
+  (``bench/workloads.py``), with the sum of their medians as the time of
+  one pass; the default, ``higher-n``, is ``star_check`` on majorized
+  pairs of n = 3..6 and reversed pairs of n = 3, 4;
 - ``star_check`` on generic pairs of n = 8, 10 and 12 (``--generic``): n
   sorted rates drawn uniformly from (1, 3) with ``default_rng(5)``, theta
   drawn the same way and rescaled to lam's total, so that every gap has
   2^(n+1) - 2 terms;
 - ``convex_check`` on the same generic pairs of n = 8 and 10, reversed
   (``--generic-convex``): not majorized, so each one scans the (a, b) grid;
-- the pre-filter of each ``higher-n`` op (``--prefilter``):
+- the pre-filter of each op of the workload (``--prefilter``):
   ``orders._may_violate`` on every grid the op hands it, with a fresh
   ``orders._Gaps`` built untimed before each repeat, so no gap is cached
   from the last one.  Its status reads as the count of kept probes;
@@ -31,10 +33,12 @@ host.  To compare with another tree, copy its ``src/transform_orders`` to
 ``DIR/transform_orders_base``.  Prints one JSON object.
 
 Usage:
-    PYTHONPATH=src python scripts/time_higher_n.py [--seed 7] [--repeats 5] [--generic 8,10,12] \
-        [--generic-convex 8,10] [--sign-map 3,6,8] [--prefilter]
+    PYTHONPATH=src python scripts/time_higher_n.py [--workload higher-n] [--seed 7] \
+        [--repeats 5] [--generic 8,10,12] [--generic-convex 8,10] [--sign-map 3,6,8] [--prefilter]
     PYTHONPATH=src:DIR python scripts/time_higher_n.py \
         --packages transform_orders_base,transform_orders
+    PYTHONPATH=src python scripts/time_higher_n.py --workload unordered-n2 --repeats 1 \
+        --generic '' --generic-convex '' --sign-map ''
 """
 
 from __future__ import annotations
@@ -62,12 +66,14 @@ def generic_rates(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 def status_of(result) -> str | int:
-    """A verdict's status, the count of certain cells of a sign map, or a
-    count itself."""
+    """A verdict's status, whether an oracle's grid is clean, the count of
+    certain cells of a sign map, or a count itself."""
     if isinstance(result, int):
         return result
     if hasattr(result, "status"):
         return result.status.value
+    if hasattr(result, "clean"):
+        return "clean" if result.clean else "violations"
     return sum(1 for row in result.signs for s in row if s)
 
 
@@ -139,11 +145,12 @@ def prefilter_calls(lib, op) -> list:
     return calls
 
 
-def timed_prefilters(libs: dict, seed: int, repeats: int) -> list:
-    """``timed`` of the pre-filter of each higher-n op at ``seed``: every
-    recorded ``_may_violate`` call of the op, each on a fresh ``_Gaps``."""
+def timed_prefilters(libs: dict, workload: str, seed: int, repeats: int) -> list:
+    """``timed`` of the pre-filter of each op of ``workload`` at ``seed``:
+    every recorded ``_may_violate`` call of the op, each on a fresh
+    ``_Gaps``."""
     out = []
-    for op in workloads.generate("higher-n", seed):
+    for op in workloads.generate(workload, seed):
         recorded = {name: prefilter_calls(lib, op) for name, lib in libs.items()}
         setup = {name: (lambda lib=lib, rec=recorded[name]:
                         [lib.orders._Gaps(lam, theta) for lam, theta, _, _ in rec])
@@ -152,13 +159,15 @@ def timed_prefilters(libs: dict, seed: int, repeats: int) -> list:
                      len(lib.orders._may_violate(g, grid, violating))
                      for g, (_, _, grid, violating) in zip(gaps, rec)))
                  for name, lib in libs.items()}
-        out.append({"group": op.group, "n": len(op.lam),
+        out.append({"kind": op.kind, "group": op.group, "n": len(op.lam),
                     "by_package": timed(calls, repeats, setup)})
     return out
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", default="higher-n", choices=workloads.WORKLOADS,
+                        help="the benchmark workload whose ops are timed")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--generic", default="8,10,12",
@@ -168,26 +177,28 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sign-map", default="3,6,8",
                         help="comma-separated n of the linspace-pair sign maps")
     parser.add_argument("--prefilter", action="store_true",
-                        help="time the pre-filter of each higher-n op")
+                        help="time the pre-filter of each op of the workload")
     parser.add_argument("--packages", default="transform_orders",
                         help="comma-separated importable copies of the package")
     args = parser.parse_args(argv)
     libs = {name: importlib.import_module(name) for name in args.packages.split(",")}
     ops = []
-    for op in workloads.generate("higher-n", args.seed):
+    for op in workloads.generate(args.workload, args.seed):
         calls = {name: (lambda lib=lib: workloads.run_op(lib, op)) for name, lib in libs.items()}
-        ops.append({"group": op.group, "n": len(op.lam), "by_package": timed(calls, args.repeats)})
+        ops.append({"kind": op.kind, "group": op.group, "n": len(op.lam),
+                    "by_package": timed(calls, args.repeats)})
     generic = timed_generic(libs, args.generic, "star_check", args.repeats)
     generic_convex = timed_generic(libs, args.generic_convex, "convex_check", args.repeats,
                                    reverse=True)
     sign_maps = timed_sign_maps(libs, args.sign_map, args.repeats)
-    prefilters = timed_prefilters(libs, args.seed, args.repeats) if args.prefilter else []
+    prefilters = (timed_prefilters(libs, args.workload, args.seed, args.repeats)
+                  if args.prefilter else [])
     passes = {name: round(sum(op["by_package"][name]["median_ms"] for op in ops), 2)
               for name in libs}
-    print(json.dumps({"seed": args.seed, "repeats": args.repeats, "higher_n_ops": ops,
-                      "higher_n_pass_median_ms": passes, "generic_star_check": generic,
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "repeats": args.repeats,
+                      "ops": ops, "pass_median_ms": passes, "generic_star_check": generic,
                       "generic_convex_check_reversed": generic_convex,
-                      "linspace_sign_map": sign_maps, "higher_n_prefilter": prefilters}))
+                      "linspace_sign_map": sign_maps, "prefilter": prefilters}))
     return 0
 
 

@@ -49,7 +49,6 @@ from .orders import (
 from .systems import (
     HazardVector,
     SurvivalUnderflow,
-    density,
     failure_rate,
     inverse_survival,
     inverse_survival_many,
@@ -96,7 +95,6 @@ __all__ = [
     "violation_search",
     "HazardVector",
     "SurvivalUnderflow",
-    "density",
     "failure_rate",
     "inverse_survival",
     "inverse_survival_many",

@@ -1194,7 +1194,8 @@ def sign_pattern(f: ExpSum, opts: ScanOptions | None = None) -> SignPattern:
 
 
 def sign_patterns(
-    fs: Sequence[ExpSum] | SumBlock, opts: ScanOptions | None = None, *, refine: bool = True
+    fs: Sequence[ExpSum] | SumBlock, opts: ScanOptions | None = None, *, refine: bool = True,
+    unfinished: dict | None = None,
 ) -> list[SignPattern]:
     """``[sign_pattern(f) for f in fs]``, computed together.  A sequence
     of sums is laid out once (:class:`_PaddedSums`) for every evaluator
@@ -1215,11 +1216,26 @@ def sign_patterns(
     on the side of its own sign, so each run keeps its place.  An
     uncertified pattern whose regions outnumber the zero bound can differ
     in its signs, since which region is dropped as the weakest depends on
-    the witness values.
+    the witness values.  Such a scan also puts the finishing state of
+    each sum of two or more terms into the dict ``unfinished``, if given,
+    under its index in fs: its certain points after the 0+ walk and its
+    grid's left end, from which :func:`finished_pattern` bisects that
+    pattern alone.
     """
     fs, opts = _block(fs), opts or ScanOptions()
     grids = _grid_phase(fs, _sign_grids(fs), opts)
-    return _lockstep(fs, [_pattern_steps(f, pts, refine) for f, pts in zip(fs, grids)], opts)
+    return _lockstep(fs, [_pattern_steps(f, pts, refine, unfinished, k)
+                          for k, (f, pts) in enumerate(zip(fs, grids))], opts)
+
+
+def finished_pattern(fs: Sequence[ExpSum] | SumBlock, state: tuple, opts: ScanOptions | None = None
+                     ) -> SignPattern:
+    """The pattern of the one sum of fs with flip bisection, resumed from
+    the finishing state that a scan with ``refine=False`` left for it (see
+    :func:`sign_patterns`): byte-identical to ``sign_patterns(fs,
+    opts)[0]``, which goes on from the same certain points."""
+    (f,) = fs = _block(fs)
+    return _lockstep(fs, [_finish_steps(f, *state, refine=True)], opts or ScanOptions())[0]
 
 
 def _sign_grids(fs: Sequence[ExpSum]) -> list[np.ndarray]:
@@ -1307,33 +1323,44 @@ def sign_tuples(starts: Iterable[int], bound: int, s_inf: int) -> list[tuple[str
     ]
 
 
-def _pattern_steps(f: ExpSum, pts: _Pts, refine: bool):
+def _pattern_steps(f: ExpSum, pts: _Pts, refine: bool, unfinished: dict | None, k: int):
     """The step generator of sign_pattern(f) (see _lockstep), from f's
-    grid-phase points ``pts``; without ``refine`` the runs come from the
-    grid, dip and 0+ walk points alone.
-
-    Transitions are placed after the zero-bound repair, from the extents
-    of the regions left (a merged region spans both of its parts): mid-way
-    between the facing ends of two neighbours, else at the one end that
-    exists, else nan.  So each lies between the regions it separates.
-    """
+    grid-phase points ``pts``: the 0+ walk, then :func:`_finish_steps`;
+    an unrefined scan puts its finishing state into ``unfinished[k]``."""
     if f.is_zero:
         return SignPattern((), (), certified=True, complete=True)
 
-    s0, mult0 = f.sign_at_zero()
-    s_inf = f.asymptotic_sign()
-    s_neg = f.sign_at_minus_inf()
-    bound = f.sign_change_bound()
-
+    s0, _ = f.sign_at_zero()
     if f.n_terms == 1:  # its one grid point, 1/rate, is the witness
         x = float(pts.x[0])
-        region = SignRegion("+" if s_inf > 0 else "-", x, pts.value(0), bool(pts.sign[0]))
+        region = SignRegion("+-"[f.asymptotic_sign() < 0], x, pts.value(0), bool(pts.sign[0]))
         return SignPattern((region,), (), certified=region.certain, complete=True)
 
     x_lo = float(pts.x[0])  # the grid's left end: geomspace keeps both ends exact
     pts = yield from _zero_walk(pts, s0)
     certain = pts.take(np.flatnonzero(pts.sign))
     del pts  # only the certain points are kept while the flips are bisected
+    if unfinished is not None and not refine:
+        unfinished[k] = certain, x_lo
+    return (yield from _finish_steps(f, certain, x_lo, refine))
+
+
+def _finish_steps(f: ExpSum, certain: _Pts, x_lo: float, refine: bool):
+    """The rest of the step generator of sign_pattern(f), from f's certain
+    points after the 0+ walk and its grid's left end x_lo: with
+    ``refine``, flip bisection; then the runs, the guessed end regions,
+    the zero-bound repair and the pattern.  Without ``refine`` the runs
+    come from the grid, dip and 0+ walk points alone.
+
+    Transitions are placed after the zero-bound repair, from the extents
+    of the regions left (a merged region spans both of its parts): mid-way
+    between the facing ends of two neighbours, else at the one end that
+    exists, else nan.  So each lies between the regions it separates.
+    """
+    s0, mult0 = f.sign_at_zero()
+    s_inf = f.asymptotic_sign()
+    s_neg = f.sign_at_minus_inf()
+    bound = f.sign_change_bound()
 
     # Bisect the witnessed flips together, then keep their certain points:
     # each lies between its flip's two runs, so it joins the run of its sign.

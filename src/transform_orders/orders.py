@@ -93,17 +93,18 @@ prunes only the last 6 of its 40 probes.  The spot checks and
 Scans decide first and bisect only what a verdict reports.  Flip bisection
 places transitions and witnesses but never changes which pattern is a
 certified violation, so the scans whose patterns are discarded
-(``violation_search`` and the pruned grids) run without it.  A verdict
-that reports the witness scans only that probe again with bisection
-(``_bisected``); per-point results do not depend on the batch, so the
+(``violation_search`` and the pruned grids) run without it.  ``_scan``
+then bisects the witness alone, from the certain points its own scan
+left (``expsum.finished_pattern``), in one more lock-step call: no probe
+is scanned twice.  Per-point results do not depend on the batch, so the
 witness is byte-identical to the one a fully bisected scan finds.  The
 grid verdicts without a witness carry no evidence, so they bisect
 nothing, and the b-halving of ``violation_search`` keeps only the b of
-its hit, so it is not re-scanned.  It halves b only up to the first
-shift whose pattern certifies a '-' region, hit or not: a smaller shift
-lowers the gap at every x, so it only weakens the '+' regions that
-pattern lacks.  The spot checks and ``convex_check_at`` return their
-scanned patterns as evidence and keep bisection throughout.
+the shift it stops at, so it has no witness to bisect.  It halves b only
+up to the first shift whose pattern certifies a '-' region: a smaller
+shift lowers the gap at every x, so it only weakens the '+' regions
+that pattern lacks.  The spot checks and ``convex_check_at`` return
+their scanned patterns as evidence and keep bisection throughout.
 """
 
 from __future__ import annotations
@@ -131,6 +132,7 @@ from .expsum import (
     canonical_rows,
     certain_signs,
     dominance_point_rows,
+    finished_pattern,
     known_sum,
     sign_at_zero_rows,
     sign_patterns,
@@ -378,9 +380,13 @@ def _scan(
     at most sum(LEAD_BLOCKS) = 15 probes, such as the spot checks, is one
     block.
 
-    With ``refine=False`` the patterns, the witness's included, skip flip
-    bisection, which never changes which probe violates.  A caller that
-    reports the witness scans it again with :func:`_bisected`.
+    With ``refine=False`` the patterns skip flip bisection, which never
+    changes which probe violates, and only the witness is bisected, from
+    the points its own scan left (:func:`finished_pattern`), in one more
+    lock-step call; so it is byte-identical to a refined scan's.  A
+    finished witness that no longer certifies the violation is a
+    numerical defect.  The finishing states of a block are kept only
+    while its patterns are read.
     """
     probes = list(probes)
     scanned = []
@@ -391,34 +397,23 @@ def _scan(
     start = 0
     while start < len(probes):
         block = probes[start : start + next(sizes)]
-        for (a, b), p in zip(block, sign_patterns(gaps.block(block), opts, refine=refine)):
+        unfinished: dict = {}
+        patterns = sign_patterns(gaps.block(block), opts, refine=refine, unfinished=unfinished)
+        for k, ((a, b), p) in enumerate(zip(block, patterns)):
             scanned.append((a, p))
             if p.certified and violating(p.signs()):
+                if k in unfinished:
+                    p = finished_pattern(gaps.block([(a, b)]), unfinished[k], opts)
+                    if not (p.certified and violating(p.signs())):
+                        raise RuntimeError(
+                            f"bisected witness at a={a}, b={b} does not certify the "
+                            "violation; this is a numerical defect"
+                        )
                 return Witness(a, b, p), scanned
             if stop is not None and stop(p):
                 return None, scanned
         start += len(block)
     return None, scanned
-
-
-def _bisected(
-    gaps: _Gaps,
-    hit: Witness,
-    violating: Callable[[tuple[str, ...]], bool],
-    opts: ScanOptions,
-) -> Witness:
-    """The witness of a ``_scan(..., refine=False)``, scanned again with
-    flip bisection.  Its pattern is byte-identical to the one a bisected
-    scan of the whole block finds, since no per-point result depends on
-    the batch; a re-scan that does not certify the violation is a
-    numerical defect."""
-    (p,) = sign_patterns(gaps.block([(hit.a, hit.b)]), opts)
-    if not (p.certified and violating(p.signs())):
-        raise RuntimeError(
-            f"bisected re-scan at a={hit.a}, b={hit.b} does not certify the "
-            "violation; this is a numerical defect"
-        )
-    return Witness(hit.a, hit.b, p)
 
 
 def _spot_checked(
@@ -549,18 +544,16 @@ def _pruned_scan(
     b = 0, V <= 0.  A violation of either order has regions of both signs,
     so these probes are pruned before any row is built.
 
-    The kept probes are scanned without flip bisection and only the hit is
-    scanned again with it (:func:`_bisected`), so it is byte-identical to a
-    fully bisected scan's.  Returns the hit (or None), the scanned
-    (a, pattern) pairs and the pruned probes.
+    The kept probes are scanned without flip bisection, and only the hit
+    is bisected, from its scan's own points (see :func:`_scan`), so it is
+    byte-identical to a fully bisected scan's.  Returns the hit (or None),
+    the scanned (a, pattern) pairs and the pruned probes.
     """
     lo, hi = _dominance_bounds(gaps.lam, gaps.theta)
     two_signed = [(a, b) for a, b in grid
                   if not (a >= hi and b >= 0.0) and not (a <= lo and b == 0.0)]
     kept = _may_violate(gaps, two_signed, violating)
     hit, scanned = _scan(gaps, kept, violating, opts, refine=False)
-    if hit is not None:
-        hit = _bisected(gaps, hit, violating, opts)
     kept_set = set(kept)
     return hit, scanned, [ab for ab in grid if ab not in kept_set]
 
@@ -729,7 +722,10 @@ def violation_search(
     (ii) with that b0 fixed, walk a downward from a_hi through
     geometrically growing offsets until the full "+,-,+,-" certifies (the
     gap is increasing in a, so the fourth region grows as a falls);
-    (iii) re-verify every region witness by direct evaluation.
+    (iii) re-verify every region witness by direct evaluation.  Both
+    scans decide without flip bisection: the b-halving keeps only b0, and
+    only the "+,-,+,-" witness is bisected, from the points of its own
+    scan (see ``_scan``).
     """
     opts = opts or OrderOptions()
     if not majorizes(lam, theta):
@@ -751,13 +747,14 @@ def violation_search(
             "no positive shift budget at the seed point", ((x0, 0.0),)
         )
 
+    # A certified "+,-,+" has a certain '-' region: the halving stops at its
+    # hit, and keeps only its b.
     probes = [(a_hi, 0.5 * slack * 0.5**k) for k in range(SEARCH_MAX_HALVINGS)]
-    top, scanned = _scan(
-        gaps, probes, lambda s: s == ("+", "-", "+"), opts.scan, refine=False, stop=_dip_certified
-    )
+    _, scanned = _scan(gaps, probes, lambda s: False, opts.scan, refine=False,
+                       stop=_dip_certified)
     attempts = [(x0, b) for _, b in probes[: len(scanned)]]
-    if top is None:
-        last = scanned[-1][1]
+    last = scanned[-1][1]
+    if not (last.certified and last.signs() == ("+", "-", "+")):
         if _dip_certified(last):
             why = (
                 f"halving stopped at b0={attempts[-1][1]:.6g}, whose pattern '{last.text()}'"
@@ -774,7 +771,7 @@ def violation_search(
 
     # a walks downward from a_hi, then a fallback sweep covers the rest of
     # the strip: the violating sub-window can be narrow.
-    b0 = top.b
+    b0 = attempts[-1][1]
     width = a_hi - a_lo
     walk = [a_hi - width / (2.0**k) for k in range(SEARCH_A_STEPS, 0, -1)]
     sweep = np.linspace(a_hi - width / 2.0**SEARCH_A_STEPS, a_lo, 64)[1:].tolist()
@@ -790,7 +787,6 @@ def violation_search(
             "certified '+,-,+,-'",
             tuple(attempts),
         )
-    hit = _bisected(gaps, hit, four_regions, opts.scan)
 
     bad = _unconfirmed_region(gaps.block([(hit.a, b0)]), hit.pattern, opts.scan)
     if bad is not None:

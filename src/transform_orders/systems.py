@@ -3,9 +3,10 @@
 A parallel system works while at least one component works, so its
 lifetime is the maximum of the component lifetimes and its survival
 function is 1 - prod_i (1 - exp(-rate_i * x)).  Expanding the product by
-inclusion-exclusion expresses everything (survival, density, failure
-rate) as an :class:`~transform_orders.expsum.ExpSum`, the exact working
-representation used throughout.
+inclusion-exclusion expresses the survival function as an
+:class:`~transform_orders.expsum.ExpSum`, the exact working representation
+used throughout; the density and the failure rate are taken from the
+product form, which does not cancel near 0.
 """
 
 from __future__ import annotations
@@ -89,11 +90,6 @@ def survival(h: HazardVector) -> ExpSum:
     return canonicalize(zip(sums[1:].tolist(), (-signs[1:]).tolist()))
 
 
-def density(h: HazardVector) -> ExpSum:
-    """Lifetime density: -d/dx of the survival function."""
-    return -survival(h).derivative()
-
-
 def failure_rate(h: HazardVector, x: float) -> float:
     """Instantaneous failure rate density(x) / survival(x), for x > 0."""
     if not (x > 0.0):
@@ -122,7 +118,8 @@ def density_and_survival(h: HazardVector, t: float) -> tuple[float, float]:
 
 
 def _check_survival_form(f: ExpSum) -> None:
-    if f.is_zero or abs(f.eval(0.0) - 1.0) > 1e-9:
+    # f(0) is the sum of the coefficients, exactly rounded by fsum.
+    if f.is_zero or abs(math.fsum(f.coeffs) - 1.0) > 1e-9:
         raise ValueError("not a survival ExpSum: f(0) must be 1")
     if f.asymptotic_sign() <= 0 or f.rates[0] <= 0.0:
         raise ValueError("not a survival ExpSum: tail must decay to 0 from above")

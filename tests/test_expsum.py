@@ -1267,6 +1267,22 @@ def test_unrefined_scans_keep_decisions(fs):
     ]
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.lists(gap_sums(), min_size=1, max_size=16))
+def test_finished_patterns_equal_refined_scans(fs):
+    # Each sum of two or more terms leaves its finishing state, and the
+    # pattern finished from it alone is that of the refined block scan.
+    unfinished = {}
+    sign_patterns(fs, refine=False, unfinished=unfinished)
+    assert sorted(unfinished) == [k for k, f in enumerate(fs) if f.n_terms > 1]
+    refined = sign_patterns(fs)
+    for k, state in unfinished.items():
+        assert repr(expsum.finished_pattern([fs[k]], state)) == repr(refined[k])
+    unfinished.clear()
+    sign_patterns(fs, unfinished=unfinished)
+    assert unfinished == {}  # a refined scan's patterns are final
+
+
 def test_unrefined_scan_keeps_decision_after_a_dropped_region():
     f = DROPPED_REGION_GAP
     assert f.sign_at_zero() == (1, 1) and f.sign_change_bound() == 1

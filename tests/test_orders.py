@@ -554,9 +554,9 @@ class TestStarGridPrefilter:
                   if not any(map(orders._star_signs, expsum.possible_signs(gaps(a))))]
         incomplete = {gaps(pruned[-1])} if one_incomplete else set()
 
-        def marked_complete(fs, opts=None, *, refine=True):
+        def marked_complete(fs, opts=None, **kw):
             fs = list(fs)
-            ps = expsum.sign_patterns(fs, opts, refine=refine)
+            ps = expsum.sign_patterns(fs, opts, **kw)
             return [replace(p, complete=f not in incomplete) for f, p in zip(fs, ps)]
 
         monkeypatch.setattr(orders, "sign_patterns", marked_complete)
@@ -928,12 +928,11 @@ class TestTwoPhaseScans:
         assert got == verdicts()
 
     def test_unconfirmed_rescan_is_a_numerical_defect(self, monkeypatch):
-        # The bisected re-scan of a violating probe must certify it again.
-        def uncertified_when_bisected(fs, opts=None, refine=True):
-            ps = expsum.sign_patterns(fs, opts, refine=refine)
-            return ps if not refine else [replace(p, certified=False) for p in ps]
+        # The bisected witness of a violating probe must certify it again.
+        def uncertified_when_finished(fs, state, opts=None):
+            return replace(expsum.finished_pattern(fs, state, opts), certified=False)
 
-        monkeypatch.setattr(orders, "sign_patterns", uncertified_when_bisected)
+        monkeypatch.setattr(orders, "finished_pattern", uncertified_when_finished)
         with pytest.raises(RuntimeError, match="numerical defect"):
             star_check(*linspace_pair(3)[::-1])
 
@@ -942,10 +941,10 @@ def recorded_scans(monkeypatch):
     """The (block size, refine) of every orders.sign_patterns call, as made."""
     scans = []
 
-    def recording(fs, opts=None, *, refine=True):
+    def recording(fs, opts=None, *, refine=True, **kw):
         fs = list(fs)
         scans.append((len(fs), refine))
-        return expsum.sign_patterns(fs, opts, refine=refine)
+        return expsum.sign_patterns(fs, opts, refine=refine, **kw)
 
     monkeypatch.setattr(orders, "sign_patterns", recording)
     return scans
@@ -953,10 +952,19 @@ def recorded_scans(monkeypatch):
 
 class TestSpotChecksAndRescans:
     def test_violation_search_bisects_only_its_witness(self, monkeypatch):
-        # The b-halving keeps only the b of its "+,-,+" hit: no re-scan.
+        # Every scan decides without bisection; the b-halving keeps only the
+        # b of its "+,-,+" hit, and only the "+,-,+,-" witness is finished.
         scans = recorded_scans(monkeypatch)
-        violation_search(LAM, THETA)
-        assert [size for size, refine in scans if refine] == [1]
+        finished = []
+
+        def recording(fs, state, opts=None):
+            finished.append(len(fs))
+            return expsum.finished_pattern(fs, state, opts)
+
+        monkeypatch.setattr(orders, "finished_pattern", recording)
+        report = violation_search(LAM, THETA)
+        assert scans and not any(refine for _, refine in scans)
+        assert finished == [1] and report.pattern.signs() == ("+", "-", "+", "-")
 
     @pytest.mark.parametrize("check, lam, theta, probes", [
         (star_check, LAM, THETA, 4),
@@ -989,6 +997,44 @@ class TestSpotChecksAndRescans:
                                     ScanOptions(), refine=False)
         assert hit is not None and len(scanned) == 46 and len(probes) == 67
         assert scans == [(n, False) for n in (1, 4, 10, 52)]
+
+
+def fresh_bisected_pattern(lam, theta, a, b):
+    """The pattern of one refined scan of the probe (a, b) alone, its gap
+    built anew."""
+    return expsum.sign_patterns(orders._Gaps(lam, theta).block([(a, b)]), ScanOptions())[0]
+
+
+class TestFinishedWitness:
+    """A witness is bisected from the points its unrefined scan left; it
+    must equal the pattern a fresh bisected scan of its probe finds."""
+
+    @pytest.mark.parametrize("check, lam, theta", [
+        (star_check, THETA, LAM),
+        (star_check, HazardVector((1, 4)), HazardVector((2, 2.5))),
+        (star_check, *linspace_pair(3)[::-1]),
+        (convex_check, *linspace_pair(3)),
+    ], ids=["star-reversed", "star-(1,4)-(2,2.5)", "star-reversed-n3", "convex-n3"])
+    def test_verdict_witness(self, check, lam, theta):
+        verdict = check(lam, theta)
+        assert verdict.status is Status.FAILS
+        w = verdict.witness
+        assert repr(w.pattern) == repr(fresh_bisected_pattern(lam, theta, w.a, w.b))
+
+    def test_violation_search_witness(self):
+        report = violation_search(LAM, THETA)
+        assert repr(report.pattern) == repr(fresh_bisected_pattern(LAM, THETA, report.a, report.b))
+
+    def test_unfiltered_scan_hit_in_a_long_block(self, monkeypatch):
+        # The reversed classic a-grid: the hit is the 46th probe, in a block
+        # of 52, and only its pattern is bisected.
+        scans = recorded_scans(monkeypatch)
+        probes = [(a, 0.0) for a in orders._a_grid(THETA, LAM)]
+        hit, scanned = orders._scan(orders._Gaps(THETA, LAM), probes, orders._star_signs,
+                                    ScanOptions(), refine=False)
+        assert len(scanned) == 46 and scans[-1] == (52, False)
+        assert repr(hit.pattern) == repr(fresh_bisected_pattern(THETA, LAM, hit.a, hit.b))
+        assert hit.pattern.transitions != scanned[-1][1].transitions
 
 
 class TestScaleFreeCertificates:

@@ -15,7 +15,6 @@ from transform_orders import (
     HazardVector,
     SurvivalUnderflow,
     dVda,
-    density,
     failure_rate,
     inverse_survival,
     inverse_survival_many,
@@ -23,6 +22,7 @@ from transform_orders import (
     sign_pattern,
     survival,
 )
+from transform_orders import systems
 
 from _samplers import random_hazard, random_majorized_pair
 
@@ -119,8 +119,18 @@ class TestSurvival:
 
 
 class TestDensity:
+    """The density from the product form, ``systems.density_and_survival``."""
+
+    @staticmethod
+    def density(h, t):
+        return systems.density_and_survival(h, t)[0]
+
     def test_two_equal_components(self):
-        assert density(HazardVector((1, 1))).terms() == ((1.0, 2.0), (2.0, -2.0))
+        # f(t) = 2 e^-t - 2 e^-2t.
+        h = HazardVector((1, 1))
+        for t in (1e-3, 0.1, 1.0, 5.0):
+            assert self.density(h, t) == pytest.approx(2.0 * math.exp(-t) * -math.expm1(-t),
+                                                       rel=1e-14)
 
     def test_vanishes_at_origin_for_multiple_components(self):
         rng = np.random.default_rng(21)
@@ -128,17 +138,24 @@ class TestDensity:
             h = random_hazard(rng)
             if h.n < 2:
                 continue
-            assert abs(density(h).eval(0.0)) < 1e-12
+            assert self.density(h, 0.0) == 0.0
 
     def test_integrates_to_one(self):
         rng = np.random.default_rng(34)
         for _ in range(5):
             h = random_hazard(rng)
-            f = density(h)
-            closed_form = math.fsum(c / r for r, c in f.terms())
-            assert abs(closed_form - 1.0) < 1e-12
-            numeric, _ = quad(f.eval, 0.0, np.inf, limit=200)
+            numeric, _ = quad(lambda t: self.density(h, t), 0.0, np.inf, limit=200)
             assert abs(numeric - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 12])
+    def test_positive_near_zero(self, n):
+        # F(t) = prod_i (1 - e^(-r_i t)) is about prod_i r_i t^n near 0, so
+        # f(t) is about n prod_i r_i t^(n-1); the coefficient form cancels
+        # there (it gave -1.42e-14 for rates 1..8 at t = 1e-3).
+        h = HazardVector(tuple(range(1, n + 1)))
+        for t in (1e-3, 1e-6):
+            leading = n * math.prod(h.rates) * t ** (n - 1)
+            assert 0.0 < self.density(h, t) == pytest.approx(leading, rel=n * sum(h.rates) * t)
 
 
 class TestFailureRate:
