@@ -19,7 +19,11 @@ Sections and their inputs (every input is seeded, so the set is fixed):
 - ``verdicts``: ``star_check``, ``convex_check``, ``violation_search``
   and ``convex_check_at`` on 8 pairs, evidence included;
 - ``star_check_higher_n``: ``star_check`` on linspace-rate pairs for
-  n = 3..6, both ways round.
+  n = 3..6, both ways round;
+- ``numerical_holds``: ``star_check`` and ``convex_check`` with
+  ``allow_numerical_holds`` on the 8 pairs, the linspace pairs both ways
+  round and ``NUMERICAL_HOLDS_PAIR``, where both orders reach a numerical
+  HOLDS.
 
 With ``--check FILE`` the lines are compared with those stored in FILE
 (``scripts/repr_digest.txt`` holds the digests of this tree): the script
@@ -39,6 +43,7 @@ import numpy as np
 
 from transform_orders import (
     HazardVector,
+    OrderOptions,
     canonicalize,
     convex_check,
     convex_check_at,
@@ -59,6 +64,12 @@ PAIRS = (
     ((1.0, 4.0), (2.0, 2.5)),  # star fails, convex grid scans
     ((1.0, 1000.0), (0.5, 1000.5)),  # extreme rates
     ((1.6702, 1.6707), (0.6158, 2.7251)),  # narrow strip
+)
+# The one pair of 300 random ones (``default_rng(3)``) where both orders
+# reach a numerical HOLDS.
+NUMERICAL_HOLDS_PAIR = (
+    (0.6384049867156364, 0.7631396960750423),
+    (2.308588531300789, 3.881142047020032),
 )
 CHECK_AT = (0.749, 0.0125)  # the classic published violating point
 BLOCK = 40
@@ -121,14 +132,25 @@ def sections():
 
     yield "verdicts", verdicts()
 
-    def star_n():
-        for n in range(3, 7):
-            lam = HazardVector(tuple(np.linspace(2.0, 3.0, n).tolist()))
-            theta = HazardVector(tuple(np.linspace(1.5, 3.5, n).tolist()))
-            yield star_check(lam, theta)
-            yield star_check(theta, lam)
+    linspace = [
+        (HazardVector(tuple(np.linspace(2.0, 3.0, n).tolist())),
+         HazardVector(tuple(np.linspace(1.5, 3.5, n).tolist())))
+        for n in range(3, 7)
+    ]
+    yield "star_check_higher_n", (
+        star_check(*pair) for lam, theta in linspace for pair in ((lam, theta), (theta, lam))
+    )
 
-    yield "star_check_higher_n", star_n()
+    def numerical_holds():
+        opts = OrderOptions(allow_numerical_holds=True)
+        pairs = [(HazardVector(lam), HazardVector(theta))
+                 for lam, theta in (*PAIRS, NUMERICAL_HOLDS_PAIR)]
+        pairs += [pair for lam, theta in linspace for pair in ((lam, theta), (theta, lam))]
+        for lam, theta in pairs:
+            yield attempt(star_check, lam, theta, opts)
+            yield attempt(convex_check, lam, theta, opts)
+
+    yield "numerical_holds", numerical_holds()
 
 
 def main(argv: list[str] | None = None) -> int:
