@@ -43,14 +43,9 @@ EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
 EXIT_USAGE = 64
 
-_COMMANDS = (
-    "check-star",
-    "check-convex",
-    "find-counterexample",
-    "sign-map",
-    "failure-rate",
-    "simulate",
-)
+# The commands that compare --lambda with --theta, then those of one system.
+_PAIR_COMMANDS = ("check-star", "check-convex", "find-counterexample", "sign-map")
+_COMMANDS = (*_PAIR_COMMANDS, "failure-rate", "simulate")
 
 
 class UsageError(Exception):
@@ -235,7 +230,6 @@ def _verdict_payload(verdict: OrderVerdict) -> dict:
         "certificate": verdict.certificate,
         "witness": None,
         "detail": verdict.detail,
-        "timing": None,
     }
     if verdict.witness is not None:
         payload["witness"] = {
@@ -265,32 +259,25 @@ def _sign_map_csv(smap: SignMap) -> str:
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute a validated configuration; returns (exit code, report text)."""
     opts = _order_options(config)
-    payload: dict
-    code: int
-
-    if config.command == "check-star":
-        _require(config, "lam", "theta")
+    code = EXIT_HOLDS
+    if config.command in _PAIR_COMMANDS:
+        _require(config, "lam", "theta", *(["b"] if config.command == "sign-map" else []))
         lam, theta = HazardVector(tuple(config.lam)), HazardVector(tuple(config.theta))
-        verdict = star_check(lam, theta, opts)
-        payload = _verdict_payload(verdict)
-        code = _verdict_exit(verdict.status)
 
-    elif config.command == "check-convex":
-        _require(config, "lam", "theta")
-        lam, theta = HazardVector(tuple(config.lam)), HazardVector(tuple(config.theta))
-        if config.a is not None or config.b is not None:
+    if config.command in ("check-star", "check-convex"):
+        if config.command == "check-star":
+            verdict = star_check(lam, theta, opts)
+        elif config.a is None and config.b is None:
+            verdict = convex_check(lam, theta, opts)
+        else:
             _require(config, "a", "b")
             verdict = convex_check_at(lam, theta, config.a, config.b, opts)
-        else:
-            verdict = convex_check(lam, theta, opts)
         payload = _verdict_payload(verdict)
-        if verdict.witness is None and verdict.evidence:
+        if config.command == "check-convex" and verdict.witness is None and verdict.evidence:
             payload["pattern"] = _pattern_payload(verdict.evidence[0][1])
         code = _verdict_exit(verdict.status)
 
     elif config.command == "find-counterexample":
-        _require(config, "lam", "theta")
-        lam, theta = HazardVector(tuple(config.lam)), HazardVector(tuple(config.theta))
         report = violation_search(lam, theta, opts)
         payload = {
             "verdict": Status.FAILS.value,
@@ -304,13 +291,10 @@ def run(config: RunConfig) -> tuple[int, str]:
             "b0_used": report.b0_used,
             "x0_seed": report.x0_seed,
             "concavity_window": list(report.concavity_window()),
-            "timing": None,
         }
         code = EXIT_FAILS
 
     elif config.command == "sign-map":
-        _require(config, "lam", "theta", "b")
-        lam, theta = HazardVector(tuple(config.lam)), HazardVector(tuple(config.theta))
         t1 = theta.rates[0]
         a_min = config.a_min if config.a_min is not None else t1 / (2 * lam.rates[-1])
         a_max = config.a_max if config.a_max is not None else 1.0
@@ -328,25 +312,17 @@ def run(config: RunConfig) -> tuple[int, str]:
             "x_values": list(smap.x_values),
             "signs": [list(row) for row in smap.signs],
             "b": smap.b,
-            "timing": None,
         }
-        code = EXIT_HOLDS
 
     elif config.command == "failure-rate":
         _require(config, "lam", "x")
         h = HazardVector(tuple(config.lam))
-        payload = {
-            "lambda": list(h.rates),
-            "x": config.x,
-            "failure_rate": failure_rate(h, config.x),
-            "timing": None,
-        }
-        code = EXIT_HOLDS
+        payload = {"lambda": list(h.rates), "x": config.x,
+                   "failure_rate": failure_rate(h, config.x)}
 
-    elif config.command == "simulate":
+    else:  # simulate: RunConfig validates the command
         _require(config, "lam")
-        h = HazardVector(tuple(config.lam))
-        report = mc_survival(h, config.samples, config.seed)
+        report = mc_survival(HazardVector(tuple(config.lam)), config.samples, config.seed)
         payload = {
             "lambda": list(report.rates),
             "n_samples": report.n_samples,
@@ -355,13 +331,9 @@ def run(config: RunConfig) -> tuple[int, str]:
             "grid_x": list(report.grid_x),
             "empirical": list(report.empirical),
             "analytic": list(report.analytic),
-            "timing": None,
         }
-        code = EXIT_HOLDS
 
-    else:  # unreachable: RunConfig validates the command
-        raise UsageError(f"unknown command {config.command!r}")
-
+    payload["timing"] = None  # wall-clock time goes to stderr, not into the artifact
     echo = asdict(config)
     echo.pop("out")  # artifact location does not affect the analysis
     payload["config_echo"] = echo

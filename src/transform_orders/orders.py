@@ -24,6 +24,31 @@ theta_1/lam_n < a < theta_1/lam_1; since
 dV/da = x * density_X(a*x + b) > 0, the gap is increasing in a and the
 search can walk a downward from the top of the strip.
 
+``star_check`` and ``convex_check`` are one ladder (``_verdict``), whose
+steps run in this order:
+
+1. entry checks: identical rates (``close_to``) give the convex order
+   its ``CERT_IDENTICAL`` HOLDS before any survival is built; then
+   ``majorizes``, which rejects a length mismatch, and ``_Gaps``, which
+   builds both survivals once and caps n;
+2. the n = 2 analytic table, each certificate spot-checked
+   (``_spot_checked``): a majorized pair holds the star order
+   (``CERT_MAJORIZATION``), and with a homogeneous base, whose strip is
+   empty, the convex order too (``CERT_HOMOGENEOUS``);
+3. the search: the strip search of ``violation_search``
+   (``_strip_search``, on the ladder's own gaps) for a majorized,
+   strictly heterogeneous pair under the convex order, and otherwise the
+   pruned grid (``_pruned_scan``), the a-grid at b = 0 for the star
+   order and the (a, b) grid, b >= 0, for the convex one; a certified
+   violation FAILS with its witness;
+4. with ``allow_numerical_holds``, a grid without one is a numerical
+   HOLDS: for the star order when the pattern of every probe, pruned
+   ones rescanned, is complete; for the convex order when every scanned
+   pattern is complete, a pruned probe counting as settled, and the star
+   rung of the same ladder holds, since the convex order implies the
+   star order;
+5. otherwise the verdict is INCONCLUSIVE.
+
 ``_scan`` is the one place where sign patterns are scanned: every verdict
 probes a list of (a, b) through it, with both survivals built once per call.
 Each gap's structure (sign at 0+, tail sign, zero bound, grid ends) comes
@@ -602,59 +627,6 @@ def _a_grid(lam: HazardVector, theta: HazardVector) -> list[float]:
     return sorted(grid)
 
 
-def star_check(
-    lam: HazardVector, theta: HazardVector, opts: OrderOptions | None = None
-) -> OrderVerdict:
-    """Decide the star transform order between two systems of equal n.
-
-    A 2-component pair whose hazards lam majorizes-below theta holds with
-    an analytic certificate; representative gap patterns for each regime
-    of a are still scanned and attached as evidence.  Every other pair
-    (and every pair for n >= 3, where no certificate is known) is scanned
-    on a logarithmic a-grid for a certified pattern with a "+,-" change,
-    which refutes the order; with nothing found the verdict stays
-    numerical (INCONCLUSIVE unless numerical holds are explicitly
-    allowed).  Only the probes whose gap can take both signs and whose
-    ``possible_signs`` hold a "+,-" are scanned (``_pruned_scan``); the
-    verdict is that of the full grid.
-    """
-    opts = opts or OrderOptions()
-    majorized = majorizes(lam, theta)  # raises on a length mismatch
-    gaps = _Gaps(lam, theta)  # survival() caps n at systems.MAX_COMPONENTS
-
-    if majorized and lam.n == 2:
-        a_hi = _strip(lam, theta)[1]
-        probes = sorted({0.5 * a_hi, a_hi, 0.5 * (a_hi + 1.0), 1.0})
-        return _spot_checked(
-            gaps, [(a, 0.0) for a in probes], _star_signs, opts.scan, CERT_MAJORIZATION,
-            "majorized hazard vectors; gap patterns spot-checked",
-        )
-
-    grid = [(a, 0.0) for a in _a_grid(lam, theta)]
-    hit, scanned, pruned = _pruned_scan(gaps, grid, _star_signs, opts.scan)
-    if hit is not None:
-        detail = f"gap pattern '{hit.pattern.text()}' at a={hit.a:.6g} has a '+,-' change"
-        return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)
-    if opts.allow_numerical_holds:
-        # A pruned probe cannot violate, but the numerical HOLDS also asks
-        # for its pattern to be complete, which does not depend on bisection.
-        _, rest = _scan(gaps, pruned, lambda s: False, opts.scan, refine=False)
-        if all(p.complete for _, p in scanned + rest):
-            return OrderVerdict(
-                Status.HOLDS,
-                None,
-                detail="no violating pattern on the a-grid (numerical, not analytic)",
-            )
-    if majorized:  # n >= 3, where the star order is conjectured
-        detail = "no violating pattern found: consistent with the conjectured ordering"
-    else:
-        detail = "no violating pattern on the a-grid; grids alone cannot certify HOLDS"
-    return OrderVerdict(Status.INCONCLUSIVE, None, detail=detail)
-
-
-star_check_n = star_check  # the former name of the n >= 3 scan, still looked up by bench/
-
-
 def region_classify(
     a: float, b: float, lam: HazardVector, theta: HazardVector
 ) -> RegionLabel:
@@ -722,12 +694,13 @@ def violation_search(
     (ii) with that b0 fixed, walk a downward from a_hi through
     geometrically growing offsets until the full "+,-,+,-" certifies (the
     gap is increasing in a, so the fourth region grows as a falls);
-    (iii) re-verify every region witness by direct evaluation.  Both
-    scans decide without flip bisection: the b-halving keeps only b0, and
-    only the "+,-,+,-" witness is bisected, from the points of its own
-    scan (see ``_scan``).
+    (iii) evaluate the witness once more at its region abscissae
+    (``_unconfirmed_region``).  That re-runs the evaluator of the scan
+    that found it, so it catches a region the scan misread but is not an
+    independent check of the arithmetic.  Both scans decide without flip
+    bisection: the b-halving keeps only b0, and only the "+,-,+,-"
+    witness is bisected, from the points of its own scan (see ``_scan``).
     """
-    opts = opts or OrderOptions()
     if not majorizes(lam, theta):
         raise ValueError("violation_search requires majorized hazard vectors")
     if lam.close_to(theta):
@@ -738,9 +711,17 @@ def violation_search(
             f"degenerate strip ({a_lo:.6g}, {a_hi:.6g}): homogeneous base rates "
             "admit no convex-order violation"
         )
+    return _strip_search(_Gaps(lam, theta), (a_lo, a_hi), (opts or OrderOptions()).scan)
 
-    gaps = _Gaps(lam, theta)
-    x0 = 1.0 / (theta.rates[0] + theta.rates[-1])
+
+def _strip_search(
+    gaps: _Gaps, strip: tuple[float, float], opts: ScanOptions
+) -> CounterexampleReport:
+    """Steps (i)-(iii) of :func:`violation_search` on the gaps of a
+    majorized, strictly heterogeneous pair whose strip (a_lo, a_hi) is
+    ``strip``; raises :class:`ViolationSearchError` where a step fails."""
+    a_lo, a_hi = strip
+    x0 = 1.0 / (gaps.theta.rates[0] + gaps.theta.rates[-1])
     slack = inverse_survival(gaps.surv_x, gaps.surv_y.eval(x0)) - a_hi * x0
     if slack <= 0.0:
         raise ViolationSearchError(
@@ -750,8 +731,7 @@ def violation_search(
     # A certified "+,-,+" has a certain '-' region: the halving stops at its
     # hit, and keeps only its b.
     probes = [(a_hi, 0.5 * slack * 0.5**k) for k in range(SEARCH_MAX_HALVINGS)]
-    _, scanned = _scan(gaps, probes, lambda s: False, opts.scan, refine=False,
-                       stop=_dip_certified)
+    _, scanned = _scan(gaps, probes, lambda s: False, opts, refine=False, stop=_dip_certified)
     attempts = [(x0, b) for _, b in probes[: len(scanned)]]
     last = scanned[-1][1]
     if not (last.certified and last.signs() == ("+", "-", "+")):
@@ -776,11 +756,7 @@ def violation_search(
     walk = [a_hi - width / (2.0**k) for k in range(SEARCH_A_STEPS, 0, -1)]
     sweep = np.linspace(a_hi - width / 2.0**SEARCH_A_STEPS, a_lo, 64)[1:].tolist()
     probes = [(a, b0) for a in walk + sweep]
-
-    def four_regions(signs: tuple[str, ...]) -> bool:
-        return signs == ("+", "-", "+", "-")
-
-    hit, _ = _scan(gaps, probes, four_regions, opts.scan, refine=False)
+    hit, _ = _scan(gaps, probes, lambda s: s == ("+", "-", "+", "-"), opts, refine=False)
     if hit is None:
         raise ViolationSearchError(
             f"'+,-,+' certified at the strip top (b0={b0:.6g}) but no a in the strip "
@@ -788,14 +764,36 @@ def violation_search(
             tuple(attempts),
         )
 
-    bad = _unconfirmed_region(gaps.block([(hit.a, b0)]), hit.pattern, opts.scan)
+    bad = _unconfirmed_region(gaps.block([(hit.a, b0)]), hit.pattern, opts)
     if bad is not None:
         raise ViolationSearchError(
             f"witness re-verification failed at x={bad.x}", tuple(attempts)
         )
     return CounterexampleReport(
-        a=hit.a, b=b0, strip=(a_lo, a_hi), pattern=hit.pattern, b0_used=b0, x0_seed=x0
+        a=hit.a, b=b0, strip=strip, pattern=hit.pattern, b0_used=b0, x0_seed=x0
     )
+
+
+def star_check(
+    lam: HazardVector, theta: HazardVector, opts: OrderOptions | None = None
+) -> OrderVerdict:
+    """Decide the star transform order between two systems of equal n.
+
+    A 2-component pair whose hazards lam majorizes-below theta holds with
+    an analytic certificate; representative gap patterns for each regime
+    of a are still scanned and attached as evidence.  Every other pair
+    (and every pair for n >= 3, where no certificate is known) is scanned
+    on a logarithmic a-grid for a certified pattern with a "+,-" change,
+    which refutes the order; with nothing found the verdict stays
+    numerical (INCONCLUSIVE unless numerical holds are explicitly
+    allowed).  Only the probes whose gap can take both signs and whose
+    ``possible_signs`` hold a "+,-" are scanned (``_pruned_scan``); the
+    verdict is that of the full grid.
+    """
+    return _verdict(lam, theta, opts or OrderOptions(), star=True)
+
+
+star_check_n = star_check  # the former name of the n >= 3 scan, still looked up by bench/
 
 
 def convex_check(
@@ -806,95 +804,98 @@ def convex_check(
     Identical rates give an analytic HOLDS (the composed transform is the
     identity), and so does a homogeneous base system at n = 2 (the
     parameter strip is empty and every regime is favorable).  A majorized,
-    strictly heterogeneous pair goes to ``violation_search``: FAILS with
-    its witness, INCONCLUSIVE when it certifies none (at n >= 3, where
-    the order is open).  Everything else stays numerical: a
-    certified violating pattern on the (a, b) grid, b >= 0, gives FAILS,
-    otherwise INCONCLUSIVE.  Grids cannot certify HOLDS; with
-    ``allow_numerical_holds`` a complete grid gives a numerical HOLDS when
-    ``star_check`` also holds, since the convex order implies the star
-    order.
-
-    The grid is pruned first (``_pruned_scan``): a probe whose rates
-    dominate term by term (a * lam_(i) >= theta_(i) for every i, or <= at
-    b = 0), so that its gap has one sign, or whose gap has no violating
-    sign tuple among ``possible_signs``, is not scanned, since no pattern
-    the scan could certify there violates.  At b = 0 both
-    survivals are 1 at x = 0, so the gap's coefficients sum to exactly 0,
-    the last prefix sum is 0 and ``possible_signs`` allows one sign change
-    fewer on (0, infinity) than the coefficient signs would; the prefix
-    sums prune more probes at every b.  A Rolle step prunes most of the
-    rest: between two zeros of exp(r x) times the gap lies a zero of its
-    derivative, whose prefix sums bound those zeros in turn, so the gap
-    has at most one zero more than they allow (none more at b = 0).  On
-    the reversed pairs of two components, most probes that Laguerre's rule
-    leaves at "+,-,+,-" can then show no more than "+,-" (2 of 335 are
-    kept on the reversed classic pair).  The verdict and witness are those
-    of the full grid.  For ``allow_numerical_holds`` a pruned probe counts
-    as settled, like a probe whose pattern is complete: its rates or its
-    coefficients prove it has no violating tuple.
+    strictly heterogeneous pair goes to the strip search of
+    ``violation_search``: FAILS with its witness, INCONCLUSIVE when it
+    certifies none (at n >= 3, where the order is open).  Everything else
+    stays numerical: a certified violating pattern on the (a, b) grid,
+    b >= 0, gives FAILS, otherwise INCONCLUSIVE.  Grids cannot certify
+    HOLDS; with ``allow_numerical_holds`` a complete grid gives a
+    numerical HOLDS when the star order also holds numerically, since the
+    convex order implies the star order.
     """
-    opts = opts or OrderOptions()
-    if lam.close_to(theta):
+    return _verdict(lam, theta, opts or OrderOptions(), star=False)
+
+
+def _verdict(
+    lam: HazardVector, theta: HazardVector, opts: OrderOptions, star: bool
+) -> OrderVerdict:
+    """The verdict of the star order (``star``) or of the convex order:
+    the entry checks, then the rungs of :func:`_ladder`."""
+    if not star and lam.close_to(theta):
         return OrderVerdict(
             Status.HOLDS,
             CERT_IDENTICAL,
             detail="identical rate vectors: the composed transform is the identity",
         )
-
     majorized = majorizes(lam, theta)  # raises on a length mismatch
-    a_lo, a_hi = _strip(lam, theta)
-    if majorized and a_lo == a_hi and lam.n == 2:  # homogeneous base: strip is empty
-        b_ref = 0.1 / (theta.rates[0] + theta.rates[-1])
-        probes = [(a, b_ref) for a in (1.25, 0.5 * (a_hi + 1.0), 0.5 * a_lo)]
-        return _spot_checked(
-            _Gaps(lam, theta), probes, _convex_signs, opts.scan, CERT_HOMOGENEOUS,
-            "empty violating strip: every shift/scale regime is favorable",
-        )
-    if majorized and a_lo < a_hi:
-        try:
-            report = violation_search(lam, theta, opts)
-        except ViolationSearchError as exc:
-            return OrderVerdict(
-                Status.INCONCLUSIVE,
-                None,
-                detail=(
-                    f"suspect region: strip a in ({a_lo:.6g}, {a_hi:.6g}) "
-                    f"unresolved ({exc})"
-                ),
-            )
-        return OrderVerdict(
-            Status.FAILS,
-            None,
-            witness=Witness(report.a, report.b, report.pattern),
-            detail=(
-                f"certified '{report.pattern.text()}' inside the strip "
-                f"({a_lo:.6g}, {a_hi:.6g})"
-            ),
-        )
+    # survival() caps n at systems.MAX_COMPONENTS
+    return _ladder(_Gaps(lam, theta), majorized, opts, star)
 
-    # Not majorized, or a homogeneous base at n >= 3: numerical (a, b)
-    # sweep with nonnegative shifts only, over the probes whose
-    # coefficients leave room for a violation.
+
+def _ladder(gaps: _Gaps, majorized: bool, opts: OrderOptions, star: bool) -> OrderVerdict:
+    """The rungs of :func:`_verdict` past its entry checks, on the gaps of
+    a pair whose majorization is known: the n = 2 analytic table, the
+    search, the numerical HOLDS and the verdict texts of both orders."""
+    lam, theta = gaps.lam, gaps.theta
+    violating = _star_signs if star else _convex_signs
+    a_lo, a_hi = strip = _strip(lam, theta)
+    if majorized and lam.n == 2 and (star or a_lo == a_hi):
+        if star:
+            probes = [(a, 0.0) for a in sorted({0.5 * a_hi, a_hi, 0.5 * (a_hi + 1.0), 1.0})]
+            certificate = CERT_MAJORIZATION
+            detail = "majorized hazard vectors; gap patterns spot-checked"
+        else:  # homogeneous base: the strip is empty
+            b_ref = 0.1 / (theta.rates[0] + theta.rates[-1])
+            probes = [(a, b_ref) for a in (1.25, 0.5 * (a_hi + 1.0), 0.5 * a_lo)]
+            certificate = CERT_HOMOGENEOUS
+            detail = "empty violating strip: every shift/scale regime is favorable"
+        return _spot_checked(gaps, probes, violating, opts.scan, certificate, detail)
+
+    if majorized and not star and a_lo < a_hi:
+        try:
+            report = _strip_search(gaps, strip, opts.scan)
+        except ViolationSearchError as exc:
+            detail = f"suspect region: strip a in ({a_lo:.6g}, {a_hi:.6g}) unresolved ({exc})"
+            return OrderVerdict(Status.INCONCLUSIVE, None, detail=detail)
+        detail = f"certified '{report.pattern.text()}' inside the strip ({a_lo:.6g}, {a_hi:.6g})"
+        witness = Witness(report.a, report.b, report.pattern)
+        return OrderVerdict(Status.FAILS, None, witness=witness, detail=detail)
+
+    # The a-grid at b = 0, or the (a, b) grid with nonnegative shifts.
     b_scale = 1.0 / (theta.rates[0] + theta.rates[-1])
-    grid = [(a, f * b_scale) for a in _a_grid(lam, theta) for f in B_FACTORS]
-    hit, scanned, _ = _pruned_scan(_Gaps(lam, theta), grid, _convex_signs, opts.scan)
+    shifts = (0.0,) if star else [f * b_scale for f in B_FACTORS]
+    grid = [(a, b) for a in _a_grid(lam, theta) for b in shifts]
+    hit, scanned, pruned = _pruned_scan(gaps, grid, violating, opts.scan)
     if hit is not None:
-        detail = f"pattern '{hit.pattern.text()}' violates the two-change criterion"
+        if star:
+            detail = f"gap pattern '{hit.pattern.text()}' at a={hit.a:.6g} has a '+,-' change"
+        else:
+            detail = f"pattern '{hit.pattern.text()}' violates the two-change criterion"
         return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)
-    if opts.allow_numerical_holds and all(p.complete for _, p in scanned) and (
-        star_check(lam, theta, opts).status is Status.HOLDS
-    ):
-        return OrderVerdict(
-            Status.HOLDS,
-            None,
-            detail="no violation on the (a, b) grid (numerical, not analytic)",
-        )
-    return OrderVerdict(
-        Status.INCONCLUSIVE,
-        None,
-        detail="no violation found on the (a, b) grid; grids cannot certify HOLDS",
-    )
+    if opts.allow_numerical_holds:
+        if star:
+            # A pruned probe cannot violate, but the numerical HOLDS also
+            # asks for its pattern to be complete, which does not depend on
+            # bisection.
+            scanned += _scan(gaps, pruned, lambda s: False, opts.scan, refine=False)[1]
+            holds = all(p.complete for _, p in scanned)
+        else:
+            # A pruned probe counts as settled: its rates or its
+            # coefficients prove it has no violating tuple.
+            holds = all(p.complete for _, p in scanned) and (
+                _ladder(gaps, majorized, opts, star=True).status is Status.HOLDS
+            )
+        if holds:
+            detail = ("no violating pattern on the a-grid" if star
+                      else "no violation on the (a, b) grid")
+            return OrderVerdict(Status.HOLDS, None, detail=f"{detail} (numerical, not analytic)")
+    if not star:
+        detail = "no violation found on the (a, b) grid; grids cannot certify HOLDS"
+    elif majorized:  # n >= 3, where the star order is conjectured
+        detail = "no violating pattern found: consistent with the conjectured ordering"
+    else:
+        detail = "no violating pattern on the a-grid; grids alone cannot certify HOLDS"
+    return OrderVerdict(Status.INCONCLUSIVE, None, detail=detail)
 
 
 def convex_check_at(

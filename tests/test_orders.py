@@ -117,6 +117,20 @@ class TestConvexCheck:
         verdict = convex_check(LAM, LAM)
         assert verdict.status is Status.HOLDS
 
+    def test_identical_rates_decide_before_any_survival(self):
+        # 21 rates exceed systems.MAX_COMPONENTS, but identical rates are
+        # decided before either survival is built.
+        h = HazardVector(tuple(np.linspace(1.0, 2.0, 21).tolist()))
+        verdict = convex_check(h, h)
+        assert verdict.status is Status.HOLDS and verdict.certificate == "identical-rates"
+
+    @pytest.mark.parametrize("theta", [np.linspace(1.0, 3.0, 21), np.linspace(0.5, 2.5, 21)],
+                             ids=["not-majorized", "majorized"])
+    def test_too_many_components_raise_the_survival_cap(self, theta):
+        lam = HazardVector(tuple(np.linspace(1.0, 2.0, 21).tolist()))
+        with pytest.raises(ValueError, match="capped at n=20"):
+            convex_check(lam, HazardVector(tuple(theta.tolist())))
+
     def test_gap_nonnegative_when_scale_exceeds_one(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
@@ -1310,9 +1324,11 @@ class TestStarCheckN:
             verdict = star_check(lam, theta)
             assert verdict.status is not Status.HOLDS
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            star_check(HazardVector((1, 2)), HazardVector((1, 2, 3)))
+    @pytest.mark.parametrize("check", [star_check, convex_check, violation_search],
+                             ids=lambda check: check.__name__)
+    def test_length_mismatch_rejected(self, check):
+        with pytest.raises(ValueError, match="length mismatch"):
+            check(HazardVector((1, 2)), HazardVector((1, 2, 3)))
 
 
 def assert_rate_scale_equivariant(lam, theta, j):
