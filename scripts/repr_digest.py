@@ -22,15 +22,19 @@ Sections and their inputs (every input is seeded, so the set is fixed):
   n = 3..6, both ways round;
 - ``numerical_holds``: ``star_check`` and ``convex_check`` with
   ``allow_numerical_holds`` on the 8 pairs, the linspace pairs both ways
-  round and ``NUMERICAL_HOLDS_PAIR``, where both orders reach a numerical
-  HOLDS.
+  round and ``NUMERICAL_HOLDS_PAIR``, where the star order reaches a
+  numerical HOLDS and the convex order does not.
 
 With ``--check FILE`` the lines are compared with those stored in FILE
 (``scripts/repr_digest.txt`` holds the digests of this tree): the script
 exits 1 and names each section whose line differs or has no stored line.
+With ``--show SECTION`` the script prints the ``repr`` of each result of
+that one section instead, one per line, so that two trees' outputs can be
+compared line by line to see which result moved.
 
 Usage:
     PYTHONPATH=src python scripts/repr_digest.py [--check scripts/repr_digest.txt]
+    PYTHONPATH=src python scripts/repr_digest.py --show numerical_holds
 """
 
 from __future__ import annotations
@@ -65,8 +69,10 @@ PAIRS = (
     ((1.0, 1000.0), (0.5, 1000.5)),  # extreme rates
     ((1.6702, 1.6707), (0.6158, 2.7251)),  # narrow strip
 )
-# The one pair of 300 random ones (``default_rng(3)``) where both orders
-# reach a numerical HOLDS.
+# The one pair of 300 random ones (``default_rng(3)``) where the star order
+# reaches a numerical HOLDS and every convex probe that may violate has a
+# complete pattern; the whole (a, b) grid has an incomplete one, so the
+# convex order stays INCONCLUSIVE.
 NUMERICAL_HOLDS_PAIR = (
     (0.6384049867156364, 0.7631396960750423),
     (2.308588531300789, 3.881142047020032),
@@ -155,9 +161,19 @@ def sections():
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", metavar="FILE",
-                        help="exit 1 if a section's line differs from FILE's")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", metavar="FILE",
+                      help="exit 1 if a section's line differs from FILE's")
+    mode.add_argument("--show", metavar="SECTION",
+                      help="print the repr of each result of SECTION, one per line")
     args = parser.parse_args(argv)
+    if args.show:
+        for name, items in sections():
+            if name == args.show:
+                for item in items:
+                    print(repr(item))
+                return 0
+        parser.error(f"no section named {args.show!r}")
     stored = {}
     if args.check:
         with open(args.check) as fh:

@@ -37,6 +37,10 @@ IDENTICAL = ("--lambda", "2,3", "--theta", "2,3")
 RESCALED = ("--lambda", "2,3", "--theta", "3,7")
 NARROW = ("--lambda", "1,1.000001", "--theta", "0.9999995,1.0000015")
 EXTREME = ("--lambda", "1,1000", "--theta", "0.5,1000.5")
+# NUMERICAL_HOLDS_PAIR of scripts/repr_digest.py: the full (a, b) grid has an
+# incomplete pattern, so no numerical HOLDS for the convex order.
+NUMERICAL_HOLDS = ("--lambda", "0.6384049867156364,0.7631396960750423",
+                   "--theta", "2.308588531300789,3.881142047020032")
 
 # (name, argv, environment)
 CONFIGS: tuple[tuple[str, tuple[str, ...], dict[str, str]], ...] = (
@@ -54,6 +58,7 @@ CONFIGS: tuple[tuple[str, tuple[str, ...], dict[str, str]], ...] = (
     ("homogeneous-counterexample", ("find-counterexample", *HOMOGENEOUS), {}),
     ("identical-star", ("check-star", *IDENTICAL), {}),
     ("identical-convex", ("check-convex", *IDENTICAL), {}),
+    ("identical-n3-star", ("check-star", "--lambda", "1,2,3", "--theta", "1,2,3"), {}),
     ("n3-star", ("check-star", "--lambda", "2,3,4", "--theta", "1,3,5"), {}),
     ("n3-reversed-star", ("check-star", "--lambda", "1,3,5", "--theta", "2,3,4"), {}),
     ("n3-convex", ("check-convex", "--lambda", "2,3,4", "--theta", "1,3,5"), {}),
@@ -64,6 +69,8 @@ CONFIGS: tuple[tuple[str, tuple[str, ...], dict[str, str]], ...] = (
     ("rescaled-star-numerical", ("check-star", *RESCALED, "--allow-numerical-holds"), {}),
     ("rescaled-convex-numerical",
      ("check-convex", *RESCALED, "--allow-numerical-holds"), {}),
+    ("numerical-holds-convex",
+     ("check-convex", *NUMERICAL_HOLDS, "--allow-numerical-holds"), {}),
     ("narrow-star", ("check-star", *NARROW), {}),
     ("narrow-convex", ("check-convex", *NARROW), {}),
     ("extreme-star", ("check-star", *EXTREME), {}),

@@ -177,17 +177,6 @@ class ExpSum:
         term of self at the same rate."""
         return canonicalize([*self.terms(), *((r, -c) for r, c in other._shifted_terms(a, b))])
 
-    def scaled_by(self, k: float) -> "ExpSum":
-        if k == 0.0:
-            return ExpSum((), ())
-        return ExpSum(self.rates, tuple(c * k for c in self.coeffs))
-
-    def __neg__(self) -> "ExpSum":
-        return self.scaled_by(-1.0)
-
-    def __add__(self, other: "ExpSum") -> "ExpSum":
-        return canonicalize(list(self.terms()) + list(other.terms()))
-
     def __sub__(self, other: "ExpSum") -> "ExpSum":
         return canonicalize(list(self.terms()) + [(r, -c) for r, c in other.terms()])
 

@@ -27,8 +27,8 @@ search can walk a downward from the top of the strip.
 ``star_check`` and ``convex_check`` are one ladder (``_verdict``), whose
 steps run in this order:
 
-1. entry checks: identical rates (``close_to``) give the convex order
-   its ``CERT_IDENTICAL`` HOLDS before any survival is built; then
+1. entry checks: identical rates (``close_to``) give both orders their
+   ``CERT_IDENTICAL`` HOLDS before any survival is built; then
    ``majorizes``, which rejects a length mismatch, and ``_Gaps``, which
    builds both survivals once and caps n;
 2. the n = 2 analytic table, each certificate spot-checked
@@ -37,16 +37,15 @@ steps run in this order:
    empty, the convex order too (``CERT_HOMOGENEOUS``);
 3. the search: the strip search of ``violation_search``
    (``_strip_search``, on the ladder's own gaps) for a majorized,
-   strictly heterogeneous pair under the convex order, and otherwise the
-   pruned grid (``_pruned_scan``), the a-grid at b = 0 for the star
-   order and the (a, b) grid, b >= 0, for the convex one; a certified
-   violation FAILS with its witness;
-4. with ``allow_numerical_holds``, a grid without one is a numerical
-   HOLDS: for the star order when the pattern of every probe, pruned
-   ones rescanned, is complete; for the convex order when every scanned
-   pattern is complete, a pruned probe counting as settled, and the star
-   rung of the same ladder holds, since the convex order implies the
-   star order;
+   strictly heterogeneous pair under the convex order, and otherwise one
+   scan of the grid, the a-grid at b = 0 for the star order and the
+   (a, b) grid, b >= 0, for the convex one; a certified violation FAILS
+   with its witness;
+4. with ``allow_numerical_holds``, the scan covers the whole grid, and a
+   grid without a violation is a numerical HOLDS when the pattern of
+   every probe is complete and, for the convex order, the star rung of
+   the same ladder holds, since the convex order implies the star order;
+   without it only the probes ``_kept`` returns are scanned;
 5. otherwise the verdict is INCONCLUSIVE.
 
 ``_scan`` is the one place where sign patterns are scanned: every verdict
@@ -71,11 +70,12 @@ block is as long as memory allows.  The b-halving of
 ``violation_search`` ends at its first probe with a certified '-'
 region (``_scan``'s ``stop``), which in practice is its first.
 
-The non-majorized grids of ``star_check`` (the a-grid at b = 0) and
-``convex_check`` (the (a, b) grid) are pruned before scanning, through
-``_pruned_scan``, by two rules; a probe either rule drops cannot yield a
-certified violation, so only the other probes are scanned and the first
-certified violation is the same probe as without them.  The first reads
+Without ``allow_numerical_holds`` the grids of ``star_check`` (the a-grid
+at b = 0) and ``convex_check`` (the (a, b) grid) are pruned before
+scanning, through ``_kept``, by two rules; a probe either rule drops
+cannot yield a certified violation, so only the other probes are scanned
+and the first certified violation is the same probe as without them:
+pruning never changes a verdict.  The first reads
 the rates alone: where a * lam_(i) >= theta_(i) for every i (rates in
 ascending order, products exact; ``_dominance_bounds``) the gap is >= 0
 for every b >= 0, and where a * lam_(i) <= theta_(i) for every i it is
@@ -118,7 +118,7 @@ prunes only the last 6 of its 40 probes.  The spot checks and
 Scans decide first and bisect only what a verdict reports.  Flip bisection
 places transitions and witnesses but never changes which pattern is a
 certified violation, so the scans whose patterns are discarded
-(``violation_search`` and the pruned grids) run without it.  ``_scan``
+(``violation_search`` and the grids) run without it.  ``_scan``
 then bisects the witness alone, from the certain points its own scan
 left (``expsum.finished_pattern``), in one more lock-step call: no probe
 is scanned twice.  Per-point results do not depend on the batch, so the
@@ -466,8 +466,8 @@ def _may_violate(
     """The probes of ``grid`` whose gap's ``possible_signs`` include a
     sign tuple that ``violating`` accepts, in grid order, from one array
     pass over the gaps' coefficients instead of one gap per probe.
-    :func:`_pruned_scan` hands it only the probes its rate-dominance rule
-    leaves, so the probes that rule drops build no row either.
+    :func:`_kept` hands it only the probes its rate-dominance rule leaves,
+    so the probes that rule drops build no row either.
 
     The rows are those of :meth:`_Gaps.rows`: each is its gap, sorted by
     rate, or padded in front with zero coefficients at its first rate,
@@ -549,17 +549,14 @@ def _dominance_bounds(lam: HazardVector, theta: HazardVector) -> tuple[float, fl
     return lo, hi
 
 
-def _pruned_scan(
-    gaps: _Gaps,
-    grid: list[tuple[float, float]],
-    violating: Callable[[tuple[str, ...]], bool],
-    opts: ScanOptions,
-) -> tuple[Witness | None, list[tuple[float, SignPattern]], list[tuple[float, float]]]:
-    """The first certified violation on ``grid``, scanned only where the
-    gap can have both signs and its ``possible_signs`` include a sign
-    tuple that ``violating`` accepts (:func:`_may_violate`): a probe
-    without one cannot yield a certified violation, so the hit is the same
-    probe as on the whole grid.
+def _kept(
+    gaps: _Gaps, grid: list[tuple[float, float]], violating: Callable[[tuple[str, ...]], bool]
+) -> list[tuple[float, float]]:
+    """The probes of ``grid``, in grid order, where the gap can have both
+    signs and its ``possible_signs`` include a sign tuple that
+    ``violating`` accepts (:func:`_may_violate`): a probe without one
+    cannot yield a certified violation, so the first certified violation
+    among them is the same probe as on the whole grid.
 
     The gap is V = F_X(a x + b) - F_Y(x), with F_X(t) = prod_i (1 -
     exp(-lam_(i) t)) and F_Y likewise.  Where a * lam_(i) >= theta_(i) for
@@ -567,20 +564,12 @@ def _pruned_scan(
     of F_X(a x + b) is at least the matching factor of F_Y(x), so V >= 0
     on [0, inf); where a * lam_(i) <= theta_(i) for every i (a <= lo) and
     b = 0, V <= 0.  A violation of either order has regions of both signs,
-    so these probes are pruned before any row is built.
-
-    The kept probes are scanned without flip bisection, and only the hit
-    is bisected, from its scan's own points (see :func:`_scan`), so it is
-    byte-identical to a fully bisected scan's.  Returns the hit (or None),
-    the scanned (a, pattern) pairs and the pruned probes.
+    so these probes are dropped before any row is built.
     """
     lo, hi = _dominance_bounds(gaps.lam, gaps.theta)
     two_signed = [(a, b) for a, b in grid
                   if not (a >= hi and b >= 0.0) and not (a <= lo and b == 0.0)]
-    kept = _may_violate(gaps, two_signed, violating)
-    hit, scanned = _scan(gaps, kept, violating, opts, refine=False)
-    kept_set = set(kept)
-    return hit, scanned, [ab for ab in grid if ab not in kept_set]
+    return _may_violate(gaps, two_signed, violating)
 
 
 def _unconfirmed_region(
@@ -779,16 +768,18 @@ def star_check(
 ) -> OrderVerdict:
     """Decide the star transform order between two systems of equal n.
 
-    A 2-component pair whose hazards lam majorizes-below theta holds with
-    an analytic certificate; representative gap patterns for each regime
-    of a are still scanned and attached as evidence.  Every other pair
-    (and every pair for n >= 3, where no certificate is known) is scanned
-    on a logarithmic a-grid for a certified pattern with a "+,-" change,
-    which refutes the order; with nothing found the verdict stays
-    numerical (INCONCLUSIVE unless numerical holds are explicitly
-    allowed).  Only the probes whose gap can take both signs and whose
-    ``possible_signs`` hold a "+,-" are scanned (``_pruned_scan``); the
-    verdict is that of the full grid.
+    Identical rates give an analytic HOLDS (the composed transform is the
+    identity).  A 2-component pair whose hazards lam majorizes-below theta
+    holds with an analytic certificate; representative gap patterns for
+    each regime of a are still scanned and attached as evidence.  Every
+    other pair (and every pair for n >= 3, where no certificate is known)
+    is scanned on a logarithmic a-grid for a certified pattern with a
+    "+,-" change, which refutes the order; with nothing found the verdict
+    is INCONCLUSIVE.  With ``allow_numerical_holds`` the whole grid is
+    scanned, and it is a numerical HOLDS when every probe's pattern is
+    complete; otherwise only the probes whose gap can take both signs and
+    whose ``possible_signs`` hold a "+,-" are scanned (``_kept``).  Either
+    way the verdict is that of the full grid.
     """
     return _verdict(lam, theta, opts or OrderOptions(), star=True)
 
@@ -809,9 +800,11 @@ def convex_check(
     certifies none (at n >= 3, where the order is open).  Everything else
     stays numerical: a certified violating pattern on the (a, b) grid,
     b >= 0, gives FAILS, otherwise INCONCLUSIVE.  Grids cannot certify
-    HOLDS; with ``allow_numerical_holds`` a complete grid gives a
-    numerical HOLDS when the star order also holds numerically, since the
-    convex order implies the star order.
+    HOLDS; with ``allow_numerical_holds`` the whole grid is scanned, and
+    it gives a numerical HOLDS when every probe's pattern is complete and
+    the star order also holds numerically, since the convex order implies
+    the star order.  The rule is that of :func:`star_check`, so pruning
+    never changes the verdict.
     """
     return _verdict(lam, theta, opts or OrderOptions(), star=False)
 
@@ -821,7 +814,7 @@ def _verdict(
 ) -> OrderVerdict:
     """The verdict of the star order (``star``) or of the convex order:
     the entry checks, then the rungs of :func:`_ladder`."""
-    if not star and lam.close_to(theta):
+    if lam.close_to(theta):
         return OrderVerdict(
             Status.HOLDS,
             CERT_IDENTICAL,
@@ -861,34 +854,25 @@ def _ladder(gaps: _Gaps, majorized: bool, opts: OrderOptions, star: bool) -> Ord
         witness = Witness(report.a, report.b, report.pattern)
         return OrderVerdict(Status.FAILS, None, witness=witness, detail=detail)
 
-    # The a-grid at b = 0, or the (a, b) grid with nonnegative shifts.
+    # The a-grid at b = 0, or the (a, b) grid with nonnegative shifts.  A
+    # numerical HOLDS reads every probe's pattern, so it scans them all.
     b_scale = 1.0 / (theta.rates[0] + theta.rates[-1])
     shifts = (0.0,) if star else [f * b_scale for f in B_FACTORS]
     grid = [(a, b) for a in _a_grid(lam, theta) for b in shifts]
-    hit, scanned, pruned = _pruned_scan(gaps, grid, violating, opts.scan)
+    numerical = opts.allow_numerical_holds
+    probes = grid if numerical else _kept(gaps, grid, violating)
+    hit, scanned = _scan(gaps, probes, violating, opts.scan, refine=False)
     if hit is not None:
         if star:
             detail = f"gap pattern '{hit.pattern.text()}' at a={hit.a:.6g} has a '+,-' change"
         else:
             detail = f"pattern '{hit.pattern.text()}' violates the two-change criterion"
         return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)
-    if opts.allow_numerical_holds:
-        if star:
-            # A pruned probe cannot violate, but the numerical HOLDS also
-            # asks for its pattern to be complete, which does not depend on
-            # bisection.
-            scanned += _scan(gaps, pruned, lambda s: False, opts.scan, refine=False)[1]
-            holds = all(p.complete for _, p in scanned)
-        else:
-            # A pruned probe counts as settled: its rates or its
-            # coefficients prove it has no violating tuple.
-            holds = all(p.complete for _, p in scanned) and (
-                _ladder(gaps, majorized, opts, star=True).status is Status.HOLDS
-            )
-        if holds:
-            detail = ("no violating pattern on the a-grid" if star
-                      else "no violation on the (a, b) grid")
-            return OrderVerdict(Status.HOLDS, None, detail=f"{detail} (numerical, not analytic)")
+    if numerical and all(p.complete for _, p in scanned) and (
+        star or _ladder(gaps, majorized, opts, star=True).status is Status.HOLDS
+    ):
+        detail = "no violating pattern on the a-grid" if star else "no violation on the (a, b) grid"
+        return OrderVerdict(Status.HOLDS, None, detail=f"{detail} (numerical, not analytic)")
     if not star:
         detail = "no violation found on the (a, b) grid; grids cannot certify HOLDS"
     elif majorized:  # n >= 3, where the star order is conjectured

@@ -117,11 +117,12 @@ class TestConvexCheck:
         verdict = convex_check(LAM, LAM)
         assert verdict.status is Status.HOLDS
 
-    def test_identical_rates_decide_before_any_survival(self):
+    @pytest.mark.parametrize("check", [star_check, convex_check], ids=lambda f: f.__name__)
+    def test_identical_rates_decide_before_any_survival(self, check):
         # 21 rates exceed systems.MAX_COMPONENTS, but identical rates are
-        # decided before either survival is built.
+        # decided before either survival is built, for both orders.
         h = HazardVector(tuple(np.linspace(1.0, 2.0, 21).tolist()))
-        verdict = convex_check(h, h)
+        verdict = check(h, h)
         assert verdict.status is Status.HOLDS and verdict.certificate == "identical-rates"
 
     @pytest.mark.parametrize("theta", [np.linspace(1.0, 3.0, 21), np.linspace(0.5, 2.5, 21)],
@@ -500,22 +501,34 @@ def counted_outermost(fn, calls):
     return wrapper
 
 
-def full_grid_convex_verdict(lam, theta):
-    """The non-majorized convex_check verdict from one _scan over the whole
-    (a, b) grid, with no probe pruned."""
+def full_grid_convex_verdict(lam, theta, opts=OrderOptions()):
+    """The non-majorized convex_check verdict from one bisected _scan over
+    the whole (a, b) grid, with no probe pruned.  With numerical holds
+    allowed, a grid whose every pattern is complete is a numerical HOLDS
+    when the full-grid star verdict holds too."""
     b_scale = 1.0 / (theta.rates[0] + theta.rates[-1])
     probes = [(a, f * b_scale) for a in orders._a_grid(lam, theta) for f in orders.B_FACTORS]
-    hit, _ = orders._scan(
-        orders._Gaps(lam, theta), probes, orders._convex_signs, ScanOptions()
+    hit, scanned = orders._scan(
+        orders._Gaps(lam, theta), probes, orders._convex_signs, opts.scan
     )
     if hit is not None:
         detail = f"pattern '{hit.pattern.text()}' violates the two-change criterion"
         return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)
+    if (opts.allow_numerical_holds and all(p.complete for _, p in scanned)
+            and full_grid_star_verdict(lam, theta, opts).status is Status.HOLDS):
+        detail = "no violation on the (a, b) grid (numerical, not analytic)"
+        return OrderVerdict(Status.HOLDS, None, detail=detail)
     detail = "no violation found on the (a, b) grid; grids cannot certify HOLDS"
     return OrderVerdict(Status.INCONCLUSIVE, None, detail=detail)
 
 
 LAM_THETA_RESCALED = HazardVector((2, 3)), HazardVector((3, 7))
+# The pair of scripts/repr_digest.py where both orders once reached a
+# numerical HOLDS.  Scaled to lam's total, theta is majorized and strictly
+# more spread than the heterogeneous lam, so the convex order fails; the
+# full (a, b) grid has an incomplete pattern, so it stays INCONCLUSIVE.
+NUMERICAL_HOLDS_PAIR = (HazardVector((0.6384049867156364, 0.7631396960750423)),
+                        HazardVector((2.308588531300789, 3.881142047020032)))
 
 
 def linspace_pair(n):
@@ -588,13 +601,26 @@ class TestStarGridPrefilter:
         assert sum(size for size, _ in scans) < len(orders._a_grid(*LAM_THETA_RESCALED))
 
 
+CONVEX_GRID_PAIRS = {
+    "reversed-classic": (THETA, LAM, Status.INCONCLUSIVE),
+    "(1,4)-(2,2.5)": (HazardVector((1, 4)), HazardVector((2, 2.5)), Status.INCONCLUSIVE),
+    "(2,3)-(3,7)": (*LAM_THETA_RESCALED, Status.FAILS),
+    "numerical-holds-pair": (*NUMERICAL_HOLDS_PAIR, Status.INCONCLUSIVE),
+}
+
+
 class TestConvexGridPrefilter:
-    @pytest.mark.parametrize("lam, theta", [
-        (THETA, LAM), (HazardVector((1, 4)), HazardVector((2, 2.5))),
-        (HazardVector((2, 3)), HazardVector((3, 7))),
-    ], ids=["reversed-classic", "(1,4)-(2,2.5)", "(2,3)-(3,7)"])
-    def test_verdict_equals_full_grid_scan(self, lam, theta):
-        assert repr(convex_check(lam, theta)) == repr(full_grid_convex_verdict(lam, theta))
+    # Each pair by its name with the default options, and with numerical
+    # holds allowed under the name suffixed "-numerical-holds".
+    @pytest.mark.parametrize("lam, theta, status, numerical_holds", [
+        pytest.param(*case, holds, id=name + ("-numerical-holds" if holds else ""))
+        for holds in (False, True) for name, case in CONVEX_GRID_PAIRS.items()
+    ])
+    def test_verdict_equals_full_grid_scan(self, lam, theta, status, numerical_holds):
+        opts = OrderOptions(allow_numerical_holds=numerical_holds)
+        verdict = convex_check(lam, theta, opts)
+        assert repr(verdict) == repr(full_grid_convex_verdict(lam, theta, opts))
+        assert verdict.status is status
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -830,7 +856,7 @@ def one_signed(lam, theta, grid):
 
 
 class TestDominancePrune:
-    """_pruned_scan drops the probes whose rates dominate term by term: the
+    """_kept drops the probes whose rates dominate term by term: the
     gap has one sign on [0, inf), so neither order can be violated there."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
@@ -1304,8 +1330,7 @@ class TestStarCheckN:
     def test_identical_systems_consistent(self):
         h = HazardVector((1, 2, 3))
         verdict = star_check(h, h)
-        assert verdict.status is Status.INCONCLUSIVE
-        assert "consistent" in verdict.detail
+        assert verdict.status is Status.HOLDS and verdict.certificate == "identical-rates"
 
     def test_unequal_totals_noted_but_scanned(self):
         # Not majorized, so the scan may not call itself consistent with the
