@@ -31,8 +31,8 @@ reads
 - ``kept_probes``: the probes that the grid pre-filter
   ``orders._may_violate`` keeps for the scan, summed over its calls;
 - ``bisect_points``: the midpoints that the bisection planner
-  ``expsum.bisection_round`` plans (flip bisection and quantile
-  inversion, which imports it into ``systems``), summed over its calls.
+  ``expsum.bisection_round`` plans, summed over its calls; flip bisection
+  and quantile inversion both plan through ``expsum.bisect_brackets``.
 
 With ``--check FILE`` the lines are compared with those stored in FILE
 (``scripts/work_counts.txt`` holds the counts of this tree): the script
@@ -210,7 +210,6 @@ def work(run, *args) -> Counter:
             return index
 
         patch(mock.patch.object(expsum, "bisection_round", planning))
-        patch(mock.patch.object(systems, "bisection_round", planning))
         run(*args)
     return counts
 

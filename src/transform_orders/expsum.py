@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import zip_longest
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -41,9 +42,10 @@ DEFAULT_MERGE_TOL = 1e-12  # relative tolerance for duplicate-rate merging
 BASE_POINTS = 256  # initial grid points
 DIP_PASSES = 3  # passes that halve |f| valleys and uncertain gaps, outside the end bands
 MAX_REFINEMENTS = 80  # bisection steps per sign flip
-# Bisection steps of a flip bracket whose every reachable interval one
-# evaluator call plans, before the intervals planned on the path toward
-# the bracket's predicted root; at 1, one step a call and no such path.
+# Bisection steps whose every reachable interval a round plans for a flip
+# bracket, and for a quantile after its first round, before the intervals
+# on the path toward the predicted root; at 1, one flip step a call and no
+# such path.
 BISECT_LEVELS = 4
 X_RTOL = 1e-10  # relative bracket width at which bisection stops
 ZERO_TOL = 1e-12  # relative threshold for a nonzero derivative sum at 0
@@ -871,11 +873,10 @@ def _lockstep(fs: SumBlock, gens: list, opts: ScanOptions) -> list:
     those points as :class:`_Pts` in request order, and returns its result.
     Each round, the requests of all running generators go to one
     evaluator call, with their sums taken from the block; a flip-bisection
-    request holds the midpoints of the intervals planned for each bracket,
-    those its next BISECT_LEVELS steps can reach and more toward its
-    predicted root (see :func:`_refine_flips`).  The generators of sign
-    scans and root scans start from the points of :func:`_grid_phase`,
-    which has already evaluated the grids and dip passes of all the sums.
+    request holds the midpoints of the intervals planned for each bracket
+    (see :func:`bisect_brackets`).  The generators of sign scans and root
+    scans start from the points of :func:`_grid_phase`, which has already
+    evaluated the grids and dip passes of all the sums.
     """
     results: list = [None] * len(gens)
     pending: dict[int, np.ndarray] = {}
@@ -982,6 +983,52 @@ def walk_round(index: dict, a: float, b: float, goes_right):
     return a, b, path, at_a, at_b, True
 
 
+def bisect_brackets(lo: list, hi: list, ends: tuple, split, guess, depth, cap: int, read,
+                    steps: int = 0):
+    """Bisect the brackets [lo[k], hi[k]] in place and together (a step
+    generator): each round yields its midpoints as an array, and ``read``
+    turns what is sent back into right(k, i), whether bracket k's root
+    lies right of point i (None to end the bracket), and the values at
+    the points, which update the end values ends = (at lo, at hi).
+    Returns each bracket's walked points in step order, numbered through
+    all rounds.
+
+    A bracket takes a round while ``split`` gives its midpoint and it has
+    taken fewer than ``cap`` steps (``steps`` before the first round).
+    The round plans (:func:`bisection_round`) every interval its next
+    depth(brackets in the round) steps can reach, at most BISECT_LEVELS
+    after its first round, then twice its last round's steps (or depth)
+    more toward guess(k), none at depth 1.  The values then walk each
+    bracket as one step at a time would (:func:`walk_round`); as each
+    value depends on its own point only, lo, hi and the paths are those
+    of one step per round.
+    """
+    n = len(lo)
+    steps, last = [steps] * n, [0] * n  # steps taken, and in the last round
+    paths, active, seen = [[] for _ in range(n)], range(n), 0
+    while active := [k for k in active if steps[k] < cap and split(lo[k], hi[k]) is not None]:
+        levels, plans, mids = depth(len(active)), [], []
+        for k in active:
+            d = min(levels, BISECT_LEVELS) if last[k] else levels
+            reach = min(d, cap - steps[k])
+            links = min(2 * (last[k] or d), cap - steps[k] - reach) if d > 1 else 0
+            plans.append(bisection_round(lo[k], hi[k], reach, links, guess(k), split, mids))
+        right, values = read((yield np.array(mids)))
+        still = []
+        for k, plan in zip(active, plans):
+            lo[k], hi[k], path, *at, goes_on = walk_round(plan, lo[k], hi[k], partial(right, k))
+            for end, i in zip(ends, at):
+                if i >= 0:
+                    end[k] = values[i]
+            paths[k] += [seen + i for i in path]
+            steps[k] += len(path)
+            last[k] = len(path)
+            if goes_on:
+                still.append(k)
+        active, seen = still, seen + len(mids)
+    return paths
+
+
 def _flip_split(a: float, b: float) -> float | None:
     """The midpoint flip bisection steps at (:func:`_mid`), or None where
     it is not strictly inside [a, b] or [a, b] is no wider than X_RTOL
@@ -1014,59 +1061,28 @@ def _refine_flips(lo: list, hi: list, left_sign: list, lo_log: list | None = Non
     one lies inside its bracket, on the side of its own sign: left of every
     point of the other sign.
 
-    Each round plans, for every bracket still shrinking, every interval
-    its next BISECT_LEVELS steps can reach, then more on the path toward
-    the secant root of the signed values at its ends (:func:`_flip_guess`),
-    twice as many as the steps the bracket's last round took (twice
-    BISECT_LEVELS in the first), and evaluates their midpoints; see
-    :func:`bisection_round`.  An interval whose midpoint is not strictly
-    inside it or that is narrower than X_RTOL is planned without a point.
-    The returned signs then walk each bracket as one step at a time would,
-    while the next interval was planned (:func:`walk_round`): a sign of 0
-    or an interval without a point ends the bracket.  Every point's value
-    is independent of the others in its call, so lo, hi and the paths
-    equal those of one step per round; the off-path points are dropped.  A
-    bracket takes at most MAX_REFINEMENTS steps.  With BISECT_LEVELS = 1
-    no intervals toward the root are planned: one step a round.
+    The rounds are those of :func:`bisect_brackets`, BISECT_LEVELS levels
+    deep and toward the secant root (:func:`_flip_guess`); an interval
+    narrower than X_RTOL has no midpoint (:func:`_flip_split`), a sign of
+    0 ends its bracket, and a bracket takes at most MAX_REFINEMENTS steps.
     """
-    n = len(lo)
+    n, rounds = len(lo), []
     lo_log = [0.0] * n if lo_log is None else list(lo_log)
     hi_log = [0.0] * n if hi_log is None else list(hi_log)
-    steps, last = [0] * n, [BISECT_LEVELS] * n  # steps taken, and in the last round
-    seen, levels, owners = [_NO_PTS], [], []  # kept points, and each one's step and bracket
-    active = list(range(n))
-    while active:
-        plans, mids = [], []
-        for k in active:
-            depth = min(BISECT_LEVELS, MAX_REFINEMENTS - steps[k])
-            links = min(2 * last[k], MAX_REFINEMENTS - steps[k] - depth) if BISECT_LEVELS > 1 else 0
-            guess = _flip_guess(lo[k], hi[k], lo_log[k], hi_log[k])
-            plans.append(bisection_round(lo[k], hi[k], depth, links, guess, _flip_split, mids))
-        if not mids:
-            break
-        p = yield np.array(mids)
-        signs, logs = p.sign.tolist(), p.logmag.tolist()
-        still, kept = [], []
-        for k, plan in zip(active, plans):
-            s = left_sign[k]
-            lo[k], hi[k], path, at_lo, at_hi, goes_on = walk_round(
-                plan, lo[k], hi[k], lambda i: signs[i] == s if signs[i] else None
-            )
-            if at_lo >= 0:
-                lo_log[k] = logs[at_lo]
-            if at_hi >= 0:
-                hi_log[k] = logs[at_hi]
-            kept += path
-            levels += range(steps[k], steps[k] + len(path))
-            owners += [k] * len(path)
-            steps[k] += len(path)
-            last[k] = len(path)
-            if goes_on and steps[k] < MAX_REFINEMENTS:
-                still.append(k)
-        seen.append(p.take(np.array(kept, dtype=np.intp)))
-        active = still
-    pts = _Pts(*(np.concatenate(col) for col in zip(*seen)))
-    return lo, hi, pts.take(np.lexsort((owners, levels)))
+
+    def read(p: _Pts):
+        rounds.append(p)
+        signs = p.sign.tolist()
+        return (lambda k, i: signs[i] == left_sign[k] if signs[i] else None), p.logmag.tolist()
+
+    paths = yield from bisect_brackets(
+        lo, hi, (lo_log, hi_log), _flip_split,
+        lambda k: _flip_guess(lo[k], hi[k], lo_log[k], hi_log[k]),
+        lambda active: BISECT_LEVELS, MAX_REFINEMENTS, read,
+    )
+    pts = _Pts(*(np.concatenate(col) for col in zip(_NO_PTS, *rounds)))
+    order = [i for step in zip_longest(*paths) for i in step if i is not None]
+    return lo, hi, pts.take(np.array(order, dtype=np.intp))
 
 
 def _dip_split(pts: _Pts, owner: np.ndarray | None = None) -> np.ndarray:

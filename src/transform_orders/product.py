@@ -46,7 +46,8 @@ terms is multiplied by exp(max rho), and a factor 1 + 2^-40 covers the
 rounding of the bound's own arithmetic.  A point whose a x or smallest
 argument is below 2^-1000, where a product may be subnormal and lose its
 relative precision, or whose largest argument overflows, gets err = inf:
-its sign stays uncertain.
+its sign stays uncertain; but at x = 0, V = F_X(b) exactly, with the
+bound of X's F form alone, where lam_1 b >= 2^-1000.
 """
 
 from __future__ import annotations
@@ -112,6 +113,7 @@ def product_block(lam, theta, a, b, x) -> tuple[np.ndarray, np.ndarray, np.ndarr
         if not (ax.min() >= _NORMAL and y[0].min() >= _NORMAL and y[-1].max() < np.inf):
             ok = (ax >= _NORMAL) & (np.minimum(y[0, :p], y[0, p:]) >= _NORMAL)
             ok &= np.maximum(y[-1, :p], y[-1, p:]) < np.inf
+            ok |= (zero := (x == 0.0) & (y[0, p:] >= _NORMAL) & (y[-1, p:] < np.inf))
         logs = np.expm1(-y)
         np.negative(logs, out=logs)
         np.log(logs, out=logs)  # L_j = log(1 - q_j) <= 0
@@ -159,6 +161,9 @@ def product_block(lam, theta, a, b, x) -> tuple[np.ndarray, np.ndarray, np.ndarr
         use_f = err_f * np.exp(m_f - m_s) < err_s
         s, m = np.where(use_f, v_f, v_s), np.where(use_f, m_f, m_s)
         err = np.where(use_f, err_f, err_s)
+        if ok is not None:  # V(0) = F_X(b) = exp(m_f) exactly, so only X's F form errs
+            rho_x = rho_f[p:][zero]  # times f = 1
+            s[zero], m[zero], err[zero] = 1.0, m_f[zero], rho_x * np.exp(rho_x) + _U
     err *= _SLACK
     err += 4 * n * _SUBNORMAL
     if ok is not None:  # the points to leave uncertain

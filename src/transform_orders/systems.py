@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expsum import ExpSum, bisection_round, canonicalize, walk_round
+from .expsum import ExpSum, bisect_brackets, canonicalize
 
 MAX_COMPONENTS = 20  # inclusion-exclusion yields 2^n - 1 terms
 RATE_RTOL = 1e-12  # relative tolerance at which two rates, or two rate totals, agree
 BISECT_STEPS = 120  # most bisection steps of a quantile
-# Points that one bisection call may evaluate for the intervals every
-# pending quantile's next steps can reach, all quantiles together; more
-# are planned on each quantile's path toward its predicted root.
+# Points that the first bisection round of the pending quantiles may
+# evaluate for the intervals their next steps can reach, all of them
+# together; more are planned on each one's path toward its predicted root.
 BISECT_POINTS = 128
 
 
@@ -140,16 +140,12 @@ def inverse_survival_many(f: ExpSum, u: np.ndarray) -> np.ndarray:
     Bracketing by doubling followed by bisection to machine width, so the
     residual |f(x) - u| is far below 1e-13 for any u in (0, 1].
 
-    Each bisection call plans, for every pending quantile, the intervals
-    its next steps can reach, as many steps as fit in BISECT_POINTS points
-    over all of them, at least one: seven for one quantile, one for a
-    2000-point oracle.  While that is one step, each call is one
-    vectorized step; once it is two or more, more intervals are planned
-    on each quantile's path toward its predicted root, and the values walk
-    each bracket while its next interval was planned (see
-    :func:`_bisect_rounds`).  Every value of ``eval_many`` depends on its
-    own point only, so lo and hi are those of one step per call.  A
-    quantile takes at most BISECT_STEPS steps.
+    Bisection takes one vectorized step per ``eval_many`` call while two
+    steps of every pending quantile do not fit in BISECT_POINTS points (a
+    2000-point oracle), then the rounds of :func:`_bisect_rounds`.  Every
+    value of ``eval_many`` depends on its own point only, so lo and hi are
+    those of one step per call.  A quantile takes at most BISECT_STEPS
+    steps.
     """
     _check_survival_form(f)
     u = np.asarray(u, dtype=float)
@@ -213,51 +209,25 @@ def _quantile_guess(u: float, a: float, b: float, f_a: float, f_b: float) -> flo
 
 
 def _bisect_rounds(f: ExpSum, u: list, lo: list, hi: list, f_lo: list, f_hi: list, levels: int):
-    """Bisect the brackets [lo, hi] of f = u to machine width, each round
-    from one ``eval_many`` call, after ``levels`` steps taken; f_lo and
-    f_hi are f at the ends (nan where unknown).  Returns lo and hi.
-
-    Each round plans, for every bracket whose midpoint is still strictly
-    inside it, every interval its next steps can reach, as many steps as
-    fit in BISECT_POINTS points over those brackets, and then more on the
-    path toward its predicted root (:func:`_quantile_guess`), twice as
-    many as the steps the bracket's last round took (twice the reachable
-    steps in the first), with
-    :func:`~transform_orders.expsum.bisection_round`; the values then walk
-    each bracket while its next interval was planned
-    (:func:`~transform_orders.expsum.walk_round`).  A midpoint not
-    strictly inside its interval ends the bracket's steps, as it would
-    leave the bracket there for good; a bracket takes at most
-    BISECT_STEPS steps in all."""
-    steps, last = [levels] * len(u), [0] * len(u)  # steps taken, and in the last round
-    active = list(range(len(u)))
-    while True:
-        active = [k for k in active if lo[k] < 0.5 * (lo[k] + hi[k]) < hi[k]]
-        if not active:
-            break
-        depth = max(1, int(math.log2(BISECT_POINTS // len(active) + 1)))
-        plans, mids = [], []
-        for k in active:
-            reach = min(depth, BISECT_STEPS - steps[k])
-            links = min(2 * (last[k] or depth), BISECT_STEPS - steps[k] - reach)
-            guess = _quantile_guess(u[k], lo[k], hi[k], f_lo[k], f_hi[k])
-            plans.append(bisection_round(lo[k], hi[k], reach, links, guess, _half, mids))
-        values = f.eval_many(np.array(mids)).tolist()
-        still = []
-        for k, plan in zip(active, plans):
-            lo[k], hi[k], path, at_lo, at_hi, _ = walk_round(
-                plan, lo[k], hi[k], lambda i: values[i] > u[k]
-            )
-            if at_lo >= 0:
-                f_lo[k] = values[at_lo]
-            if at_hi >= 0:
-                f_hi[k] = values[at_hi]
-            steps[k] += len(path)
-            last[k] = len(path)
-            if steps[k] < BISECT_STEPS:
-                still.append(k)
-        active = still
-    return lo, hi
+    """Bisect the brackets [lo, hi] of f = u to machine width after
+    ``levels`` steps taken, each round of
+    :func:`~transform_orders.expsum.bisect_brackets` from one ``eval_many``
+    call, toward the predicted root (:func:`_quantile_guess`); f_lo and
+    f_hi are f at the ends (nan where unknown).  Returns lo and hi.  A
+    bracket's first round plans as many levels as fit in BISECT_POINTS
+    points over the brackets in the round: seven for one quantile."""
+    rounds = bisect_brackets(
+        lo, hi, (f_lo, f_hi), _half,
+        lambda k: _quantile_guess(u[k], lo[k], hi[k], f_lo[k], f_hi[k]),
+        lambda active: max(1, int(math.log2(BISECT_POINTS // active + 1))), BISECT_STEPS,
+        lambda values: (lambda k, i: values[i] > u[k], values), levels,
+    )
+    try:
+        mids = next(rounds)
+        while True:
+            mids = rounds.send(f.eval_many(mids).tolist())
+    except StopIteration:
+        return lo, hi
 
 
 def _half(a: float, b: float) -> float | None:

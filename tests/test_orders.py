@@ -1314,11 +1314,15 @@ class TestSignMap:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 sign_map(lam, theta, -0.1, (0.5, 1.0), (0.0, 5.0), 5)
 
-    def test_n3_origin_column_uncertain_for_positive_b(self):
-        # The product form leaves a*x < 2^-1000 uncertain, so x = 0 is.
-        smap = sign_map(*self.N3, 0.05, (0.125, 1.0), (0.0, 20.0), 41)
+    def test_n3_origin_column_certain_for_positive_b(self):
+        # V(0) = F_X(b) > 0 exactly, as in the n = 2 maps; b = 0 is an
+        # exact zero there, and stays uncertain.
+        for b in (0.0125, 0.05, 5.0):
+            smap = sign_map(*self.N3, b, (0.125, 1.0), (0.0, 20.0), 41)
+            assert [row[0] for row in smap.signs] == [1] * len(smap.a_values)
+            assert all(s != 0 for row in smap.signs for s in row[1:3])
+        smap = sign_map(*self.N3, 0.0, (0.125, 1.0), (0.0, 20.0), 41)
         assert [row[0] for row in smap.signs] == [0] * len(smap.a_values)
-        assert all(s != 0 for row in smap.signs for s in row[1:3])
 
 
 class TestStarCheckN:

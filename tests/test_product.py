@@ -48,8 +48,9 @@ def true_scaled_gap(lam, theta, a, b, x, m):
 
 
 def assert_product_bound_holds(lam, theta, a, b, xs):
+    # x = 0 too, where the gap is F_X(b) exactly.
     lam, theta = np.array(sorted(lam)), np.array(sorted(theta))
-    xs = np.asarray(xs, dtype=float)
+    xs = np.concatenate([[0.0], np.asarray(xs, dtype=float)])
     s, m, err = product_block(lam, theta, np.full(xs.size, a), np.full(xs.size, b), xs)
     for x, si, mi, ei in zip(xs.tolist(), s.tolist(), m.tolist(), err.tolist()):
         if ei == math.inf:  # only where a product may be subnormal: uncertain, which is sound

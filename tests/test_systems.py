@@ -3,6 +3,7 @@
 import itertools
 import math
 from decimal import Decimal, getcontext
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -22,7 +23,7 @@ from transform_orders import (
     sign_pattern,
     survival,
 )
-from transform_orders import systems
+from transform_orders import expsum, systems
 
 from _samplers import random_hazard, random_majorized_pair
 
@@ -299,6 +300,35 @@ class TestInverseSurvival:
         assert np.array_equal(inverse_survival_many(f, u), self.sequential_quantiles(f, u))
         for ui in u[:8].tolist():
             assert inverse_survival(f, ui) == self.sequential_quantiles(f, [ui])[0]
+
+    def test_later_rounds_plan_few_points(self):
+        # The slack level of the classic pair, S_Y(1 / (theta_1 + theta_n))
+        # inverted on S_X: after its first round, a lone quantile plans at
+        # most BISECT_LEVELS levels a round and then its predicted path,
+        # not a full tree of every level that fits in BISECT_POINTS.  One
+        # doubling call, then four rounds, each of whose planned midpoints
+        # is evaluated once.
+        lam, theta = HazardVector((2.0, 3.0)), HazardVector((1.5, 3.5))
+        f, u = survival(lam), survival(theta).eval(1.0 / 5.0)
+        planned, evals = [], []
+        plan, evaluate = expsum.bisection_round, expsum.ExpSum.eval_many
+
+        def planning(*args):
+            before = len(args[-1])
+            index = plan(*args)
+            planned.append(len(args[-1]) - before)
+            return index
+
+        def eval_many(g, xs):
+            evals.append(len(xs))
+            return evaluate(g, xs)
+
+        with mock.patch.object(expsum, "bisection_round", planning), \
+                mock.patch.object(expsum.ExpSum, "eval_many", eval_many):
+            x = inverse_survival(f, u)
+        assert x == self.sequential_quantiles(f, [u])[0]
+        assert len(evals) == 5 and sum(evals) <= 300
+        assert sum(planned) == sum(evals[1:])
 
     def test_rejects_out_of_range(self):
         f = survival(HazardVector((1,)))
