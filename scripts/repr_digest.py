@@ -19,11 +19,7 @@ Sections and their inputs (every input is seeded, so the set is fixed):
 - ``verdicts``: ``star_check``, ``convex_check``, ``violation_search``
   and ``convex_check_at`` on 8 pairs, evidence included;
 - ``star_check_higher_n``: ``star_check`` on linspace-rate pairs for
-  n = 3..6, both ways round;
-- ``numerical_holds``: ``star_check`` and ``convex_check`` with
-  ``allow_numerical_holds`` on the 8 pairs, the linspace pairs both ways
-  round and ``NUMERICAL_HOLDS_PAIR``, where the star order reaches a
-  numerical HOLDS and the convex order does not.
+  n = 3..6, both ways round.
 
 With ``--check FILE`` the lines are compared with those stored in FILE
 (``scripts/repr_digest.txt`` holds the digests of this tree): the script
@@ -34,7 +30,7 @@ compared line by line to see which result moved.
 
 Usage:
     PYTHONPATH=src python scripts/repr_digest.py [--check scripts/repr_digest.txt]
-    PYTHONPATH=src python scripts/repr_digest.py --show numerical_holds
+    PYTHONPATH=src python scripts/repr_digest.py --show verdicts
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ import numpy as np
 
 from transform_orders import (
     HazardVector,
-    OrderOptions,
     canonicalize,
     convex_check,
     convex_check_at,
@@ -68,14 +63,6 @@ PAIRS = (
     ((1.0, 4.0), (2.0, 2.5)),  # star fails, convex grid scans
     ((1.0, 1000.0), (0.5, 1000.5)),  # extreme rates
     ((1.6702, 1.6707), (0.6158, 2.7251)),  # narrow strip
-)
-# The one pair of 300 random ones (``default_rng(3)``) where the star order
-# reaches a numerical HOLDS and every convex probe that may violate has a
-# complete pattern; the whole (a, b) grid has an incomplete one, so the
-# convex order stays INCONCLUSIVE.
-NUMERICAL_HOLDS_PAIR = (
-    (0.6384049867156364, 0.7631396960750423),
-    (2.308588531300789, 3.881142047020032),
 )
 CHECK_AT = (0.749, 0.0125)  # the classic published violating point
 BLOCK = 40
@@ -146,17 +133,6 @@ def sections():
     yield "star_check_higher_n", (
         star_check(*pair) for lam, theta in linspace for pair in ((lam, theta), (theta, lam))
     )
-
-    def numerical_holds():
-        opts = OrderOptions(allow_numerical_holds=True)
-        pairs = [(HazardVector(lam), HazardVector(theta))
-                 for lam, theta in (*PAIRS, NUMERICAL_HOLDS_PAIR)]
-        pairs += [pair for lam, theta in linspace for pair in ((lam, theta), (theta, lam))]
-        for lam, theta in pairs:
-            yield attempt(star_check, lam, theta, opts)
-            yield attempt(convex_check, lam, theta, opts)
-
-    yield "numerical_holds", numerical_holds()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -71,7 +71,6 @@ class RunConfig:
     sign_floor: float = 1e-18
     seed: int = 0
     samples: int = 1_000_000
-    allow_numerical_holds: bool = False
     format: str | None = None  # per-command default: csv for sign-map, else json
     out: str | None = None
 
@@ -106,11 +105,9 @@ class RunConfig:
             raise UsageError("--b must be nonnegative")
         if None not in (self.lam, self.theta) and len(self.lam) != len(self.theta):
             raise UsageError("--lambda and --theta need the same number of rates")
-        for name, kind in (("resolution", int), ("seed", int), ("samples", int),
-                           ("allow_numerical_holds", bool)):
-            if type(getattr(self, name)) is not kind:
-                raise UsageError(f"{_flag(name)} must be {kind.__name__}, "
-                                 f"got {getattr(self, name)!r}")
+        for name in ("resolution", "seed", "samples"):
+            if type(getattr(self, name)) is not int:
+                raise UsageError(f"{_flag(name)} must be int, got {getattr(self, name)!r}")
         for name, least in (("resolution", 2), ("seed", 0), ("samples", MIN_SAMPLES)):
             if getattr(self, name) < least:
                 raise UsageError(f"{_flag(name)} must be at least {least}")
@@ -143,14 +140,10 @@ def build_parser() -> _Parser:
     common.add_argument("--config", default=None,
                         help="JSON file with RunConfig fields; flags override it")
 
-    p = sub.add_parser("check-star", parents=[common])
-    p.add_argument("--allow-numerical-holds", action="store_true", default=None,
-                   dest="allow_numerical_holds")
+    sub.add_parser("check-star", parents=[common])
     p = sub.add_parser("check-convex", parents=[common])
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
-    p.add_argument("--allow-numerical-holds", action="store_true", default=None,
-                   dest="allow_numerical_holds")
     sub.add_parser("find-counterexample", parents=[common])
     p = sub.add_parser("sign-map", parents=[common])
     p.add_argument("--b", type=float, default=None)
@@ -204,10 +197,7 @@ def _order_options(config: RunConfig) -> OrderOptions:
         floor = math.nan
     if not (0.0 < floor < math.inf):
         raise UsageError(f"TOL_OVERRIDE={text!r}: the sign floor must stay positive and finite")
-    return OrderOptions(
-        scan=ScanOptions(sign_floor=floor),
-        allow_numerical_holds=config.allow_numerical_holds,
-    )
+    return OrderOptions(scan=ScanOptions(sign_floor=floor))
 
 
 def _require(config: RunConfig, *names: str) -> None:

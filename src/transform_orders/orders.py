@@ -41,12 +41,8 @@ steps run in this order:
    scan of the grid, the a-grid at b = 0 for the star order and the
    (a, b) grid, b >= 0, for the convex one; a certified violation FAILS
    with its witness;
-4. with ``allow_numerical_holds``, the scan covers the whole grid, and a
-   grid without a violation is a numerical HOLDS when the pattern of
-   every probe is complete and, for the convex order, the star rung of
-   the same ladder holds, since the convex order implies the star order;
-   without it only the probes ``_kept`` returns are scanned;
-5. otherwise the verdict is INCONCLUSIVE.
+4. otherwise the verdict is INCONCLUSIVE: a grid without a violation
+   proves nothing, so every HOLDS names its certificate.
 
 ``_scan`` is the one place where sign patterns are scanned: every verdict
 probes a list of (a, b) through it, with both survivals built once per call.
@@ -70,7 +66,7 @@ block is as long as memory allows.  The b-halving of
 ``violation_search`` ends at its first probe with a certified '-'
 region (``_scan``'s ``stop``), which in practice is its first.
 
-Without ``allow_numerical_holds`` the grids of ``star_check`` (the a-grid
+The grids of ``star_check`` (the a-grid
 at b = 0) and ``convex_check`` (the (a, b) grid) are pruned before
 scanning, through ``_kept``, by two rules; a probe either rule drops
 cannot yield a certified violation, so only the other probes are scanned
@@ -294,7 +290,6 @@ class OrderOptions:
     """The settable knobs; scan grids and search budgets are module constants."""
 
     scan: ScanOptions = field(default_factory=ScanOptions)
-    allow_numerical_holds: bool = False
 
 
 class _Gaps:
@@ -775,11 +770,9 @@ def star_check(
     other pair (and every pair for n >= 3, where no certificate is known)
     is scanned on a logarithmic a-grid for a certified pattern with a
     "+,-" change, which refutes the order; with nothing found the verdict
-    is INCONCLUSIVE.  With ``allow_numerical_holds`` the whole grid is
-    scanned, and it is a numerical HOLDS when every probe's pattern is
-    complete; otherwise only the probes whose gap can take both signs and
-    whose ``possible_signs`` hold a "+,-" are scanned (``_kept``).  Either
-    way the verdict is that of the full grid.
+    is INCONCLUSIVE.  Only the probes whose gap can take both signs and
+    whose ``possible_signs`` hold a "+,-" are scanned (``_kept``), so the
+    verdict is that of the full grid.
     """
     return _verdict(lam, theta, opts or OrderOptions(), star=True)
 
@@ -799,11 +792,8 @@ def convex_check(
     ``violation_search``: FAILS with its witness, INCONCLUSIVE when it
     certifies none (at n >= 3, where the order is open).  Everything else
     stays numerical: a certified violating pattern on the (a, b) grid,
-    b >= 0, gives FAILS, otherwise INCONCLUSIVE.  Grids cannot certify
-    HOLDS; with ``allow_numerical_holds`` the whole grid is scanned, and
-    it gives a numerical HOLDS when every probe's pattern is complete and
-    the star order also holds numerically, since the convex order implies
-    the star order.  The rule is that of :func:`star_check`, so pruning
+    b >= 0, gives FAILS, otherwise INCONCLUSIVE, since grids cannot
+    certify HOLDS.  The pruning is that of :func:`star_check`, so it
     never changes the verdict.
     """
     return _verdict(lam, theta, opts or OrderOptions(), star=False)
@@ -828,7 +818,7 @@ def _verdict(
 def _ladder(gaps: _Gaps, majorized: bool, opts: OrderOptions, star: bool) -> OrderVerdict:
     """The rungs of :func:`_verdict` past its entry checks, on the gaps of
     a pair whose majorization is known: the n = 2 analytic table, the
-    search, the numerical HOLDS and the verdict texts of both orders."""
+    search and the verdict texts of both orders."""
     lam, theta = gaps.lam, gaps.theta
     violating = _star_signs if star else _convex_signs
     a_lo, a_hi = strip = _strip(lam, theta)
@@ -854,25 +844,17 @@ def _ladder(gaps: _Gaps, majorized: bool, opts: OrderOptions, star: bool) -> Ord
         witness = Witness(report.a, report.b, report.pattern)
         return OrderVerdict(Status.FAILS, None, witness=witness, detail=detail)
 
-    # The a-grid at b = 0, or the (a, b) grid with nonnegative shifts.  A
-    # numerical HOLDS reads every probe's pattern, so it scans them all.
+    # The a-grid at b = 0, or the (a, b) grid with nonnegative shifts.
     b_scale = 1.0 / (theta.rates[0] + theta.rates[-1])
     shifts = (0.0,) if star else [f * b_scale for f in B_FACTORS]
     grid = [(a, b) for a in _a_grid(lam, theta) for b in shifts]
-    numerical = opts.allow_numerical_holds
-    probes = grid if numerical else _kept(gaps, grid, violating)
-    hit, scanned = _scan(gaps, probes, violating, opts.scan, refine=False)
+    hit, _ = _scan(gaps, _kept(gaps, grid, violating), violating, opts.scan, refine=False)
     if hit is not None:
         if star:
             detail = f"gap pattern '{hit.pattern.text()}' at a={hit.a:.6g} has a '+,-' change"
         else:
             detail = f"pattern '{hit.pattern.text()}' violates the two-change criterion"
         return OrderVerdict(Status.FAILS, None, witness=hit, detail=detail)
-    if numerical and all(p.complete for _, p in scanned) and (
-        star or _ladder(gaps, majorized, opts, star=True).status is Status.HOLDS
-    ):
-        detail = "no violating pattern on the a-grid" if star else "no violation on the (a, b) grid"
-        return OrderVerdict(Status.HOLDS, None, detail=f"{detail} (numerical, not analytic)")
     if not star:
         detail = "no violation found on the (a, b) grid; grids cannot certify HOLDS"
     elif majorized:  # n >= 3, where the star order is conjectured
@@ -927,7 +909,8 @@ def sign_map(
     (``_Gaps.evaluator``), with the points of ``_Gaps.block`` bit for bit,
     but no gap is built that the form does not read: for three or more
     components the product form takes the rates and (a, b) alone (and
-    leaves the x = 0 column uncertain); for two the coefficient layout
+    leaves the x = 0 column, where V = F_X(b), uncertain only at b = 0 or
+    where lam_1 * b < 2^-1000); for two the coefficient layout
     comes from one array pass over the rows of ``_Gaps.rows``, and only
     the few rows where a rate of X meets one of Y (at the strip ends, for
     one) go through ``canonicalize``.

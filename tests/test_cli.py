@@ -260,10 +260,14 @@ class TestConfigFile:
         )
         assert code == EXIT_HOLDS
 
-    def test_unknown_config_keys_rejected(self, tmp_path):
+    def test_unknown_config_keys_rejected(self, tmp_path, capsys):
+        # allow_numerical_holds is a removed field, unknown like any other.
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"lam": [2, 3], "bogus": 1}))
-        assert main(["check-star", "--config", str(cfg)]) == EXIT_USAGE
+        for extra in ({"bogus": 1}, {"allow_numerical_holds": "no"},
+                      {"allow_numerical_holds": 1}):
+            cfg.write_text(json.dumps({"lam": [2, 3], "theta": [1.5, 3.5], **extra}))
+            assert main(["check-star", "--config", str(cfg)]) == EXIT_USAGE
+            assert "unknown config keys" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, fields", [
         (["simulate"], {"samples": 1500.5}),
@@ -272,8 +276,6 @@ class TestConfigFile:
         (["simulate"], {"seed": -1}),
         (["simulate"], {"seed": "7"}),
         (["sign-map", "--b", "0"], {"resolution": 21.0}),
-        (["check-star"], {"allow_numerical_holds": "no"}),
-        (["check-star"], {"allow_numerical_holds": 1}),
         (["check-convex", "--b", "0"], {"a": "0.5"}),
         (["check-convex", "--b", "0"], {"a": 10**400}),
         (["check-star"], {"sign_floor": None}),
@@ -293,6 +295,11 @@ class TestUsageErrors:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["check-star", "check-convex"])
+    def test_removed_numerical_holds_flag(self, command):
+        argv = [command, "--lambda", "2,3", "--theta", "1.5,3.5", "--allow-numerical-holds"]
+        assert main(argv) == EXIT_USAGE
 
     def test_nonpositive_rates(self):
         assert main(["check-star", "--lambda", "0,1", "--theta", "1,2"]) == EXIT_USAGE
