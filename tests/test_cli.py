@@ -261,13 +261,17 @@ class TestConfigFile:
         assert code == EXIT_HOLDS
 
     def test_unknown_config_keys_rejected(self, tmp_path, capsys):
-        # allow_numerical_holds is a removed field, unknown like any other.
         cfg = tmp_path / "run.json"
-        for extra in ({"bogus": 1}, {"allow_numerical_holds": "no"},
-                      {"allow_numerical_holds": 1}):
-            cfg.write_text(json.dumps({"lam": [2, 3], "theta": [1.5, 3.5], **extra}))
-            assert main(["check-star", "--config", str(cfg)]) == EXIT_USAGE
-            assert "unknown config keys" in capsys.readouterr().err
+        cfg.write_text(json.dumps({"lam": [2, 3], "theta": [1.5, 3.5], "bogus": 1}))
+        assert main(["check-star", "--config", str(cfg)]) == EXIT_USAGE
+        assert "unknown config keys" in capsys.readouterr().err
+
+    def test_removed_numerical_holds_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"lam": [2, 3], "theta": [1.5, 3.5],
+                                   "allow_numerical_holds": True}))
+        assert main(["check-star", "--config", str(cfg)]) == EXIT_USAGE
+        assert "unknown config keys" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, fields", [
         (["simulate"], {"samples": 1500.5}),
@@ -276,6 +280,9 @@ class TestConfigFile:
         (["simulate"], {"seed": -1}),
         (["simulate"], {"seed": "7"}),
         (["sign-map", "--b", "0"], {"resolution": 21.0}),
+        # allow_numerical_holds is a removed field: any value is an unknown key.
+        (["check-star"], {"allow_numerical_holds": "no"}),
+        (["check-star"], {"allow_numerical_holds": 1}),
         (["check-convex", "--b", "0"], {"a": "0.5"}),
         (["check-convex", "--b", "0"], {"a": 10**400}),
         (["check-star"], {"sign_floor": None}),
